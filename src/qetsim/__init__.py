@@ -36,7 +36,6 @@ from .model import (
 from .protocol import (
     BobControl,
     ExtractionResult,
-    OptimizerConfig,
     OutcomeBranch,
     apply_bob,
     evolve_branches,

@@ -28,7 +28,6 @@ from .model import (
 )
 from .protocol import (
     BobControl,
-    OptimizerConfig,
     apply_bob,
     evolve_branches,
     extracted_energy,
@@ -152,7 +151,6 @@ def run_once(
     t_c: float,
     policy: str = "optimize",
     mode: str = "family",
-    cfg: OptimizerConfig | None = None,
 ) -> ProtocolTrace:
     """Execute one full round at classical-communication latency t_c.
 
@@ -173,7 +171,7 @@ def run_once(
     evolved = evolve_branches(branches, hams, t_c)
 
     if policy == "optimize":
-        result = optimize_bob(evolved, hams, cfg, mode=mode)
+        result = optimize_bob(evolved, hams, mode=mode)
         e_b = result.extracted_energy
     else:
         control = BobControl.family(optimal_rotation_angle(p))
@@ -208,7 +206,6 @@ def sweep_latency(
     grid,
     policy: str = "optimize",
     mode: str = "family",
-    cfg: OptimizerConfig | None = None,
 ) -> list[ProtocolTrace]:
     """One trace per latency, Bob re-optimised at each grid point."""
     grid = list(grid)
@@ -219,7 +216,7 @@ def sweep_latency(
             raise ValidationError("latency grid must be strictly ascending")
     if grid[0] < 0:
         raise ValidationError("latencies must be >= 0")
-    return [run_once(p, t_c, policy=policy, mode=mode, cfg=cfg) for t_c in grid]
+    return [run_once(p, t_c, policy=policy, mode=mode) for t_c in grid]
 
 
 def traces_to_csv(traces) -> str:
@@ -296,7 +293,6 @@ def wire_alice(
     t_c: float,
     policy: str = "optimize",
     mode: str = "family",
-    cfg: OptimizerConfig | None = None,
 ) -> ProtocolTrace:
     """Serve one protocol round: handshake, then send both outcome frames."""
     conn, _addr = listener.accept()
@@ -310,7 +306,7 @@ def wire_alice(
             stream.flush()
     finally:
         conn.close()
-    return run_once(p, t_c, policy=policy, mode=mode, cfg=cfg)
+    return run_once(p, t_c, policy=policy, mode=mode)
 
 
 def wire_bob(
@@ -319,7 +315,6 @@ def wire_bob(
     t_c: float,
     policy: str = "optimize",
     mode: str = "family",
-    cfg: OptimizerConfig | None = None,
 ) -> ProtocolTrace:
     """Run one round against a listening peer: handshake, receive outcomes."""
     host, port = _parse_endpoint(endpoint)
@@ -330,7 +325,7 @@ def wire_bob(
             _check_hello(_read_frame(stream), p, t_c)
             for mu in (0, 1):
                 _check_outcome(_read_frame(stream), mu, t_c)
-    return run_once(p, t_c, policy=policy, mode=mode, cfg=cfg)
+    return run_once(p, t_c, policy=policy, mode=mode)
 
 
 def wire_mode(
@@ -340,15 +335,14 @@ def wire_mode(
     t_c: float,
     policy: str = "optimize",
     mode: str = "family",
-    cfg: OptimizerConfig | None = None,
 ) -> ProtocolTrace:
     """Run one wire-mode round as either party; both emit identical traces."""
     if role == "alice":
         listener = open_listener(endpoint)
         try:
-            return wire_alice(listener, p, t_c, policy=policy, mode=mode, cfg=cfg)
+            return wire_alice(listener, p, t_c, policy=policy, mode=mode)
         finally:
             listener.close()
     if role == "bob":
-        return wire_bob(endpoint, p, t_c, policy=policy, mode=mode, cfg=cfg)
+        return wire_bob(endpoint, p, t_c, policy=policy, mode=mode)
     raise ValidationError(f"unknown wire role {role!r}, expected alice or bob")

@@ -1,10 +1,13 @@
 """Full protocol round: projective measurement, diffusion, conditioned
-extraction, and numerical maximisation of the extracted energy.
+extraction, and exact maximisation of the extracted energy.
 
 Measurement is handled by exhaustive branch enumeration (both outcomes with
 their exact probabilities), never by sampling, so every quantity downstream
-is deterministic.  The optimiser is a deterministic coarse grid plus
-derivative-free refinement with a fixed start list.
+is deterministic.  Bob's optimum has a closed form in every mode, with no
+numerical search: in the sigma_y family the extracted energy is a sinusoid
+in 2*theta, fixed by three evaluations; over all of SU(2) (full and shared
+modes) it is linear in the site-B rotation R, and the best R solves Wahba's
+problem exactly through one Kabsch SVD.
 """
 
 from __future__ import annotations
@@ -13,18 +16,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernel
 from .errors import NumericError, ValidationError
-from .kernel import ID2, ID4, SIGMA_X, expectation, kron, su2
+from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
 from .model import GroundState, HamiltonianSet
 
 __all__ = [
     "OutcomeBranch",
     "BobControl",
     "ExtractionResult",
-    "OptimizerConfig",
     "measure_alice",
     "sample_outcome",
     "infused_energy",
@@ -32,6 +33,7 @@ __all__ = [
     "apply_bob",
     "extracted_energy",
     "optimize_bob",
+    "minimize",
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -87,23 +89,6 @@ class ExtractionResult:
     extracted_energy: float
     control: BobControl
     per_branch_energy: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Deterministic optimiser settings (coarse grid + refinement)."""
-
-    coarse_grid_points: int = 64
-    refine_tolerance: float = 1e-10
-    max_iterations: int = 600
-
-    def __post_init__(self):
-        if self.coarse_grid_points < 32:
-            raise ValidationError("coarse grid needs at least 32 points")
-        if not (self.refine_tolerance > 0):
-            raise ValidationError("refine tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValidationError("iteration budget must be positive")
 
 
 def _projector(mu: int) -> np.ndarray:
@@ -197,197 +182,130 @@ def _branch_energies(branches, hams: HamiltonianSet) -> tuple[float, float]:
     return tuple(expectation(b.state, hams.h_tot) for b in branches)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, budget: int):
-    """Golden-section maximisation of a unimodal f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while (hi - lo) > tol:
-        if iterations >= budget:
-            best_x = c if fc >= fd else d
-            raise NumericError(
-                "golden-section refinement exhausted its iteration budget",
-                best=(best_x, max(fc, fd)),
-            )
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        iterations += 1
-    x = (lo + hi) / 2.0
-    return x, f(x)
-
-
-def _family_extraction(theta, branches, hams, energies_before):
-    control = BobControl.family(float(theta))
+def _extraction(branches, hams, control, energies_before) -> ExtractionResult:
+    """Apply `control` and measure the energy each branch gives up."""
     after = apply_bob(branches, control)
     per_branch = tuple(
         eb - expectation(a.state, hams.h_tot)
         for eb, a in zip(energies_before, after)
     )
     total = sum(b.probability * pb for b, pb in zip(branches, per_branch))
-    return total, per_branch, control
+    return ExtractionResult(
+        extracted_energy=total, control=control, per_branch_energy=per_branch
+    )
 
 
-def _optimize_family(branches, hams, cfg) -> ExtractionResult:
+def _optimize_family(branches, hams) -> ExtractionResult:
+    """Exact family optimum from three evaluations.
+
+    U_B(mu) rotates site B about y by 2*theta (sign (-1)^mu), so the
+    extracted energy is a0 + a1*cos(2 theta) + a2*sin(2 theta).  Its values
+    at theta = 0, pi/4, pi/2 give a0 +- a1 and a0 + a2; the maximiser is
+    theta* = atan2(a2, a1)/2 in (-pi/2, pi/2].
+    """
     energies_before = _branch_energies(branches, hams)
 
     def objective(theta: float) -> float:
-        return _family_extraction(theta, branches, hams, energies_before)[0]
+        control = BobControl.family(theta)
+        return _extraction(branches, hams, control, energies_before).extracted_energy
 
-    grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, cfg.coarse_grid_points)
-    values = [objective(t) for t in grid]
-    best = int(np.argmax(values))
-    span = grid[1] - grid[0]
-    theta_star, _ = _golden_max(
-        objective,
-        grid[best] - span,
-        grid[best] + span,
-        cfg.refine_tolerance,
-        cfg.max_iterations,
-    )
-    total, per_branch, control = _family_extraction(
-        theta_star, branches, hams, energies_before
-    )
-    return ExtractionResult(
-        extracted_energy=total, control=control, per_branch_energy=per_branch
-    )
+    f0, f1, f2 = (objective(t) for t in (0.0, math.pi / 4.0, math.pi / 2.0))
+    a1 = (f0 - f2) / 2.0
+    a2 = f1 - (f0 + f2) / 2.0
+    theta_star = math.atan2(a2, a1) / 2.0
+    return _extraction(branches, hams, BobControl.family(theta_star), energies_before)
 
 
-def _axis_from_angles(polar: float, azimuth: float):
-    return (
-        math.sin(polar) * math.cos(azimuth),
-        math.sin(polar) * math.sin(azimuth),
-        math.cos(polar),
-    )
+# _PAULI_PAIRS[a, j] = sigma_a (x) sigma_j, a over (I, x, y, z), j over (x, y, z).
+_PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULIS[1:]] for a in _PAULIS])
 
 
-def _su2_start_list(family_theta: float):
-    # Fixed deterministic starts: the family optimum on the y axis plus a
-    # spread over axes and angles.  No randomised restarts.
-    return (
-        (family_theta, math.pi / 2.0, math.pi / 2.0),
-        (0.4, math.pi / 2.0, math.pi / 2.0),
-        (-0.4, math.pi / 2.0, math.pi / 2.0),
-        (0.4, math.pi / 2.0, 0.0),
-        (0.4, 0.0, 0.0),
-        (0.7, 1.0, 2.0),
-        (-0.7, 2.2, 4.4),
-        (0.2, 2.0, 1.0),
-    )
+def _rotation_cost(state, h_tot) -> np.ndarray:
+    """3x3 M with <(I x U)psi|H|(I x U)psi> = const + tr(R^T M).
+
+    U^H sigma_j U = sum_k R_jk sigma_k for R in SO(3), so with the Pauli
+    coefficients c_aj = tr(H sigma_a (x) sigma_j)/4 and the correlators
+    C_ak = <sigma_a (x) sigma_k>, M = c^T C.  H has no sigma_y^B term, so
+    the y row of M vanishes and rank(M) <= 2.
+    """
+    c = np.einsum("ajkl,lk->aj", _PAULI_PAIRS, h_tot).real / 4.0
+    corr = np.einsum("k,ajkl,l->aj", state.conj(), _PAULI_PAIRS, state).real
+    return c.T @ corr
 
 
-def _refine_su2(objective, start, cfg):
-    """Nelder-Mead refinement of a 3-parameter SU(2) objective (minimised)."""
-    result = minimize(
-        objective,
-        x0=np.asarray(start, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "xatol": max(cfg.refine_tolerance, 1e-10),
-            "fatol": max(cfg.refine_tolerance * 1e-2, 1e-13),
-            "maxiter": cfg.max_iterations,
-            "maxfev": 4 * cfg.max_iterations,
-        },
-    )
-    if not result.success and "maximum" in (result.message or "").lower():
-        raise NumericError(
-            f"SU(2) refinement exhausted its iteration budget: {result.message}",
-            best=(result.x, float(result.fun)),
-        )
-    return result.x, float(result.fun)
+def minimize(m) -> np.ndarray:
+    """The rotation R in SO(3) minimising tr(R^T m), exactly.
+
+    Wahba's problem (Wahba 1965), solved by the Kabsch SVD (Kabsch 1976):
+    with -m = U S V^T, R = U diag(1, 1, d) V^T, d = det(U V^T) = +-1.  The
+    minimum is unique even where R is not (rank(m) <= 1).
+    """
+    u, _, vt = np.linalg.svd(-np.asarray(m, dtype=float))
+    if np.linalg.det(u @ vt) < 0.0:
+        u[:, 2] = -u[:, 2]
+    return u @ vt
 
 
-def _minimise_branch_energy(state, hams, cfg, family_theta):
-    """Best local unitary for one branch: min_U <psi|(I x U)^H H (I x U)|psi>."""
+def _su2_params(r) -> tuple[float, tuple[float, float, float]]:
+    """(theta, axis) of su2(theta, axis) = U with U^H sigma_j U = sum_k r_jk sigma_k.
 
-    def objective(params):
-        theta, polar, azimuth = params
-        u4 = kron(ID2, su2(theta, _axis_from_angles(polar, azimuth)))
-        return expectation(u4 @ state, hams.h_tot)
+    U = q0*I + i*(q . sigma) for the unit quaternion q of the rotation r^T.
+    The matrix 4 q q^T is read off r, and q is taken from its column with
+    the largest diagonal entry (Shepperd 1978), so no component comes from
+    a small pivot; theta = atan2(|q|, q0) keeps full precision near pi/2,
+    where acos of the trace would not.
+    """
+    a = np.asarray(r, dtype=float).T
+    tr = a[0, 0] + a[1, 1] + a[2, 2]
+    qq = np.empty((4, 4))
+    qq[0, 0] = 1.0 + tr
+    qq[0, 1:] = qq[1:, 0] = (a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1])
+    qq[1:, 1:] = a + a.T + (1.0 - tr) * np.eye(3)
+    q = qq[:, int(np.argmax(np.diag(qq)))]
+    q = q / np.linalg.norm(q) * (1.0 if q[0] >= 0.0 else -1.0)
+    sin_theta = float(np.linalg.norm(q[1:]))
+    if sin_theta == 0.0:
+        return 0.0, Y_AXIS
+    axis = q[1:] / sin_theta
+    return math.atan2(sin_theta, float(q[0])), tuple(float(x) for x in axis)
 
-    best_params, best_value = None, math.inf
-    for start in _su2_start_list(family_theta):
-        x, fx = _refine_su2(objective, start, cfg)
-        if fx < best_value:
-            best_params, best_value = x, fx
-    theta, polar, azimuth = best_params
-    return (float(theta), _axis_from_angles(polar, azimuth)), best_value
 
-
-def _optimize_full(branches, hams, cfg) -> ExtractionResult:
-    family = _optimize_family(branches, hams, cfg)
-    energies_before = _branch_energies(branches, hams)
-    params, per_branch = [], []
-    for b, eb in zip(branches, energies_before):
-        seed = family.control.theta if b.mu == 0 else -family.control.theta
-        su2_params, after = _minimise_branch_energy(b.state, hams, cfg, seed)
-        params.append(su2_params)
-        per_branch.append(eb - after)
+def _optimize_full(branches, hams) -> ExtractionResult:
+    params = [
+        _su2_params(minimize(_rotation_cost(b.state, hams.h_tot))) for b in branches
+    ]
     control = BobControl.full(params[0], params[1])
-    total = sum(b.probability * pb for b, pb in zip(branches, per_branch))
-    return ExtractionResult(
-        extracted_energy=total, control=control, per_branch_energy=tuple(per_branch)
-    )
+    return _extraction(branches, hams, control, _branch_energies(branches, hams))
 
 
-def _optimize_shared(branches, hams, cfg) -> ExtractionResult:
+def _optimize_shared(branches, hams) -> ExtractionResult:
     """Best outcome-independent unitary (no classical information used)."""
-    energies_before = _branch_energies(branches, hams)
-
-    def objective(params):
-        theta, polar, azimuth = params
-        u4 = kron(ID2, su2(theta, _axis_from_angles(polar, azimuth)))
-        return sum(
-            b.probability * expectation(u4 @ b.state, hams.h_tot) for b in branches
-        )
-
-    best_params, best_value = None, math.inf
-    for start in _su2_start_list(0.0):
-        x, fx = _refine_su2(objective, start, cfg)
-        if fx < best_value:
-            best_params, best_value = x, fx
-    theta, polar, azimuth = best_params
-    su2_params = (float(theta), _axis_from_angles(polar, azimuth))
-    control = BobControl.full(su2_params, su2_params)
-    after = apply_bob(branches, control)
-    per_branch = tuple(
-        eb - expectation(a.state, hams.h_tot)
-        for eb, a in zip(energies_before, after)
-    )
-    total = sum(b.probability * pb for b, pb in zip(branches, per_branch))
-    return ExtractionResult(
-        extracted_energy=total, control=control, per_branch_energy=per_branch
-    )
+    m = sum(b.probability * _rotation_cost(b.state, hams.h_tot) for b in branches)
+    params = _su2_params(minimize(m))
+    control = BobControl.full(params, params)
+    return _extraction(branches, hams, control, _branch_energies(branches, hams))
 
 
 def optimize_bob(
-    branches,
-    hams: HamiltonianSet,
-    cfg: OptimizerConfig | None = None,
-    mode: str = "family",
+    branches, hams: HamiltonianSet, mode: str = "family"
 ) -> ExtractionResult:
-    """Maximise the extracted energy over Bob's control.
+    """Maximise the extracted energy over Bob's control, in closed form.
 
-    mode "family": 1-dim search over theta in [-pi/2, pi/2] (coarse grid,
-    then golden-section refinement to cfg.refine_tolerance).
-    mode "full": independent 3-parameter SU(2) search per outcome from a
-    fixed start list (seeded with the family optimum, so the result is
-    never below the family value).
-    mode "shared": one unitary for both outcomes -- the no-information
-    baseline, which cannot extract energy at zero delay.
+    mode "family": U_B(mu) = su2((-1)^mu theta, y); the extracted energy is
+    a0 + a1 cos(2 theta) + a2 sin(2 theta), read off three evaluations and
+    maximised at theta* = atan2(a2, a1)/2.
+    mode "full": an independent SU(2) element per outcome.  Branch energy is
+    const + tr(R^T M) over rotations R of site B, minimised by the Kabsch
+    SVD of M (`minimize`); never below the family value.
+    mode "shared": one unitary for both outcomes, from the probability-
+    weighted sum of the branch M -- the no-information baseline, which
+    cannot extract energy at zero delay.
     """
-    cfg = cfg or OptimizerConfig()
     if mode == "family":
-        return _optimize_family(branches, hams, cfg)
+        return _optimize_family(branches, hams)
     if mode == "full":
-        return _optimize_full(branches, hams, cfg)
+        return _optimize_full(branches, hams)
     if mode == "shared":
-        return _optimize_shared(branches, hams, cfg)
+        return _optimize_shared(branches, hams)
     raise ValidationError(f"unknown optimiser mode {mode!r}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -45,6 +48,21 @@ class TestUsage:
         monkeypatch.setattr(cli, "run_once", boom)
         assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys, qetsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestGolden:
@@ -137,6 +155,15 @@ class TestRunCommand:
         fields = lines[1].split(",")
         assert fields[4] == "0.344003745318"
         assert fields[6] == "unobservable"
+
+    def test_full_mode_at_positive_delay(self, tmp_path):
+        # an iterative SU(2) search fails to converge at this point
+        code, got = run_cli(
+            ["run", "--h", "0.3", "--k", "2", "--latency", "0.05", "--mode", "full"],
+            tmp_path,
+        )
+        assert code == 0
+        assert len(got.decode().splitlines()) == 2
 
     def test_wire_pair_identical_output(self, tmp_path):
         listener = open_listener("127.0.0.1:0")

@@ -17,7 +17,6 @@ from qetsim.model import (
 )
 from qetsim.protocol import (
     BobControl,
-    OptimizerConfig,
     apply_bob,
     evolve_branches,
     extracted_energy,
@@ -245,9 +244,8 @@ class TestExtraction:
 
     def test_optimizer_deterministic(self):
         hams, branches = setup_round(P34)
-        cfg = OptimizerConfig()
-        a = optimize_bob(branches, hams, cfg, mode="full")
-        b = optimize_bob(branches, hams, cfg, mode="full")
+        a = optimize_bob(branches, hams, mode="full")
+        b = optimize_bob(branches, hams, mode="full")
         assert a.extracted_energy == b.extracted_energy
         assert a.per_branch_energy == b.per_branch_energy
         assert a.control == b.control
@@ -261,24 +259,3 @@ class TestExtraction:
         hams, branches = setup_round(P34)
         with pytest.raises(ValidationError):
             optimize_bob(branches, hams, mode="annealing")
-
-
-class TestOptimizerConfig:
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValidationError):
-            OptimizerConfig(coarse_grid_points=8)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            OptimizerConfig(refine_tolerance=0.0)
-
-    def test_exhausted_budget_carries_best_value(self):
-        from qetsim.errors import NumericError
-
-        hams, branches = setup_round(P34)
-        cfg = OptimizerConfig(max_iterations=1)
-        with pytest.raises(NumericError) as err:
-            optimize_bob(branches, hams, cfg, mode="family")
-        theta, value = err.value.best
-        # one refinement step already sits near the optimum found by the grid
-        assert value == pytest.approx(e_b_closed(P34), rel=1e-2)
