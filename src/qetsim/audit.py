@@ -45,6 +45,14 @@ THRESHOLD = 1.0
 CLAIMED_F_MAX = 0.13
 
 
+def _f_alpha_formula(alpha):
+    """f(alpha) for a scalar or an array of alphas, unvalidated."""
+    a2 = alpha * alpha
+    front = (a2 + 2.0) / np.sqrt(a2 + 1.0)
+    inner = 1.0 + a2 / (a2 + 2.0) ** 2
+    return front * (np.sqrt(inner) - 1.0)
+
+
 def f_alpha(alpha: float) -> float:
     """Dimensionless optimal extraction f(alpha) = E_B/k at h = alpha*k.
 
@@ -53,17 +61,7 @@ def f_alpha(alpha: float) -> float:
     """
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
         raise ValidationError("alpha must be finite and > 0")
-    a2 = alpha * alpha
-    front = (a2 + 2.0) / math.sqrt(a2 + 1.0)
-    inner = 1.0 + a2 / (a2 + 2.0) ** 2
-    return front * (math.sqrt(inner) - 1.0)
-
-
-def _f_alpha_grid(grid: np.ndarray) -> np.ndarray:
-    a2 = grid * grid
-    front = (a2 + 2.0) / np.sqrt(a2 + 1.0)
-    inner = 1.0 + a2 / (a2 + 2.0) ** 2
-    return front * (np.sqrt(inner) - 1.0)
+    return float(_f_alpha_formula(alpha))
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def scan_alpha(
     if points < 2:
         raise ValidationError("scan needs at least 2 grid points")
     grid = np.linspace(alpha_min, alpha_max, points)
-    values = _f_alpha_grid(grid)
+    values = _f_alpha_formula(grid)
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, points - 1)]

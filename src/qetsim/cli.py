@@ -70,15 +70,27 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# Largest `start:stop:step` grid a sweep admits; the count is checked before
+# the list is built, so a tiny step cannot exhaust memory.
+MAX_LATENCY_POINTS = 1_000_000
+
+
 def _parse_latencies(spec: str) -> list[float]:
     """Grid spec: `start:stop:step` (inclusive) or comma-separated values."""
     try:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValidationError(f"latency range {spec!r} must be finite")
             if step <= 0 or stop < start:
                 raise ValidationError(f"bad latency range {spec!r}")
-            count = int(round((stop - start) / step)) + 1
+            span = (stop - start) / step  # inf when the division overflows
+            count = int(round(span)) + 1 if math.isfinite(span) else math.inf
+            if count > MAX_LATENCY_POINTS:
+                raise ValidationError(
+                    f"latency range {spec!r} exceeds {MAX_LATENCY_POINTS} points"
+                )
             return [start + i * step for i in range(count)]
         return [float(x) for x in spec.split(",")]
     except ValueError as exc:

@@ -2,9 +2,8 @@
 
 Everything here is a pure function of its inputs; returned arrays are marked
 read-only so values can be shared freely between sweep workers.  The
-eigensolver is a cyclic Jacobi iteration specialised to complex Hermitian
-matrices of dimension <= 4, which keeps the whole kernel dependency-free and
-bit-deterministic.
+eigensolver wraps LAPACK's Hermitian routine (``numpy.linalg.eigh``) with input
+validation and a canonical eigenvector phase.
 """
 
 from __future__ import annotations
@@ -37,15 +36,9 @@ class Tolerances:
     """Numeric tolerances used across the package, fixed in one place.
 
     structural: hermiticity, unitarity, norms, phase canonicalisation.
-    derived: quantities reached through an eigendecomposition.
-    jacobi_off: off-diagonal mass target of the eigensolver, relative to scale.
-    jacobi_max_sweeps: iteration budget before the solver reports failure.
     """
 
     structural: float = 1e-12
-    derived: float = 1e-10
-    jacobi_off: float = 1e-15
-    jacobi_max_sweeps: int = 60
 
 
 TOL = Tolerances()
@@ -112,33 +105,6 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray, scale: float) -> None:
-    """One cyclic sweep of complex Jacobi rotations, in place."""
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if abs(apq) <= 0.1 * TOL.jacobi_off * scale:
-                continue
-            phase = apq / abs(apq)
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            j = np.eye(n, dtype=complex)
-            j[p, p] = c
-            j[p, q] = s * phase
-            j[q, p] = -s * np.conj(phase)
-            j[q, q] = c
-            a[:] = j.conj().T @ a @ j
-            v[:] = v @ j
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real-positive."""
     out = v.copy()
@@ -151,65 +117,27 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orthonormalize_clusters(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    """Gram-Schmidt, in index order, inside each degenerate eigenvalue cluster."""
-    out = v.copy()
-    n = len(w)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(w[stop] - w[stop - 1]) <= TOL.derived * scale:
-            stop += 1
-        for i in range(start, stop):
-            col = out[:, i]
-            for j in range(start, i):
-                col = col - np.vdot(out[:, j], col) * out[:, j]
-            nrm = np.linalg.norm(col)
-            if nrm < 1e-8:
-                raise NumericError("degenerate cluster orthonormalisation collapsed")
-            out[:, i] = col / nrm
-        start = stop
-    return out
-
-
 def hermitian_eig(m) -> Spectrum:
     """Eigendecompose a Hermitian matrix of dimension 2 or 4.
 
-    Cyclic complex Jacobi rotations; deterministic for identical input.
-    Eigenvalues ascend; degenerate clusters are re-orthonormalised in index
-    order; every eigenvector is phase-canonicalised (largest-magnitude
+    LAPACK's Hermitian eigensolver via ``numpy.linalg.eigh``, applied to the
+    exactly symmetrised input.  Eigenvalues ascend; eigenvectors are
+    orthonormal, and each is phase-canonicalised (largest-magnitude
     component real-positive).
 
-    Raises ValidationError for non-Hermitian input and NumericError if the
-    off-diagonal mass has not converged within the sweep budget.
+    Raises ValidationError for non-finite, misshapen or non-Hermitian input
+    and NumericError if LAPACK reports that it did not converge.
     """
     m = require_finite(m, "eigensolver input")
-    n = _require_square(m, "eigensolver input")
+    _require_square(m, "eigensolver input")
     if _hermiticity_defect(m) > TOL.structural:
         raise ValidationError("eigensolver input is not Hermitian within 1e-12")
 
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(TOL.jacobi_max_sweeps):
-        if _off_norm(a) <= TOL.jacobi_off * scale:
-            break
-        _jacobi_sweep(a, v, scale)
-    else:
-        if _off_norm(a) > TOL.jacobi_off * scale:
-            raise NumericError(
-                "Jacobi eigensolver did not converge within "
-                f"{TOL.jacobi_max_sweeps} sweeps (off-norm {_off_norm(a):.3e})",
-                best=np.sort(np.diag(a).real),
-            )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    v = _orthonormalize_clusters(w, v, scale)
-    v = _canonical_phase(v)
-    return Spectrum(eigenvalues=_frozen(w), eigenvectors=_frozen(v))
+    try:
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
+    return Spectrum(eigenvalues=_frozen(w), eigenvectors=_frozen(_canonical_phase(v)))
 
 
 def evolve_operator(h_tot, t: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qetsim.cli import main
+from qetsim.errors import ValidationError
 from qetsim.locc import open_listener
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,6 +227,23 @@ class TestSweepCommand:
 
     def test_bad_grid_exit_2(self):
         assert main(["sweep", "--h", "3", "--k", "4", "--latencies", "1:0:0.1"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec", ["0:inf:1", "nan:1:0.1", "0:1e308:1e-308", "0:1e-300:1e-310"]
+    )
+    def test_unbounded_grid_exit_2(self, spec, capsys):
+        # rejected before the grid list is built: no overflow, no allocation
+        assert main(["sweep", "--alpha", "1", "--latencies", spec]) == 2
+        assert "latency range" in capsys.readouterr().err
+
+    def test_grid_point_limit_is_inclusive(self, monkeypatch):
+        from qetsim import cli
+
+        assert cli.MAX_LATENCY_POINTS == 10**6
+        monkeypatch.setattr(cli, "MAX_LATENCY_POINTS", 11)
+        assert len(cli._parse_latencies("0:1:0.1")) == 11
+        with pytest.raises(ValidationError):
+            cli._parse_latencies("0:1.1:0.1")
 
 
 class TestAuditCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qetsim.cli import main
 from qetsim.errors import NumericError, ValidationError
 from qetsim.kernel import (
     ID2,
@@ -21,6 +22,11 @@ KET_MM = np.array([0, 0, 0, 1], dtype=complex)
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
+
+
+def random_unitary(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(a)[0]
 
 
 class TestKron:
@@ -66,23 +72,58 @@ class TestHermitianEig:
         gram = spec.eigenvectors.conj().T @ spec.eigenvectors
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
+    @staticmethod
+    def check_spectrum(hm, spec):
+        n = hm.shape[0]
+        scale = max(1.0, np.max(np.abs(hm)))
+        for i in range(n):
+            v = spec.eigenvectors[:, i]
+            res = np.linalg.norm(hm @ v - spec.eigenvalues[i] * v)
+            assert res <= 1e-12 * scale
+        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+        assert np.all(np.diff(spec.eigenvalues) >= -1e-15)
+
     def test_residual_and_orthonormality_random(self):
         rng = np.random.default_rng(20240817)
         for n in (2, 4):
             for _ in range(20):
                 hm = random_hermitian(rng, n)
-                spec = hermitian_eig(hm)
-                scale = max(1.0, np.max(np.abs(hm)))
-                for i in range(n):
-                    v = spec.eigenvectors[:, i]
-                    res = np.linalg.norm(hm @ v - spec.eigenvalues[i] * v)
-                    assert res <= 1e-12 * scale
-                gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-                assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
-                assert np.all(np.diff(spec.eigenvalues) >= -1e-15)
+                self.check_spectrum(hm, hermitian_eig(hm))
+
+    @pytest.mark.parametrize("diag", [(1.0, 1.0, 3.0, 3.0), (2.0, 2.0, 2.0, 5.0)])
+    def test_degenerate_rotated(self, diag):
+        # degenerate clusters in a non-diagonal basis, so the solver must
+        # rotate inside each cluster (the diagonal case above needs none)
+        rng = np.random.default_rng(20261018)
+        for _ in range(10):
+            u = random_unitary(rng, 4)
+            hm = u @ np.diag(diag) @ u.conj().T
+            hm = (hm + hm.conj().T) / 2
+            spec = hermitian_eig(hm)
+            self.check_spectrum(hm, spec)
+            assert np.allclose(spec.eigenvalues, sorted(diag), atol=1e-12)
+            for i in range(4):
+                v = spec.eigenvectors[:, i]
+                top = v[int(np.argmax(np.abs(v)))]
+                assert top.real > 0
+                assert abs(top.imag) <= 1e-12
+
+    def test_solver_failure_is_numeric_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError):
+            hermitian_eig(SIGMA_Z)
+        # the CLI maps it to its numeric-failure exit code
+        assert main(["model", "--h", "3", "--k", "4"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_matches_numpy_eigenvalues(self):
-        # independent oracle for the Jacobi iteration
+        # consistency with numpy's eigenvalues-only LAPACK call on the
+        # unsymmetrised input; the closed-form model tests are the
+        # independent oracle for the spectrum
         rng = np.random.default_rng(7)
         for _ in range(25):
             hm = random_hermitian(rng, 4)
