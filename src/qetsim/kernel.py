@@ -1,8 +1,8 @@
 """Dense complex linear algebra for the 2- and 4-dimensional operator spaces.
 
 Everything here is a pure function of its inputs; returned arrays are marked
-read-only so values can be shared freely between sweep workers.  The
-eigensolver wraps LAPACK's Hermitian routine (``numpy.linalg.eigh``) with input
+read-only so callers can share them without copying.  The eigensolver
+wraps LAPACK's Hermitian routine (``numpy.linalg.eigh``) with input
 validation and a canonical eigenvector phase.
 """
 
@@ -23,6 +23,7 @@ __all__ = [
     "ID2",
     "ID4",
     "Spectrum",
+    "require_finite",
     "kron",
     "hermitian_eig",
     "evolve_operator",
@@ -106,15 +107,16 @@ class Spectrum:
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real-positive."""
-    out = v.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        j = int(np.argmax(np.abs(col)))
-        z = col[j]
-        if abs(z) > 0.0:
-            out[:, i] = col * (np.conj(z) / abs(z))
-    return out
+    """Rotate each column so its largest-magnitude component is real-positive.
+
+    A zero column is left as it is.  np.hypot gives the magnitude abs()
+    gives for one complex number bit for bit; np.abs on an array need not.
+    """
+    mags = np.hypot(v.real, v.imag)
+    rows, cols = np.argmax(mags, axis=0), np.arange(v.shape[1])
+    z, mag = v[rows, cols], mags[rows, cols]
+    phase = np.divide(np.conj(z), mag, out=np.ones_like(z), where=mag > 0.0)
+    return v * phase
 
 
 def hermitian_eig(m) -> Spectrum:
@@ -150,29 +152,35 @@ def evolve_operator(h_tot, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def expectation(state, op) -> float:
+def expectation(state, op) -> float | np.ndarray:
     """Real expectation value <psi|op|psi> of a Hermitian operator.
 
-    The imaginary residue is asserted below the structural tolerance
-    (scaled by the operator magnitude) and discarded; a larger residue
-    signals a non-Hermitian operator and raises NumericError.
+    Broadcasts over leading axes: states of shape (..., n) against an
+    operator (n, n) or a stack (..., n, n) give an array of values; one
+    state and one operator give a float.  Each value must be finite with an
+    imaginary residue below the structural tolerance (scaled by the
+    operator magnitude), which is then discarded; otherwise NumericError
+    (a non-Hermitian operator, or an overflow).
     """
     psi = require_finite(state, "state vector")
     a = require_finite(op, "expectation operator")
-    n = _require_square(a, "expectation operator")
-    if psi.shape != (n,):
+    n = psi.shape[-1] if psi.ndim else 0
+    if n not in (2, 4) or a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValidationError(
             f"state/operator dimension mismatch: {psi.shape} vs {a.shape}"
         )
-    value = complex(np.vdot(psi, a @ psi))
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        values = (psi.conj()[..., None, :] @ (a @ psi[..., None]))[..., 0, 0]
     tol = TOL.structural * max(1.0, float(np.max(np.abs(a))))
-    if abs(value.imag) > tol:
+    bad = ~np.isfinite(values) | (np.abs(values.imag) > tol)
+    if np.any(bad):
+        first = complex(values[bad][0])
         raise NumericError(
-            f"expectation has imaginary residue {value.imag:.3e} "
+            f"expectation {first:.3e} is not finite and real "
             "(operator not Hermitian?)",
-            best=value.real,
+            best=first.real,
         )
-    return value.real
+    return values.real if values.ndim else float(values.real)
 
 
 def su2(theta: float, axis) -> np.ndarray:

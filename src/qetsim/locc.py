@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import socket
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,12 +27,11 @@ from .model import (
 )
 from .protocol import (
     BobControl,
-    apply_bob,
-    evolve_branches,
-    extracted_energy,
+    controlled_extraction,
+    evolved_states,
     infused_energy,
     measure_alice,
-    optimize_bob,
+    optimal_extraction,
 )
 
 __all__ = [
@@ -159,46 +157,7 @@ def run_once(
     re-optimised for the evolved branches under the "optimize" policy, or
     the fixed zero-delay analytic angle under "closed-form-theta".
     """
-    if not (math.isfinite(t_c) and t_c >= 0):
-        raise ValidationError("latency must be finite and >= 0")
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
-
-    hams = build_hamiltonians(p)
-    ground = ground_state_closed_form(p)
-    branches = measure_alice(ground)
-    e_a = infused_energy(branches, hams)
-    evolved = evolve_branches(branches, hams, t_c)
-
-    if policy == "optimize":
-        result = optimize_bob(evolved, hams, mode=mode)
-        e_b = result.extracted_energy
-    else:
-        control = BobControl.family(optimal_rotation_angle(p))
-        after = apply_bob(evolved, control)
-        e_b = extracted_energy(evolved, after, hams)
-
-    # Kept recomputable as e_b * t_c even when a fixed-angle policy injects
-    # energy (negative extraction); the audit op's e >= 0 contract is not
-    # used here.
-    product = e_b * t_c
-    events = (
-        TraceEvent(0.0, "alice", "measure"),
-        TraceEvent(0.0, "alice", "send"),
-        TraceEvent(t_c, "bob", "deliver"),
-        TraceEvent(t_c, "bob", "extract"),
-    )
-    return ProtocolTrace(
-        params=p,
-        latency=t_c,
-        e_a=e_a,
-        e_b_extracted=e_b,
-        uncertainty_product=product,
-        events=events,
-        policy=policy,
-        mode=mode,
-        verdict=verdict_for(product),
-    )
+    return sweep_latency(p, [t_c], policy=policy, mode=mode)[0]
 
 
 def sweep_latency(
@@ -207,16 +166,59 @@ def sweep_latency(
     policy: str = "optimize",
     mode: str = "family",
 ) -> list[ProtocolTrace]:
-    """One trace per latency, Bob re-optimised at each grid point."""
+    """One trace per latency of a strictly ascending, finite grid >= 0.
+
+    The model, the measurement and one eigendecomposition of H_tot are
+    built once; the branch states at every latency are evolved as one
+    stack (`evolved_states`, which rejects a non-finite or negative
+    latency), and Bob's extraction is solved for all of them in one pass.
+    """
     grid = list(grid)
     if not grid:
         raise ValidationError("latency grid must be non-empty")
     for a, b in zip(grid, grid[1:]):
         if b <= a:
             raise ValidationError("latency grid must be strictly ascending")
-    if grid[0] < 0:
-        raise ValidationError("latencies must be >= 0")
-    return [run_once(p, t_c, policy=policy, mode=mode) for t_c in grid]
+    if policy not in POLICIES:
+        raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
+
+    hams = build_hamiltonians(p)
+    branches = measure_alice(ground_state_closed_form(p))
+    e_a = infused_energy(branches, hams)
+    states = evolved_states(branches, hams, grid)
+    probs = [b.probability for b in branches]
+    if policy == "optimize":
+        e_b = optimal_extraction(states, probs, hams.h_tot, mode)[0]
+    else:
+        control = BobControl.family(optimal_rotation_angle(p))
+        e_b = controlled_extraction(states, probs, hams.h_tot, control)[0]
+
+    traces = []
+    for t_c, e in zip(grid, e_b.tolist()):
+        # Kept recomputable as e_b * t_c even when a fixed-angle policy
+        # injects energy (negative extraction); the audit op's e >= 0
+        # contract is not used here.
+        product = e * t_c
+        events = (
+            TraceEvent(0.0, "alice", "measure"),
+            TraceEvent(0.0, "alice", "send"),
+            TraceEvent(t_c, "bob", "deliver"),
+            TraceEvent(t_c, "bob", "extract"),
+        )
+        traces.append(
+            ProtocolTrace(
+                params=p,
+                latency=t_c,
+                e_a=e_a,
+                e_b_extracted=e,
+                uncertainty_product=product,
+                events=events,
+                policy=policy,
+                mode=mode,
+                verdict=verdict_for(product),
+            )
+        )
+    return traces
 
 
 def traces_to_csv(traces) -> str:

@@ -117,7 +117,7 @@ def ground_state_closed_form(p: ModelParams) -> GroundState:
 
 
 def ground_state_numeric(hams: HamiltonianSet) -> GroundState:
-    """Ground state via the Jacobi eigensolver (oracle for the closed form)."""
+    """Ground state via the LAPACK eigensolver (oracle for the closed form)."""
     spec = kernel.hermitian_eig(hams.h_tot)
     state = spec.ground_vector.copy()
     state.flags.writeable = False

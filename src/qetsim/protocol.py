@@ -7,7 +7,8 @@ is deterministic.  Bob's optimum has a closed form in every mode, with no
 numerical search: in the sigma_y family the extracted energy is a sinusoid
 in 2*theta, fixed by three evaluations; over all of SU(2) (full and shared
 modes) it is linear in the site-B rotation R, and the best R solves Wahba's
-problem exactly through one Kabsch SVD.
+problem exactly through one Kabsch SVD.  Evolution and extraction also work
+on stacks of branch states, so a latency sweep solves every point at once.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = [
     "extracted_energy",
     "optimize_bob",
     "minimize",
+    "evolved_states",
+    "controlled_extraction",
+    "optimal_extraction",
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -178,42 +182,80 @@ def extracted_energy(branches_before, branches_after, hams: HamiltonianSet) -> f
     return total
 
 
-def _branch_energies(branches, hams: HamiltonianSet) -> tuple[float, float]:
-    return tuple(expectation(b.state, hams.h_tot) for b in branches)
-
-
-def _extraction(branches, hams, control, energies_before) -> ExtractionResult:
-    """Apply `control` and measure the energy each branch gives up."""
-    after = apply_bob(branches, control)
-    per_branch = tuple(
-        eb - expectation(a.state, hams.h_tot)
-        for eb, a in zip(energies_before, after)
-    )
-    total = sum(b.probability * pb for b, pb in zip(branches, per_branch))
-    return ExtractionResult(
-        extracted_energy=total, control=control, per_branch_energy=per_branch
+def _stacked(branches) -> tuple[np.ndarray, np.ndarray]:
+    """(states (2, 4), probabilities (2,)) of the outcomes mu = 0, 1."""
+    if [b.mu for b in branches] != [0, 1]:
+        raise ValidationError("branches must be the outcomes mu = 0, 1 in order")
+    return (
+        np.array([b.state for b in branches]),
+        np.array([b.probability for b in branches]),
     )
 
 
-def _optimize_family(branches, hams) -> ExtractionResult:
-    """Exact family optimum from three evaluations.
+def evolved_states(branches, hams: HamiltonianSet, times) -> np.ndarray:
+    """Both branch states at every time, shape (len(times), 2, 4).
+
+    Evolved in the eigenbasis of H_tot, psi(t) = V (exp(-i w t) * V^H psi),
+    from one eigendecomposition and without a propagator per time.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise ValidationError("evolution times must be a list, finite and >= 0")
+    spec = kernel.hermitian_eig(hams.h_tot)
+    v = spec.eigenvectors
+    coeffs = _stacked(branches)[0] @ v.conj()  # rows V^H psi
+    phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
+    return (phases[:, None, :] * coeffs) @ v.T
+
+
+def _branch_gains(states, h_tot, units) -> np.ndarray:
+    """Energy each branch state gives up under I (x) U: <H>_before - <H>_after.
+
+    states (..., 2, 4) broadcast against per-branch unitaries (..., 2, 4, 4).
+    """
+    after = (units @ states[..., None])[..., 0]
+    return expectation(states, h_tot) - expectation(after, h_tot)
+
+
+def _units(control: BobControl) -> np.ndarray:
+    """I (x) U_B(mu) for mu = 0, 1, shape (2, 4, 4)."""
+    return np.array([kron(ID2, control.unitary(mu)) for mu in (0, 1)])
+
+
+def _weighted(per_branch, probs) -> np.ndarray:
+    """p0*e0 + p1*e1 over the last axis, never as a fused multiply-add."""
+    return (per_branch * probs).sum(axis=-1)
+
+
+# The family at theta = 0, pi/4, pi/2: shape (3, 2, 4, 4).
+_FAMILY_PROBES = np.array(
+    [_units(BobControl.family(t)) for t in (0.0, math.pi / 4.0, math.pi / 2.0)]
+)
+
+
+def controlled_extraction(states, probs, h_tot, control: BobControl):
+    """Energy one control extracts from stacked branch states (..., 2, 4).
+
+    Returns (total, per branch): shapes (...,) and (..., 2).
+    """
+    per_branch = _branch_gains(states, h_tot, _units(control))
+    return _weighted(per_branch, probs), per_branch
+
+
+def _family_optimum(states, probs, h_tot):
+    """Exact family optimum from three evaluations: (energy, theta*), (N,).
 
     U_B(mu) rotates site B about y by 2*theta (sign (-1)^mu), so the
     extracted energy is a0 + a1*cos(2 theta) + a2*sin(2 theta).  Its values
-    at theta = 0, pi/4, pi/2 give a0 +- a1 and a0 + a2; the maximiser is
-    theta* = atan2(a2, a1)/2 in (-pi/2, pi/2].
+    at theta = 0, pi/4, pi/2 give a0 +- a1 and a0 + a2; the maximum
+    a0 + hypot(a1, a2) is reached at theta* = atan2(a2, a1)/2 in
+    (-pi/2, pi/2].
     """
-    energies_before = _branch_energies(branches, hams)
-
-    def objective(theta: float) -> float:
-        control = BobControl.family(theta)
-        return _extraction(branches, hams, control, energies_before).extracted_energy
-
-    f0, f1, f2 = (objective(t) for t in (0.0, math.pi / 4.0, math.pi / 2.0))
-    a1 = (f0 - f2) / 2.0
-    a2 = f1 - (f0 + f2) / 2.0
-    theta_star = math.atan2(a2, a1) / 2.0
-    return _extraction(branches, hams, BobControl.family(theta_star), energies_before)
+    f = _weighted(_branch_gains(states[:, None], h_tot, _FAMILY_PROBES), probs)
+    a0 = (f[:, 0] + f[:, 2]) / 2.0
+    a1 = (f[:, 0] - f[:, 2]) / 2.0
+    a2 = f[:, 1] - a0
+    return a0 + np.hypot(a1, a2), np.arctan2(a2, a1) / 2.0
 
 
 # _PAULI_PAIRS[a, j] = sigma_a (x) sigma_j, a over (I, x, y, z), j over (x, y, z).
@@ -221,17 +263,18 @@ _PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULIS[1:]] for a in _PAULIS])
 
 
-def _rotation_cost(state, h_tot) -> np.ndarray:
-    """3x3 M with <(I x U)psi|H|(I x U)psi> = const + tr(R^T M).
+def _rotation_costs(states, h_tot) -> np.ndarray:
+    """3x3 M per state, with <(I x U)psi|H|(I x U)psi> = const + tr(R^T M).
 
     U^H sigma_j U = sum_k R_jk sigma_k for R in SO(3), so with the Pauli
     coefficients c_aj = tr(H sigma_a (x) sigma_j)/4 and the correlators
     C_ak = <sigma_a (x) sigma_k>, M = c^T C.  H has no sigma_y^B term, so
-    the y row of M vanishes and rank(M) <= 2.
+    the y row of M vanishes and rank(M) <= 2.  states (..., 4) give
+    (..., 3, 3).
     """
     c = np.einsum("ajkl,lk->aj", _PAULI_PAIRS, h_tot).real / 4.0
-    corr = np.einsum("k,ajkl,l->aj", state.conj(), _PAULI_PAIRS, state).real
-    return c.T @ corr
+    corr = expectation(states[..., None, None, :], _PAULI_PAIRS)
+    return np.einsum("aj,...ak->...jk", c, corr)
 
 
 def minimize(m) -> np.ndarray:
@@ -239,11 +282,11 @@ def minimize(m) -> np.ndarray:
 
     Wahba's problem (Wahba 1965), solved by the Kabsch SVD (Kabsch 1976):
     with -m = U S V^T, R = U diag(1, 1, d) V^T, d = det(U V^T) = +-1.  The
-    minimum is unique even where R is not (rank(m) <= 1).
+    minimum is unique even where R is not (rank(m) <= 1).  m may be one
+    3x3 matrix or a stack (..., 3, 3).
     """
     u, _, vt = np.linalg.svd(-np.asarray(m, dtype=float))
-    if np.linalg.det(u @ vt) < 0.0:
-        u[:, 2] = -u[:, 2]
+    u[..., 2] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]
     return u @ vt
 
 
@@ -271,20 +314,25 @@ def _su2_params(r) -> tuple[float, tuple[float, float, float]]:
     return math.atan2(sin_theta, float(q[0])), tuple(float(x) for x in axis)
 
 
-def _optimize_full(branches, hams) -> ExtractionResult:
-    params = [
-        _su2_params(minimize(_rotation_cost(b.state, hams.h_tot))) for b in branches
-    ]
-    control = BobControl.full(params[0], params[1])
-    return _extraction(branches, hams, control, _branch_energies(branches, hams))
+def optimal_extraction(states, probs, h_tot, mode: str):
+    """Bob's exact optimum for stacked branch states (N, 2, 4).
 
-
-def _optimize_shared(branches, hams) -> ExtractionResult:
-    """Best outcome-independent unitary (no classical information used)."""
-    m = sum(b.probability * _rotation_cost(b.state, hams.h_tot) for b in branches)
-    params = _su2_params(minimize(m))
-    control = BobControl.full(params, params)
-    return _extraction(branches, hams, control, _branch_energies(branches, hams))
+    Returns (extracted energy (N,), solution): the family angles theta*
+    (N,) in mode "family", the site-B rotations (N, 2, 3, 3) in mode "full"
+    and (N, 1, 3, 3) in mode "shared".  See `optimize_bob` for the modes.
+    """
+    if mode == "family":
+        return _family_optimum(states, probs, h_tot)
+    if mode not in ("full", "shared"):
+        raise ValidationError(f"unknown optimiser mode {mode!r}")
+    m = _rotation_costs(states, h_tot)  # (N, 2, 3, 3)
+    if mode == "shared":
+        r = minimize(np.einsum("m,nmjk->njk", probs, m))[:, None]
+    else:
+        r = minimize(m)
+    # A branch gives up tr(M) - tr(R^T M) = tr((I - R)^T M).
+    per_branch = np.einsum("...jk,...jk->...", np.eye(3) - r, m)
+    return _weighted(per_branch, probs), r
 
 
 def optimize_bob(
@@ -301,11 +349,20 @@ def optimize_bob(
     mode "shared": one unitary for both outcomes, from the probability-
     weighted sum of the branch M -- the no-information baseline, which
     cannot extract energy at zero delay.
+
+    The optimum comes from `optimal_extraction`; the returned energies are
+    measured by applying the returned control to the branches.
     """
+    states, probs = _stacked(branches)
+    solution = optimal_extraction(states[None], probs, hams.h_tot, mode)[1][0]
     if mode == "family":
-        return _optimize_family(branches, hams)
-    if mode == "full":
-        return _optimize_full(branches, hams)
-    if mode == "shared":
-        return _optimize_shared(branches, hams)
-    raise ValidationError(f"unknown optimiser mode {mode!r}")
+        control = BobControl.family(float(solution))
+    else:
+        rotations = np.broadcast_to(solution, (2, 3, 3))
+        control = BobControl.full(*(_su2_params(r) for r in rotations))
+    energy, per_branch = controlled_extraction(states, probs, hams.h_tot, control)
+    return ExtractionResult(
+        extracted_energy=float(energy),
+        control=control,
+        per_branch_energy=tuple(per_branch.tolist()),
+    )

@@ -155,6 +155,14 @@ class TestSolver:
                 q *= np.sign(np.linalg.det(q))
                 assert np.trace(r.T @ m) <= np.trace(q.T @ m) + 1e-12
 
+    def test_minimize_on_a_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(23)
+        stack = rng.standard_normal((6, 2, 3, 3))
+        stack[0, 1] = np.outer([1.0, 0.0, 2.0], [0.5, 0.0, -1.0])  # rank 1
+        rotations = minimize(stack)
+        for idx in np.ndindex(6, 2):
+            assert np.array_equal(rotations[idx], minimize(stack[idx]))
+
     @pytest.mark.parametrize(
         "theta", [0.0, 1e-9, 0.3, 1.2, math.pi / 2.0 - 1e-9, math.pi / 2.0]
     )

@@ -4,6 +4,7 @@ import pytest
 from qetsim.cli import main
 from qetsim.errors import NumericError, ValidationError
 from qetsim.kernel import (
+    _canonical_phase,
     ID2,
     ID4,
     SIGMA_X,
@@ -140,6 +141,23 @@ class TestHermitianEig:
             assert top.real > 0
             assert abs(top.imag) <= 1e-12
 
+    def test_canonical_phase_matches_column_loop(self):
+        def per_column(v):
+            out = v.copy()
+            for i in range(out.shape[1]):
+                col = out[:, i]
+                z = col[int(np.argmax(np.abs(col)))]
+                if abs(z) > 0.0:
+                    out[:, i] = col * (np.conj(z) / abs(z))
+            return out
+
+        rng = np.random.default_rng(17)
+        for n in (2, 4) * 250:
+            v = np.linalg.eigh(random_hermitian(rng, n))[1]
+            assert np.array_equal(_canonical_phase(v), per_column(v))
+        v[:, 1] = 0.0  # a zero column is left as it is, without a warning
+        assert np.array_equal(_canonical_phase(v), per_column(v))
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         hm = random_hermitian(rng, 4)
@@ -204,6 +222,25 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             expectation(KET_PP, SIGMA_Z)
+
+    def test_stack_matches_single_states(self):
+        rng = np.random.default_rng(6)
+        ops = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        psi = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+        values = expectation(psi, ops)
+        assert values.shape == (5, 3)
+        shared = expectation(psi, ops[0])  # one operator against the stack
+        for i in range(5):
+            for j in range(3):
+                assert values[i, j] == expectation(psi[i, j], ops[j])
+                assert shared[i, j] == expectation(psi[i, j], ops[0])
+
+    def test_overflow_is_numeric_error(self):
+        # finite inputs whose value overflows must not come back as inf or nan
+        with pytest.raises(NumericError):
+            expectation(np.full(4, 1e200, dtype=complex), ID4)
+        with pytest.raises(NumericError):
+            expectation(np.full((2, 4), 1e200, dtype=complex), ID4)
 
 
 class TestSu2:

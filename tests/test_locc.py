@@ -1,10 +1,14 @@
+import math
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.errors import ProtocolError, ValidationError
 from qetsim.locc import (
+    POLICIES,
     TRACE_CSV_HEADER,
     ChannelMessage,
     open_listener,
@@ -15,9 +19,23 @@ from qetsim.locc import (
     wire_bob,
     wire_mode,
 )
-from qetsim.model import ModelParams, e_b_closed
-from qetsim.protocol import measure_alice, optimize_bob
-from qetsim.model import build_hamiltonians, ground_state_closed_form
+from qetsim.model import (
+    ModelParams,
+    build_hamiltonians,
+    diffusion_period,
+    e_b_closed,
+    ground_state_closed_form,
+    optimal_rotation_angle,
+)
+from qetsim.protocol import (
+    BobControl,
+    apply_bob,
+    evolve_branches,
+    extracted_energy,
+    infused_energy,
+    measure_alice,
+    optimize_bob,
+)
 
 P34 = ModelParams(h=3.0, k=4.0)
 P21 = ModelParams(h=2.0, k=1.0)
@@ -117,6 +135,66 @@ class TestSweep:
             sweep_latency(P34, [0.2, 0.1])
         with pytest.raises(ValidationError):
             sweep_latency(P34, [-0.1, 0.2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_latency(self, bad):
+        with pytest.raises(ValidationError):
+            sweep_latency(P34, [0.0, bad])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("mode", ["family", "full", "shared"])
+    def test_run_once_is_a_one_point_sweep(self, policy, mode):
+        for t_c in (0.0, 0.37):
+            single = run_once(P21, t_c, policy=policy, mode=mode)
+            swept = sweep_latency(P21, [t_c], policy=policy, mode=mode)[0]
+            assert single == swept
+            assert single.digest() == swept.digest()
+            for value in (single.e_a, single.e_b_extracted, single.uncertainty_product):
+                assert type(value) is float  # not a numpy scalar
+
+    def test_ten_thousand_latencies(self):
+        period = diffusion_period(P21)
+        grid = [2.0 * period * i / 9999 for i in range(10_000)]
+        rows = sweep_latency(P21, grid)
+        fixed = sweep_latency(P21, grid, policy="closed-form-theta")
+        assert len(rows) == len(fixed) == 10_000
+        assert rows[0].e_b_extracted == pytest.approx(e_b_closed(P21), rel=1e-9)
+        for row, floor in zip(rows, fixed):
+            assert row.e_b_extracted >= floor.e_b_extracted - 1e-9
+
+
+def oracle_e_b(p, t_c, policy, mode):
+    """Extracted energy of one round, per point, from the public branch API."""
+    hams = build_hamiltonians(p)
+    branches = measure_alice(ground_state_closed_form(p))
+    evolved = evolve_branches(branches, hams, t_c)
+    if policy == "optimize":
+        return optimize_bob(evolved, hams, mode=mode).extracted_energy
+    after = apply_bob(evolved, BobControl.family(optimal_rotation_angle(p)))
+    return extracted_energy(evolved, after, hams)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+    st.floats(0.5, 2.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_sweep_rows_match_per_point_rounds(alpha, k, fractions):
+    p = ModelParams.from_alpha(alpha, k)
+    grid = sorted({f * 2.0 * diffusion_period(p) for f in fractions})
+    hams = build_hamiltonians(p)
+    e_a = infused_energy(measure_alice(ground_state_closed_form(p)), hams)
+    tol = 1e-12 * max(1.0, e_a)
+    for policy, mode in [("closed-form-theta", "family")] + [
+        ("optimize", m) for m in ("family", "full", "shared")
+    ]:
+        rows = sweep_latency(p, grid, policy=policy, mode=mode)
+        for row, t_c in zip(rows, grid):
+            assert row.latency == t_c
+            assert row.e_a == e_a
+            assert abs(row.e_b_extracted - oracle_e_b(p, t_c, policy, mode)) <= tol
+            assert row.uncertainty_product == row.e_b_extracted * t_c
 
 
 class TestCsv:

@@ -19,6 +19,7 @@ from qetsim.protocol import (
     BobControl,
     apply_bob,
     evolve_branches,
+    evolved_states,
     extracted_energy,
     infused_energy,
     measure_alice,
@@ -126,6 +127,22 @@ class TestEvolution:
         with pytest.raises(ValidationError):
             evolve_branches(branches, hams, -0.5)
 
+    def test_stacked_states_match_propagator(self):
+        for p in (P34, ModelParams(0.2, 1.5)):
+            hams, branches = setup_round(p)
+            times = [0.0, 0.03, 0.4, 1.7, 9.0]
+            states = evolved_states(branches, hams, times)
+            assert states.shape == (5, 2, 4)
+            for t, row in zip(times, states):
+                for b, state in zip(evolve_branches(branches, hams, t), row):
+                    assert np.abs(state - b.state).max() <= 1e-13
+
+    @pytest.mark.parametrize("times", [[0.0, -0.1], [0.0, math.nan], [math.inf]])
+    def test_stacked_states_reject_bad_times(self, times):
+        hams, branches = setup_round(P34)
+        with pytest.raises(ValidationError):
+            evolved_states(branches, hams, times)
+
 
 class TestBobControl:
     def test_zero_angle_is_identity(self):
@@ -171,6 +188,20 @@ class TestExtraction:
             b.probability * pb for b, pb in zip(branches, result.per_branch_energy)
         )
         assert abs(result.extracted_energy - recombined) <= 1e-12
+
+    def test_energy_is_the_rounded_weighted_sum(self):
+        # exactly p0*e0 + p1*e1 with both products rounded (no fused
+        # multiply-add): the model report's residual cells pin these bits
+        rng = np.random.default_rng(41)
+        for p in random_params(rng, 30):
+            hams, branches = setup_round(p)
+            p0, p1 = (b.probability for b in branches)
+            for t in (0.0, 0.3, 1.1):
+                evolved = evolve_branches(branches, hams, t)
+                for mode in ("family", "full", "shared"):
+                    result = optimize_bob(evolved, hams, mode=mode)
+                    e0, e1 = result.per_branch_energy
+                    assert result.extracted_energy == p0 * e0 + p1 * e1
 
     def test_family_optimum_matches_closed_form_at_3_4(self):
         hams, branches = setup_round(P34)
@@ -254,6 +285,11 @@ class TestExtraction:
         hams, branches = setup_round(P34)
         with pytest.raises(ValidationError):
             extracted_energy(branches, branches[::-1], hams)
+
+    def test_branches_out_of_outcome_order_rejected(self):
+        hams, branches = setup_round(P34)
+        with pytest.raises(ValidationError):
+            optimize_bob(branches[::-1], hams)
 
     def test_unknown_mode_rejected(self):
         hams, branches = setup_round(P34)
