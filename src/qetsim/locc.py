@@ -26,6 +26,7 @@ from .model import (
     optimal_rotation_angle,
 )
 from .protocol import (
+    MODES,
     BobControl,
     controlled_extraction,
     evolved_states,
@@ -181,6 +182,8 @@ def sweep_latency(
             raise ValidationError("latency grid must be strictly ascending")
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
 
     hams = build_hamiltonians(p)
     branches = measure_alice(ground_state_closed_form(p))

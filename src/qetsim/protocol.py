@@ -24,6 +24,7 @@ from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
 from .model import GroundState, HamiltonianSet
 
 __all__ = [
+    "MODES",
     "OutcomeBranch",
     "BobControl",
     "ExtractionResult",
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
+
+# Bob's control sets, described at `optimize_bob`.
+MODES = ("family", "full", "shared")
 
 
 @dataclass(frozen=True)
@@ -321,10 +325,10 @@ def optimal_extraction(states, probs, h_tot, mode: str):
     (N,) in mode "family", the site-B rotations (N, 2, 3, 3) in mode "full"
     and (N, 1, 3, 3) in mode "shared".  See `optimize_bob` for the modes.
     """
+    if mode not in MODES:
+        raise ValidationError(f"unknown optimiser mode {mode!r}")
     if mode == "family":
         return _family_optimum(states, probs, h_tot)
-    if mode not in ("full", "shared"):
-        raise ValidationError(f"unknown optimiser mode {mode!r}")
     m = _rotation_costs(states, h_tot)  # (N, 2, 3, 3)
     if mode == "shared":
         r = minimize(np.einsum("m,nmjk->njk", probs, m))[:, None]

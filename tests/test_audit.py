@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qetsim.audit import (
     CLAIMED_F_MAX,
@@ -18,7 +20,7 @@ from qetsim.audit import (
     uncertainty_product,
     verdict_for,
 )
-from qetsim.errors import ValidationError
+from qetsim.errors import NumericError, ValidationError
 from qetsim.model import ModelParams, e_b_closed
 
 # stationary point of the extraction curve: alpha*^2 = (3 + sqrt(13)) / 2
@@ -98,6 +100,43 @@ class TestScan:
             scan_alpha(alpha_min=0.0)
         with pytest.raises(ValidationError):
             scan_alpha(points=1)
+
+    def test_maximum_is_exact(self):
+        result = scan_alpha(points=100)
+        assert result.argmax_alpha == pytest.approx(ALPHA_STAR, rel=1e-15)
+        assert result.max_value == pytest.approx(F_MAX, rel=1e-15)
+
+    def test_point_limit_is_inclusive(self, monkeypatch):
+        from qetsim import audit
+
+        assert audit.MAX_SCAN_POINTS == 10**6
+        monkeypatch.setattr(audit, "MAX_SCAN_POINTS", 11)
+        assert len(scan_alpha(points=11).grid) == 11
+        with pytest.raises(ValidationError):
+            scan_alpha(points=12)
+
+
+log_alphas = st.floats(math.log(0.01), math.log(20.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_alphas, log_alphas, st.integers(2, 2000))
+def test_scan_maximum_beats_every_grid_value(log_a, log_b, points):
+    lo, hi = sorted((math.exp(log_a), math.exp(log_b)))
+    assume(lo < hi)
+    result = scan_alpha(alpha_min=lo, alpha_max=hi, points=points)
+    assert lo <= result.argmax_alpha <= hi
+    # f is evaluated with an absolute error of a few ulp of its prefactor
+    # (a^2 + 2)/sqrt(a^2 + 1), from the cancellation in sqrt(...) - 1; on
+    # a range only ulps wide that noise can lift a grid value above the
+    # value at the exact maximiser, by no more than this slack.
+    a2 = result.grid**2
+    slack = 4.0 * np.finfo(float).eps * (a2 + 2.0) / np.sqrt(a2 + 1.0)
+    assert np.all(result.values <= result.max_value + slack)
+    if ALPHA_STAR < lo:
+        assert (result.argmax_alpha, result.max_value) == (lo, result.values[0])
+    if ALPHA_STAR > hi:
+        assert (result.argmax_alpha, result.max_value) == (hi, result.values[-1])
 
 
 class TestUncertainty:
@@ -209,11 +248,36 @@ class TestIonMaximize:
             maximum = ion_maximize(ip)
             assert maximum.e_in_star == pytest.approx(ip.nu / ip.zeta_n, rel=1e-8)
 
+    def test_demo_exact(self):
+        maximum = ion_maximize(ION_DEMO)
+        assert maximum.e_in_star == 0.5
+        assert maximum.e_out_max == 0.5 * 0.5 * math.exp(-1.0)
+
+    @pytest.mark.parametrize("params", [(1.0, 1e-10, 1e300), (1.0, 1e300, 1e-300)])
+    def test_out_of_float_range(self, params):
+        # nu/zeta overflows to inf, or underflows to 0
+        with pytest.raises(NumericError):
+            ion_maximize(IonParams(*params))
+
     def test_homogeneous_in_nu(self):
         base = ion_maximize(IonParams(0.5, 2.0, 1.0))
         doubled = ion_maximize(IonParams(0.5, 2.0, 2.0))
         assert doubled.e_in_star == pytest.approx(2 * base.e_in_star, rel=1e-9)
         assert doubled.e_out_max == pytest.approx(2 * base.e_out_max, rel=1e-9)
+
+
+log_unit = st.floats(-7.0, 7.0).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(math.log(1e-6), 0.0).map(math.exp), log_unit, log_unit)
+def test_ion_maximum_beats_every_grid_value(gamma, zeta, nu):
+    ip = IonParams(gamma_n=gamma, zeta_n=zeta, nu=nu)
+    maximum = ion_maximize(ip)
+    assert maximum.e_in_star == nu / zeta
+    grid = np.linspace(0.0, 10.0 * nu / zeta, 2001)
+    best = max(ion_output(ip, float(e)) for e in grid)
+    assert best <= maximum.e_out_max * (1.0 + 1e-15)
 
 
 class TestAuditIon:

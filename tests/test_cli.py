@@ -144,6 +144,12 @@ class TestScanCommand:
         value = float(summary.split("max_value=")[1].split(",")[0])
         assert 0.10 < value < 0.16
 
+    @pytest.mark.parametrize("points", ["100000000000", "1", "-5"])
+    def test_points_out_of_range_exit_2(self, points, capsys):
+        # rejected before the grid is allocated
+        assert main(["scan-alpha", "--points", points]) == 2
+        assert "grid points" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_zero_latency(self, tmp_path):
@@ -282,6 +288,11 @@ class TestAuditCommand:
         payload = json.loads(got)
         assert "flagged" in payload["notes"]
         assert payload["verdict"] == "unobservable"
+
+    def test_ion_maximum_out_of_range_exit_3(self, capsys):
+        argv = ["audit", "ion", "--gamma", "1", "--zeta", "1e-10", "--nu", "1e300"]
+        assert main([*argv, "--time", "1e-300"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_exit_zero_either_verdict(self, tmp_path):
         code_a, _ = run_cli(

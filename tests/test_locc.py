@@ -91,6 +91,13 @@ class TestRunOnce:
         with pytest.raises(ValidationError):
             run_once(P34, 0.0, policy="guess")
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rejects_unknown_mode(self, policy):
+        with pytest.raises(ValidationError):
+            run_once(P21, 0.3, policy=policy, mode="annealing")
+        with pytest.raises(ValidationError):
+            sweep_latency(P21, [0.0, 0.3], policy=policy, mode="annealing")
+
 
 class TestSweep:
     def test_singleton_grid(self):
