@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .formatting import fmt, fnum
-from .model import ModelParams, e_b_closed
+from .model import ModelParams, _f_curve, e_b_closed
 
 __all__ = [
     "THRESHOLD",
@@ -53,23 +53,16 @@ MAX_SCAN_POINTS = 1_000_000
 _ALPHA_STAR = math.sqrt((3.0 + math.sqrt(13.0)) / 2.0)
 
 
-def _f_alpha_formula(alpha):
-    """f(alpha) for a scalar or an array of alphas, unvalidated."""
-    a2 = alpha * alpha
-    front = (a2 + 2.0) / np.sqrt(a2 + 1.0)
-    inner = 1.0 + a2 / (a2 + 2.0) ** 2
-    return front * (np.sqrt(inner) - 1.0)
-
-
 def f_alpha(alpha: float) -> float:
     """Dimensionless optimal extraction f(alpha) = E_B/k at h = alpha*k.
 
-    ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + a^2/(a^2+2)^2) - 1); equals
+    ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + a^2/(a^2+2)^2) - 1), evaluated
+    without cancellation by the same helper as `e_b_closed`, so it equals
     e_b_closed(alpha*k, k)/k for every k.
     """
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
         raise ValidationError("alpha must be finite and > 0")
-    return float(_f_alpha_formula(alpha))
+    return float(_f_curve(alpha))
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ def scan_alpha(
     if not 2 <= points <= MAX_SCAN_POINTS:
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     grid = np.linspace(alpha_min, alpha_max, points)
-    values = _f_alpha_formula(grid)
+    values = _f_curve(grid)
     best = float(min(max(_ALPHA_STAR, alpha_min), alpha_max))
     grid.flags.writeable = False
     values.flags.writeable = False

@@ -10,6 +10,7 @@ frames across a real byte stream while each side computes the identical
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import socket
@@ -279,15 +280,28 @@ def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     if not sep or not host:
         raise ValidationError(f"endpoint must be host:port, got {endpoint!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise ValidationError(f"bad port in endpoint {endpoint!r}") from exc
+    if not 0 <= number <= 65535:
+        raise ValidationError(f"port out of range 0-65535 in endpoint {endpoint!r}")
+    return host, number
+
+
+@contextlib.contextmanager
+def _socket_errors(what: str):
+    """Re-raise a socket failure (refused, timed out, reset) as ProtocolError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProtocolError(f"{what}: {exc}") from exc
 
 
 def open_listener(endpoint: str) -> socket.socket:
     """Bind and listen; use getsockname() to learn an ephemeral port."""
     host, port = _parse_endpoint(endpoint)
-    listener = socket.create_server((host, port))
+    with _socket_errors(f"cannot listen on {endpoint}"):
+        listener = socket.create_server((host, port))
     listener.settimeout(WIRE_TIMEOUT)
     return listener
 
@@ -300,17 +314,15 @@ def wire_alice(
     mode: str = "family",
 ) -> ProtocolTrace:
     """Serve one protocol round: handshake, then send both outcome frames."""
-    conn, _addr = listener.accept()
-    try:
+    with _socket_errors("alice wire failure"):
+        conn, _addr = listener.accept()
         conn.settimeout(WIRE_TIMEOUT)
-        with conn.makefile("rwb") as stream:
+        with conn, conn.makefile("rwb") as stream:
             _check_hello(_read_frame(stream), p, t_c)
             stream.write(_hello_frame(p, t_c))
             for message in channel_messages(t_c):
                 stream.write(message.frame())
             stream.flush()
-    finally:
-        conn.close()
     return run_once(p, t_c, policy=policy, mode=mode)
 
 
@@ -323,13 +335,16 @@ def wire_bob(
 ) -> ProtocolTrace:
     """Run one round against a listening peer: handshake, receive outcomes."""
     host, port = _parse_endpoint(endpoint)
-    with socket.create_connection((host, port), timeout=WIRE_TIMEOUT) as conn:
-        with conn.makefile("rwb") as stream:
-            stream.write(_hello_frame(p, t_c))
-            stream.flush()
-            _check_hello(_read_frame(stream), p, t_c)
-            for mu in (0, 1):
-                _check_outcome(_read_frame(stream), mu, t_c)
+    with (
+        _socket_errors("bob wire failure"),
+        socket.create_connection((host, port), timeout=WIRE_TIMEOUT) as conn,
+        conn.makefile("rwb") as stream,
+    ):
+        stream.write(_hello_frame(p, t_c))
+        stream.flush()
+        _check_hello(_read_frame(stream), p, t_c)
+        for mu in (0, 1):
+            _check_outcome(_read_frame(stream), mu, t_c)
     return run_once(p, t_c, policy=policy, mode=mode)
 
 

@@ -145,17 +145,25 @@ def hb_expected(p: ModelParams, t: float) -> float:
     return e_a_closed(p) / 2.0 * (1.0 - math.cos(4.0 * p.k * t))
 
 
+def _f_curve(alpha):
+    """E_B/k at h = alpha*k for a scalar or an array of alphas, unvalidated.
+
+    ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + x) - 1) with x = a^2/(a^2+2)^2, the
+    bracket taken as x/(sqrt(1 + x) + 1) so it does not cancel for small x.
+    """
+    a2 = alpha * alpha
+    x = a2 / (a2 + 2.0) ** 2
+    return (a2 + 2.0) / np.sqrt(a2 + 1.0) * (x / (np.sqrt(1.0 + x) + 1.0))
+
+
 def e_b_closed(p: ModelParams) -> float:
     """Optimal extractable energy at site B in the zero-delay limit.
 
-    ((h^2+2k^2)/s) * (sqrt(1 + h^2 k^2/(h^2+2k^2)^2) - 1), algebraically
-    equal to sqrt(h^2+4k^2) - (h^2+2k^2)/s.
+    k*f(h/k) (`_f_curve`), algebraically equal to
+    ((h^2+2k^2)/s) * (sqrt(1 + h^2 k^2/(h^2+2k^2)^2) - 1) and to
+    sqrt(h^2+4k^2) - (h^2+2k^2)/s.
     """
-    h2 = p.h * p.h
-    k2 = p.k * p.k
-    front = (h2 + 2.0 * k2) / p.energy_scale
-    inner = 1.0 + h2 * k2 / (h2 + 2.0 * k2) ** 2
-    return front * (math.sqrt(inner) - 1.0)
+    return p.k * float(_f_curve(p.alpha))
 
 
 def diffusion_period(p: ModelParams) -> float:

@@ -4,11 +4,12 @@ extraction, and exact maximisation of the extracted energy.
 Measurement is handled by exhaustive branch enumeration (both outcomes with
 their exact probabilities), never by sampling, so every quantity downstream
 is deterministic.  Bob's optimum has a closed form in every mode, with no
-numerical search: in the sigma_y family the extracted energy is a sinusoid
-in 2*theta, fixed by three evaluations; over all of SU(2) (full and shared
-modes) it is linear in the site-B rotation R, and the best R solves Wahba's
-problem exactly through one Kabsch SVD.  Evolution and extraction also work
-on stacks of branch states, so a latency sweep solves every point at once.
+numerical search: a branch's energy is const + tr(R^T M) in the site-B
+rotation R, with one 3x3 Wahba matrix M per branch.  The sigma_y family is a
+sinusoid in 2*theta with coefficients read off M; over all of SU(2) (full
+and shared modes) the best R solves Wahba's problem through one Kabsch SVD.
+Evolution and extraction work on stacks of branch states, so a latency
+sweep solves every point at once.
 """
 
 from __future__ import annotations
@@ -212,59 +213,15 @@ def evolved_states(branches, hams: HamiltonianSet, times) -> np.ndarray:
     return (phases[:, None, :] * coeffs) @ v.T
 
 
-def _branch_gains(states, h_tot, units) -> np.ndarray:
-    """Energy each branch state gives up under I (x) U: <H>_before - <H>_after.
-
-    states (..., 2, 4) broadcast against per-branch unitaries (..., 2, 4, 4).
-    """
-    after = (units @ states[..., None])[..., 0]
-    return expectation(states, h_tot) - expectation(after, h_tot)
-
-
-def _units(control: BobControl) -> np.ndarray:
-    """I (x) U_B(mu) for mu = 0, 1, shape (2, 4, 4)."""
-    return np.array([kron(ID2, control.unitary(mu)) for mu in (0, 1)])
-
-
 def _weighted(per_branch, probs) -> np.ndarray:
     """p0*e0 + p1*e1 over the last axis, never as a fused multiply-add."""
     return (per_branch * probs).sum(axis=-1)
 
 
-# The family at theta = 0, pi/4, pi/2: shape (3, 2, 4, 4).
-_FAMILY_PROBES = np.array(
-    [_units(BobControl.family(t)) for t in (0.0, math.pi / 4.0, math.pi / 2.0)]
-)
-
-
-def controlled_extraction(states, probs, h_tot, control: BobControl):
-    """Energy one control extracts from stacked branch states (..., 2, 4).
-
-    Returns (total, per branch): shapes (...,) and (..., 2).
-    """
-    per_branch = _branch_gains(states, h_tot, _units(control))
-    return _weighted(per_branch, probs), per_branch
-
-
-def _family_optimum(states, probs, h_tot):
-    """Exact family optimum from three evaluations: (energy, theta*), (N,).
-
-    U_B(mu) rotates site B about y by 2*theta (sign (-1)^mu), so the
-    extracted energy is a0 + a1*cos(2 theta) + a2*sin(2 theta).  Its values
-    at theta = 0, pi/4, pi/2 give a0 +- a1 and a0 + a2; the maximum
-    a0 + hypot(a1, a2) is reached at theta* = atan2(a2, a1)/2 in
-    (-pi/2, pi/2].
-    """
-    f = _weighted(_branch_gains(states[:, None], h_tot, _FAMILY_PROBES), probs)
-    a0 = (f[:, 0] + f[:, 2]) / 2.0
-    a1 = (f[:, 0] - f[:, 2]) / 2.0
-    a2 = f[:, 1] - a0
-    return a0 + np.hypot(a1, a2), np.arctan2(a2, a1) / 2.0
-
-
 # _PAULI_PAIRS[a, j] = sigma_a (x) sigma_j, a over (I, x, y, z), j over (x, y, z).
 _PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULIS[1:]] for a in _PAULIS])
+_SIGMAS = np.array(_PAULIS[1:])
 
 
 def _rotation_costs(states, h_tot) -> np.ndarray:
@@ -279,6 +236,40 @@ def _rotation_costs(states, h_tot) -> np.ndarray:
     c = np.einsum("ajkl,lk->aj", _PAULI_PAIRS, h_tot).real / 4.0
     corr = expectation(states[..., None, None, :], _PAULI_PAIRS)
     return np.einsum("aj,...ak->...jk", c, corr)
+
+
+def _gains(m, r) -> np.ndarray:
+    """Energy a branch gives up under site-B rotation r: tr((I - r)^T m)."""
+    return np.einsum("...jk,...jk->...", np.eye(3) - r, m)
+
+
+def _rotation(u) -> np.ndarray:
+    """R with U^H sigma_j U = sum_k R_jk sigma_k; the inverse of `_su2_params`."""
+    turned = u.conj().T @ _SIGMAS @ u
+    return np.einsum("jab,kba->jk", turned, _SIGMAS).real / 2.0
+
+
+def controlled_extraction(states, probs, h_tot, control: BobControl):
+    """Energy one control extracts from stacked branch states (..., 2, 4).
+
+    Returns (total, per branch): shapes (...,) and (..., 2).
+    """
+    r = np.array([_rotation(control.unitary(mu)) for mu in (0, 1)])
+    per_branch = _gains(_rotation_costs(states, h_tot), r)
+    return _weighted(per_branch, probs), per_branch
+
+
+def _family_optimum(m, probs):
+    """Exact family optimum from the branch M (N, 2, 3, 3): (energy, theta*).
+
+    U_B(mu) rotates site B about y by (-1)^mu 2theta, so branch mu gives up
+    (1 - cos 2theta)(M_xx + M_zz) + (-1)^mu sin 2theta (M_xz - M_zx), and
+    the total a0 (1 - cos 2theta) + a2 sin 2theta peaks at a0 + hypot(a0, a2)
+    at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
+    """
+    a0 = _weighted(m[..., 0, 0] + m[..., 2, 2], probs)
+    a2 = _weighted((m[..., 0, 2] - m[..., 2, 0]) * (1.0, -1.0), probs)
+    return a0 + np.hypot(a0, a2), np.arctan2(a2, -a0) / 2.0
 
 
 def minimize(m) -> np.ndarray:
@@ -327,16 +318,14 @@ def optimal_extraction(states, probs, h_tot, mode: str):
     """
     if mode not in MODES:
         raise ValidationError(f"unknown optimiser mode {mode!r}")
-    if mode == "family":
-        return _family_optimum(states, probs, h_tot)
     m = _rotation_costs(states, h_tot)  # (N, 2, 3, 3)
+    if mode == "family":
+        return _family_optimum(m, probs)
     if mode == "shared":
         r = minimize(np.einsum("m,nmjk->njk", probs, m))[:, None]
     else:
         r = minimize(m)
-    # A branch gives up tr(M) - tr(R^T M) = tr((I - R)^T M).
-    per_branch = np.einsum("...jk,...jk->...", np.eye(3) - r, m)
-    return _weighted(per_branch, probs), r
+    return _weighted(_gains(m, r), probs), r
 
 
 def optimize_bob(
@@ -345,8 +334,8 @@ def optimize_bob(
     """Maximise the extracted energy over Bob's control, in closed form.
 
     mode "family": U_B(mu) = su2((-1)^mu theta, y); the extracted energy is
-    a0 + a1 cos(2 theta) + a2 sin(2 theta), read off three evaluations and
-    maximised at theta* = atan2(a2, a1)/2.
+    a0 (1 - cos 2theta) + a2 sin 2theta, with a0 and a2 read off the branch
+    M, and is maximised at theta* = atan2(a2, -a0)/2.
     mode "full": an independent SU(2) element per outcome.  Branch energy is
     const + tr(R^T M) over rotations R of site B, minimised by the Kabsch
     SVD of M (`minimize`); never below the family value.
@@ -355,7 +344,7 @@ def optimize_bob(
     cannot extract energy at zero delay.
 
     The optimum comes from `optimal_extraction`; the returned energies are
-    measured by applying the returned control to the branches.
+    those of the returned control (`controlled_extraction`).
     """
     states, probs = _stacked(branches)
     solution = optimal_extraction(states[None], probs, hams.h_tot, mode)[1][0]

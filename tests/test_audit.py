@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -30,6 +31,15 @@ F_MAX = 0.14596427586236027
 ION_DEMO = IonParams(gamma_n=0.5, zeta_n=2.0, nu=1.0)
 
 
+def f_alpha_decimal(alpha):
+    """f(alpha) from its defining formula in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a2 = decimal.Decimal(alpha) ** 2
+        front = (a2 + 2) / (a2 + 1).sqrt()
+        return float(front * ((1 + a2 / (a2 + 2) ** 2).sqrt() - 1))
+
+
 class TestFAlpha:
     def test_alpha_one(self):
         # (3/sqrt(2)) * (sqrt(10/9) - 1)
@@ -41,6 +51,16 @@ class TestFAlpha:
 
     def test_small_alpha_limit(self):
         assert f_alpha(1e-8) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha", [1e-8, 1e-6, 1e-3, 0.01, 1.0, 1e3, 1e7, 1e8]
+    )
+    def test_no_cancellation_at_extreme_alpha(self, alpha):
+        # sqrt(1 + x) - 1 evaluated directly loses every digit at both ends
+        exact = f_alpha_decimal(alpha)
+        assert abs(f_alpha(alpha) - exact) <= 1e-15 * exact
+        e_b = e_b_closed(ModelParams.from_alpha(alpha))
+        assert abs(e_b - exact) <= 1e-15 * exact
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_consistent_with_dimensionful_extraction(self, k):
@@ -126,10 +146,9 @@ def test_scan_maximum_beats_every_grid_value(log_a, log_b, points):
     assume(lo < hi)
     result = scan_alpha(alpha_min=lo, alpha_max=hi, points=points)
     assert lo <= result.argmax_alpha <= hi
-    # f is evaluated with an absolute error of a few ulp of its prefactor
-    # (a^2 + 2)/sqrt(a^2 + 1), from the cancellation in sqrt(...) - 1; on
-    # a range only ulps wide that noise can lift a grid value above the
-    # value at the exact maximiser, by no more than this slack.
+    # f is evaluated to within a few ulp; on a range only ulps wide that
+    # rounding can lift a grid value above the value at the exact
+    # maximiser, by no more than this slack.
     a2 = result.grid**2
     slack = 4.0 * np.finfo(float).eps * (a2 + 2.0) / np.sqrt(a2 + 1.0)
     assert np.all(result.values <= result.max_value + slack)

@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -205,6 +206,31 @@ class TestRunCommand:
         assert main(["run", "--h", "3", "--k", "4", "--latency", "0",
                      "--wire", "alice"]) == 2
 
+    WIRE_BOB = ["run", "--h", "3", "--k", "4", "--latency", "0.5", "--wire", "bob"]
+
+    def test_wire_refused_connect_exit_2(self, capsys):
+        # a bound socket that does not listen refuses the connection
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+            assert main([*self.WIRE_BOB, "--connect", f"127.0.0.1:{port}"]) == 2
+        assert "refused" in capsys.readouterr().err
+
+    def test_wire_port_out_of_range_exit_2(self, capsys):
+        argv = ["run", "--h", "3", "--k", "4", "--latency", "0.5", "--wire", "alice"]
+        assert main([*argv, "--listen", "127.0.0.1:99999"]) == 2
+        assert "port out of range" in capsys.readouterr().err
+
+    def test_wire_silent_peer_exit_2(self, monkeypatch, capsys):
+        from qetsim import locc
+
+        monkeypatch.setattr(locc, "WIRE_TIMEOUT", 0.3)
+        # the kernel completes the connection; nobody ever answers the hello
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            port = silent.getsockname()[1]
+            assert main([*self.WIRE_BOB, "--connect", f"127.0.0.1:{port}"]) == 2
+        assert "timed out" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_eleven_rows(self, tmp_path):
@@ -268,6 +294,11 @@ class TestAuditCommand:
         payload = json.loads(got)
         assert payload["product"] == pytest.approx(14.5145551746, rel=1e-11)
         assert payload["verdict"] == "observable"
+
+    def test_minimal_extreme_alpha_keeps_its_digits(self, capsys):
+        assert main(["audit", "minimal", "--alpha", "1e8", "--time", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["energy"] == 5e-09
 
     def test_ion_values(self, tmp_path):
         _, got = run_cli(

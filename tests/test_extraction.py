@@ -21,8 +21,14 @@ from qetsim.model import (
     ground_state_closed_form,
 )
 from qetsim.protocol import (
+    BobControl,
+    _rotation,
     _su2_params,
+    apply_bob,
+    controlled_extraction,
     evolve_branches,
+    extracted_energy,
+    infused_energy,
     measure_alice,
     minimize,
     optimize_bob,
@@ -181,6 +187,8 @@ class TestSolver:
         u_back = su2(*_su2_params(r))
         # U and -U act identically on operators
         assert min(np.abs(u_back - u).max(), np.abs(u_back + u).max()) <= 1e-14
+        # and _rotation inverts _su2_params
+        assert np.abs(_rotation(u_back) - r).max() <= 1e-12
 
 
 alphas = st.floats(math.log(0.1), math.log(10.0)).map(math.exp)
@@ -212,3 +220,36 @@ def test_zero_delay_identities_over_domain(alpha, k):
     assert abs(full - family) <= 1e-9
     assert shared <= 1e-9
     assert abs(family - e_b_closed(p)) <= 1e-9 * e_b_closed(p)
+
+
+def spherical_control(theta, polar, azimuth):
+    """(theta, unit axis) with the axis given by its spherical angles."""
+    axis = (
+        math.sin(polar) * math.cos(azimuth),
+        math.sin(polar) * math.sin(azimuth),
+        math.cos(polar),
+    )
+    return theta, axis
+
+
+angles = st.floats(-math.pi, math.pi)
+su2_params = st.builds(spherical_control, angles, st.floats(0.0, math.pi), angles)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alphas, couplings, fractions, su2_params, su2_params)
+def test_controlled_extraction_matches_applied_control(
+    alpha, k, fraction, params_mu0, params_mu1
+):
+    # any fixed control read off the branch M equals the energy measured by
+    # applying its unitaries to the state vectors
+    p = ModelParams.from_alpha(alpha, k)
+    t_c = fraction * 2.0 * diffusion_period(p)
+    hams, branches = evolved_round(p, t_c)
+    control = BobControl.full(params_mu0, params_mu1)
+    states = np.array([b.state for b in branches])
+    probs = np.array([b.probability for b in branches])
+    energy, _ = controlled_extraction(states, probs, hams.h_tot, control)
+    applied = extracted_energy(branches, apply_bob(branches, control), hams)
+    tol = 1e-12 * max(1.0, infused_energy(branches, hams))
+    assert abs(float(energy) - applied) <= tol
