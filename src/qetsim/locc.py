@@ -20,20 +20,14 @@ from typing import NamedTuple
 from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
 from .formatting import fmt
-from .model import (
-    ModelParams,
-    build_hamiltonians,
-    ground_state_closed_form,
-    optimal_rotation_angle,
-)
+from .model import ModelParams, e_a_closed, optimal_rotation_angle
 from .protocol import (
+    _BRANCH_PROBABILITIES,
     MODES,
     BobControl,
-    controlled_extraction,
-    evolved_states,
-    infused_energy,
-    measure_alice,
-    optimal_extraction,
+    _controlled_from_wahba,
+    _optimal_from_wahba,
+    branch_wahba,
 )
 
 __all__ = [
@@ -137,6 +131,9 @@ class ProtocolTrace:
 
 TRACE_CSV_HEADER = "h,k,t_c,e_a,e_b,product,verdict"
 
+# Alice's part of every round's event log: she measures and sends at t = 0.
+_ALICE_EVENTS = (TraceEvent(0.0, "alice", "measure"), TraceEvent(0.0, "alice", "send"))
+
 
 def channel_messages(t_c: float) -> tuple[ChannelMessage, ChannelMessage]:
     """Both enumerated outcome records for one round (sent at t = 0)."""
@@ -170,10 +167,11 @@ def sweep_latency(
 ) -> list[ProtocolTrace]:
     """One trace per latency of a strictly ascending, finite grid >= 0.
 
-    The model, the measurement and one eigendecomposition of H_tot are
-    built once; the branch states at every latency are evolved as one
-    stack (`evolved_states`, which rejects a non-finite or negative
-    latency), and Bob's extraction is solved for all of them in one pass.
+    Both branches' Wahba matrices M(t) come in closed form for the whole
+    grid (`branch_wahba`, which rejects a non-finite or negative latency),
+    with no 4x4 model, measurement or eigendecomposition built; Bob's
+    extraction is solved for every latency in one pass, and E_A is the
+    closed form h^2/s.
     """
     grid = list(grid)
     if not grid:
@@ -186,16 +184,13 @@ def sweep_latency(
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
 
-    hams = build_hamiltonians(p)
-    branches = measure_alice(ground_state_closed_form(p))
-    e_a = infused_energy(branches, hams)
-    states = evolved_states(branches, hams, grid)
-    probs = [b.probability for b in branches]
+    m = branch_wahba(p, grid)
     if policy == "optimize":
-        e_b = optimal_extraction(states, probs, hams.h_tot, mode)[0]
+        e_b = _optimal_from_wahba(m, _BRANCH_PROBABILITIES, mode)[0]
     else:
         control = BobControl.family(optimal_rotation_angle(p))
-        e_b = controlled_extraction(states, probs, hams.h_tot, control)[0]
+        e_b = _controlled_from_wahba(m, _BRANCH_PROBABILITIES, control)[0]
+    e_a = e_a_closed(p)
 
     traces = []
     for t_c, e in zip(grid, e_b.tolist()):
@@ -203,9 +198,7 @@ def sweep_latency(
         # injects energy (negative extraction); the audit op's e >= 0
         # contract is not used here.
         product = e * t_c
-        events = (
-            TraceEvent(0.0, "alice", "measure"),
-            TraceEvent(0.0, "alice", "send"),
+        events = _ALICE_EVENTS + (
             TraceEvent(t_c, "bob", "deliver"),
             TraceEvent(t_c, "bob", "extract"),
         )

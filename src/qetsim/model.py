@@ -107,10 +107,12 @@ def ground_state_closed_form(p: ModelParams) -> GroundState:
 
     amp(|++>) = sqrt((1 - h/s)/2), amp(|-->) = -sqrt((1 + h/s)/2);
     normalised identically and an exact eigenvector with eigenvalue 0.
+    amp(|++>) is computed as k/sqrt(2s(s+h)), which does not cancel when
+    h >> k.
     """
-    ratio = p.h / p.energy_scale
-    amp_pp = math.sqrt((1.0 - ratio) / 2.0)
-    amp_mm = -math.sqrt((1.0 + ratio) / 2.0)
+    s = p.energy_scale
+    amp_pp = p.k / math.sqrt(2.0 * s * (s + p.h))
+    amp_mm = -math.sqrt((1.0 + p.h / s) / 2.0)
     state = np.array([amp_pp, 0.0, 0.0, amp_mm], dtype=complex)
     state.flags.writeable = False
     return GroundState(state=state, energy=0.0)

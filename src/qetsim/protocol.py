@@ -8,8 +8,13 @@ numerical search: a branch's energy is const + tr(R^T M) in the site-B
 rotation R, with one 3x3 Wahba matrix M per branch.  The sigma_y family is a
 sinusoid in 2*theta with coefficients read off M; over all of SU(2) (full
 and shared modes) the best R solves Wahba's problem through one Kabsch SVD.
-Evolution and extraction work on stacks of branch states, so a latency
-sweep solves every point at once.
+
+Extraction is one piece of code fed by two sources of M.  `branch_wahba`
+gives M(t) in closed form straight from (h, k, t), with no 4x4 matrix,
+projector or eigendecomposition; every latency sweep and round reads it.
+`_rotation_costs` measures M on explicit branch states, the path of the
+state-level API (`optimize_bob`, `controlled_extraction`,
+`optimal_extraction`) and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from . import kernel
 from .errors import NumericError, ValidationError
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import GroundState, HamiltonianSet
+from .model import GroundState, HamiltonianSet, ModelParams, ground_state_closed_form
 
 __all__ = [
     "MODES",
@@ -38,6 +43,7 @@ __all__ = [
     "optimize_bob",
     "minimize",
     "evolved_states",
+    "branch_wahba",
     "controlled_extraction",
     "optimal_extraction",
 ]
@@ -249,14 +255,62 @@ def _rotation(u) -> np.ndarray:
     return np.einsum("jab,kba->jk", turned, _SIGMAS).real / 2.0
 
 
+# The outcome probabilities of the measured ground state, exactly, and the
+# entry signs of branch mu = 1's M against branch mu = 0's (`branch_wahba`).
+_BRANCH_PROBABILITIES = (0.5, 0.5)
+_MU1_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+
+
+def branch_wahba(p: ModelParams, times) -> np.ndarray:
+    """Both branches' Wahba matrices M at every time, shape (N, 2, 3, 3).
+
+    Closed form of `_rotation_costs(evolved_states(...))` for the measured
+    ground state.  Each outcome mu has probability exactly 1/2, and with
+    the ground amplitudes (a, b) on |00>, |11> the branch state is
+    psi_mu(t) = (a|00> + b|11>)/sqrt2
+                + (-1)^mu [c+ e^(-i w+ t)|+> + c- e^(-i w- t)|->],
+    |+-> = (|01> +- |10>)/sqrt2, c+- = (b +- a)/2, w+- = 2s +- 2k; the
+    {|00>, |11>} part is the zero-energy eigenvector of its block.  On
+    site B, H_tot has only h I(x)sigma_z and 2k sigma_x(x)sigma_x, so
+    M_x. = 2k<sigma_x(x)sigma_.>, M_y. = 0 and M_z. = h<I(x)sigma_.>: six
+    trigonometric polynomials in t with frequencies w+, w- and 4k.  The
+    x-row's xz entry and the z-row's x and y entries change sign with mu.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise ValidationError("evolution times must be a list, finite and >= 0")
+    amps = ground_state_closed_form(p).state.real
+    a, b = float(amps[0]), float(amps[3])
+    c_p, c_m = (b + a) / 2.0, (b - a) / 2.0
+    h, k = p.h, p.k
+    s = p.energy_scale
+    cos_p, sin_p = np.cos((2.0 * s + 2.0 * k) * t), np.sin((2.0 * s + 2.0 * k) * t)
+    cos_m, sin_m = np.cos((2.0 * s - 2.0 * k) * t), np.sin((2.0 * s - 2.0 * k) * t)
+    m = np.zeros((t.size, 2, 3, 3))
+    m0 = m[:, 0]  # branch mu = 0; <sigma_x(x)sigma_x> = 2ab is constant
+    m0[:, 0, 0] = 2.0 * k * (2.0 * a * b)
+    m0[:, 0, 1] = 2.0 * k * (2.0 * c_p * c_m * np.sin(4.0 * k * t))
+    m0[:, 0, 2] = 2.0 * k * (-2.0 * c_p * c_m * (cos_p + cos_m))
+    m0[:, 2, 0] = h * (2.0 * (c_p * c_p * cos_p - c_m * c_m * cos_m))
+    m0[:, 2, 1] = h * (2.0 * c_p * c_m * (sin_p - sin_m))
+    m0[:, 2, 2] = h * ((a * a - b * b) * (1.0 + np.cos(4.0 * k * t)) / 2.0)
+    m[:, 1] = m0 * _MU1_SIGNS
+    return m
+
+
+def _controlled_from_wahba(m, probs, control: BobControl):
+    """(total, per branch) energy `control` extracts from branch M (..., 2, 3, 3)."""
+    r = np.array([_rotation(control.unitary(mu)) for mu in (0, 1)])
+    per_branch = _gains(m, r)
+    return _weighted(per_branch, probs), per_branch
+
+
 def controlled_extraction(states, probs, h_tot, control: BobControl):
     """Energy one control extracts from stacked branch states (..., 2, 4).
 
     Returns (total, per branch): shapes (...,) and (..., 2).
     """
-    r = np.array([_rotation(control.unitary(mu)) for mu in (0, 1)])
-    per_branch = _gains(_rotation_costs(states, h_tot), r)
-    return _weighted(per_branch, probs), per_branch
+    return _controlled_from_wahba(_rotation_costs(states, h_tot), probs, control)
 
 
 def _family_optimum(m, probs):
@@ -265,11 +319,15 @@ def _family_optimum(m, probs):
     U_B(mu) rotates site B about y by (-1)^mu 2theta, so branch mu gives up
     (1 - cos 2theta)(M_xx + M_zz) + (-1)^mu sin 2theta (M_xz - M_zx), and
     the total a0 (1 - cos 2theta) + a2 sin 2theta peaks at a0 + hypot(a0, a2)
-    at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
+    at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].  Where a0 < 0 the peak is
+    taken as a2^2/(hypot(a0, a2) - a0), equal in exact arithmetic and free
+    of the cancellation of a0 + hypot.
     """
     a0 = _weighted(m[..., 0, 0] + m[..., 2, 2], probs)
     a2 = _weighted((m[..., 0, 2] - m[..., 2, 0]) * (1.0, -1.0), probs)
-    return a0 + np.hypot(a0, a2), np.arctan2(a2, -a0) / 2.0
+    norm = np.hypot(a0, a2)
+    peak = np.divide(a2 * a2, norm - a0, out=a0 + norm, where=a0 < 0.0)
+    return peak, np.arctan2(a2, -a0) / 2.0
 
 
 def minimize(m) -> np.ndarray:
@@ -316,9 +374,13 @@ def optimal_extraction(states, probs, h_tot, mode: str):
     (N,) in mode "family", the site-B rotations (N, 2, 3, 3) in mode "full"
     and (N, 1, 3, 3) in mode "shared".  See `optimize_bob` for the modes.
     """
+    return _optimal_from_wahba(_rotation_costs(states, h_tot), probs, mode)
+
+
+def _optimal_from_wahba(m, probs, mode: str):
+    """`optimal_extraction` from the branch M (N, 2, 3, 3)."""
     if mode not in MODES:
         raise ValidationError(f"unknown optimiser mode {mode!r}")
-    m = _rotation_costs(states, h_tot)  # (N, 2, 3, 3)
     if mode == "family":
         return _family_optimum(m, probs)
     if mode == "shared":
@@ -343,17 +405,19 @@ def optimize_bob(
     weighted sum of the branch M -- the no-information baseline, which
     cannot extract energy at zero delay.
 
-    The optimum comes from `optimal_extraction`; the returned energies are
-    those of the returned control (`controlled_extraction`).
+    The optimum and the returned control's energies are both read off one
+    M of the given branches, as in `optimal_extraction` and
+    `controlled_extraction`.
     """
     states, probs = _stacked(branches)
-    solution = optimal_extraction(states[None], probs, hams.h_tot, mode)[1][0]
+    m = _rotation_costs(states, hams.h_tot)  # (2, 3, 3)
+    solution = _optimal_from_wahba(m[None], probs, mode)[1][0]
     if mode == "family":
         control = BobControl.family(float(solution))
     else:
         rotations = np.broadcast_to(solution, (2, 3, 3))
         control = BobControl.full(*(_su2_params(r) for r in rotations))
-    energy, per_branch = controlled_extraction(states, probs, hams.h_tot, control)
+    energy, per_branch = _controlled_from_wahba(m, probs, control)
     return ExtractionResult(
         extracted_energy=float(energy),
         control=control,

@@ -232,6 +232,51 @@ class TestRunCommand:
         assert "timed out" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        ("reply", "message"),
+        [
+            (lambda hello: b"", "closed mid-protocol"),
+            (lambda hello: hello[:20], "malformed frame"),
+            (lambda hello: hello.replace(b'"h":3.0', b'"h":"3"'), "handshake rejected"),
+            (
+                lambda hello: hello + b'{"kind":"outcome","mu":0,"sent_at":0.0,"del',
+                "malformed frame",
+            ),
+            (lambda hello: b"\xff\xfe\xfd\n", "malformed frame"),
+        ],
+        ids=["early-close", "truncated-hello", "string-field", "truncated-outcome",
+             "non-utf8"],
+    )
+    def test_wire_bad_peer_exit_2(self, reply, message, capsys):
+        # a scripted peer reads Bob's hello, answers with `reply` and closes
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            port = server.getsockname()[1]
+
+            def peer():
+                conn, _ = server.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    stream.write(reply(stream.readline()))
+                    stream.flush()
+
+            thread = threading.Thread(target=peer)
+            thread.start()
+            code = main([*self.WIRE_BOB, "--connect", f"127.0.0.1:{port}"])
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("alpha", "e_a", "e_b"),
+        [("1e-8", "1e-16", 2.5e-17), ("1e8", "100000000", 5e-9)],
+    )
+    def test_extreme_alpha_keeps_its_digits(self, alpha, e_a, e_b, capsys):
+        assert main(["run", "--alpha", alpha, "--latency", "0"]) == 0
+        fields = capsys.readouterr().out.splitlines()[1].split(",")
+        assert fields[3] == e_a
+        assert float(fields[4]) == pytest.approx(e_b, rel=1e-6)
+
+
 class TestSweepCommand:
     def test_eleven_rows(self, tmp_path):
         code, got = run_cli(

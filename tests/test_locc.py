@@ -1,11 +1,13 @@
 import math
 import socket
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qetsim import kernel, model, protocol
 from qetsim.errors import ProtocolError, ValidationError
 from qetsim.locc import (
     POLICIES,
@@ -23,11 +25,13 @@ from qetsim.model import (
     ModelParams,
     build_hamiltonians,
     diffusion_period,
+    e_a_closed,
     e_b_closed,
     ground_state_closed_form,
     optimal_rotation_angle,
 )
 from qetsim.protocol import (
+    MODES,
     BobControl,
     apply_bob,
     evolve_branches,
@@ -159,6 +163,42 @@ class TestSweep:
             for value in (single.e_a, single.e_b_extracted, single.uncertainty_product):
                 assert type(value) is float  # not a numpy scalar
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
+    def test_zero_latency_across_the_alpha_domain(self, alpha):
+        p = ModelParams.from_alpha(alpha)
+        trace = run_once(p, 0.0)
+        assert trace.e_b_extracted == pytest.approx(e_b_closed(p), rel=1e-6)
+
+    def test_skips_the_numeric_model(self, monkeypatch):
+        # every binding of the 4x4 model builders, the measurement and the
+        # numeric expectation/eigensolver raises; sweeps must not need them
+        banned = (
+            kernel.hermitian_eig,
+            kernel.expectation,
+            kernel.kron,
+            model.build_hamiltonians,
+            protocol.measure_alice,
+            protocol.infused_energy,
+        )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("numeric model reached from a sweep")
+
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "qetsim":
+                continue
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in banned):
+                    monkeypatch.setattr(module, attr, boom)
+                    patched += 1
+        assert patched >= len(banned)
+        for policy in POLICIES:
+            for mode in MODES:
+                rows = sweep_latency(P21, [0.0, 0.3, 1.1], policy=policy, mode=mode)
+                assert len(rows) == 3
+                assert run_once(P21, 0.3, policy=policy, mode=mode) == rows[1]
+
     def test_ten_thousand_latencies(self):
         period = diffusion_period(P21)
         grid = [2.0 * period * i / 9999 for i in range(10_000)]
@@ -191,15 +231,16 @@ def test_sweep_rows_match_per_point_rounds(alpha, k, fractions):
     p = ModelParams.from_alpha(alpha, k)
     grid = sorted({f * 2.0 * diffusion_period(p) for f in fractions})
     hams = build_hamiltonians(p)
-    e_a = infused_energy(measure_alice(ground_state_closed_form(p)), hams)
-    tol = 1e-12 * max(1.0, e_a)
+    infused = infused_energy(measure_alice(ground_state_closed_form(p)), hams)
+    tol = 1e-12 * max(1.0, infused)
     for policy, mode in [("closed-form-theta", "family")] + [
         ("optimize", m) for m in ("family", "full", "shared")
     ]:
         rows = sweep_latency(p, grid, policy=policy, mode=mode)
         for row, t_c in zip(rows, grid):
             assert row.latency == t_c
-            assert row.e_a == e_a
+            assert row.e_a == e_a_closed(p)
+            assert abs(row.e_a - infused) <= 1e-12 * row.e_a
             assert abs(row.e_b_extracted - oracle_e_b(p, t_c, policy, mode)) <= tol
             assert row.uncertainty_product == row.e_b_extracted * t_c
 

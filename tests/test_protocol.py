@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qetsim import kernel
+from qetsim import kernel, protocol
 from qetsim.errors import ValidationError
 from qetsim.kernel import ID2, SIGMA_X, expectation, kron, su2
 from qetsim.model import (
@@ -17,7 +19,9 @@ from qetsim.model import (
 )
 from qetsim.protocol import (
     BobControl,
+    _rotation_costs,
     apply_bob,
+    branch_wahba,
     evolve_branches,
     evolved_states,
     extracted_energy,
@@ -295,3 +299,45 @@ class TestExtraction:
         hams, branches = setup_round(P34)
         with pytest.raises(ValidationError):
             optimize_bob(branches, hams, mode="annealing")
+
+    def test_optimize_bob_builds_the_branch_matrices_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _rotation_costs(*args)
+
+        monkeypatch.setattr(protocol, "_rotation_costs", counted)
+        hams, branches = setup_round(P34)
+        optimize_bob(branches, hams, mode="full")
+        assert len(calls) == 1
+
+
+class TestClosedFormWahba:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+        st.floats(0.5, 2.0),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_matches_the_measured_branch_matrices(self, alpha, k, fractions):
+        # up to 10^3 periods of the fastest Bohr frequency 2s + 2k; both
+        # paths lose the same absolute phase accuracy as w*t grows
+        p = ModelParams.from_alpha(alpha, k)
+        w_max = 2.0 * p.energy_scale + 2.0 * k
+        times = np.array(sorted(f * 1e3 * 2.0 * math.pi / w_max for f in fractions))
+        hams, branches = setup_round(p)
+        measured = _rotation_costs(evolved_states(branches, hams, times), hams.h_tot)
+        closed = branch_wahba(p, times)
+        assert closed.shape == (len(times), 2, 3, 3)
+        bound = 1e-14 * max(p.h, 2.0 * k) * (1.0 + w_max * times)
+        assert np.all(np.abs(closed - measured).max(axis=(1, 2, 3)) <= bound)
+
+    def test_y_row_vanishes(self):
+        m = branch_wahba(P34, [0.0, 0.3, 1.7])
+        assert np.all(m[:, :, 1, :] == 0.0)
+
+    @pytest.mark.parametrize("times", [[0.0, -0.1], [0.0, math.nan], [[0.1]]])
+    def test_rejects_bad_times(self, times):
+        with pytest.raises(ValidationError):
+            branch_wahba(P34, times)
