@@ -13,9 +13,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import socket
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
@@ -25,9 +28,9 @@ from .protocol import (
     _BRANCH_PROBABILITIES,
     MODES,
     BobControl,
+    _branch_wahba,
     _controlled_from_wahba,
     _optimal_from_wahba,
-    branch_wahba,
 )
 
 __all__ = [
@@ -83,19 +86,55 @@ class TraceEvent(NamedTuple):
     action: str
 
 
-@dataclass(frozen=True)
+# Alice's part of every round's event log: she measures and sends at t = 0.
+_ALICE_EVENTS = (TraceEvent(0.0, "alice", "measure"), TraceEvent(0.0, "alice", "send"))
+
+
+@dataclass(frozen=True, init=False)
 class ProtocolTrace:
-    """End-to-end record of one protocol round."""
+    """End-to-end record of one protocol round.
+
+    Only the independent quantities are stored; the product, the verdict
+    and the event log follow from them.
+    """
 
     params: ModelParams
     latency: float
     e_a: float
     e_b_extracted: float
-    uncertainty_product: float
-    events: tuple[TraceEvent, ...]
     policy: str
     mode: str
-    verdict: str
+
+    def __init__(self, params, latency, e_a, e_b_extracted, policy, mode):
+        # One dict update instead of the frozen __init__'s six
+        # object.__setattr__ calls: a sweep builds one trace per latency.
+        self.__dict__.update(
+            params=params,
+            latency=latency,
+            e_a=e_a,
+            e_b_extracted=e_b_extracted,
+            policy=policy,
+            mode=mode,
+        )
+
+    @property
+    def uncertainty_product(self) -> float:
+        # Kept recomputable as e_b * t_c even when a fixed-angle policy
+        # injects energy (negative extraction); the audit op's e >= 0
+        # contract is not used here.
+        return self.e_b_extracted * self.latency
+
+    @property
+    def verdict(self) -> str:
+        return verdict_for(self.uncertainty_product)
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """Alice measures and sends at t = 0; Bob receives and extracts at t_c."""
+        return _ALICE_EVENTS + (
+            TraceEvent(self.latency, "bob", "deliver"),
+            TraceEvent(self.latency, "bob", "extract"),
+        )
 
     def digest(self) -> str:
         """SHA-256 over the canonical 12-significant-digit serialisation."""
@@ -131,9 +170,6 @@ class ProtocolTrace:
 
 TRACE_CSV_HEADER = "h,k,t_c,e_a,e_b,product,verdict"
 
-# Alice's part of every round's event log: she measures and sends at t = 0.
-_ALICE_EVENTS = (TraceEvent(0.0, "alice", "measure"), TraceEvent(0.0, "alice", "send"))
-
 
 def channel_messages(t_c: float) -> tuple[ChannelMessage, ChannelMessage]:
     """Both enumerated outcome records for one round (sent at t = 0)."""
@@ -167,55 +203,40 @@ def sweep_latency(
 ) -> list[ProtocolTrace]:
     """One trace per latency of a strictly ascending, finite grid >= 0.
 
-    Both branches' Wahba matrices M(t) come in closed form for the whole
-    grid (`branch_wahba`, which rejects a non-finite or negative latency),
-    with no 4x4 model, measurement or eigendecomposition built; Bob's
-    extraction is solved for every latency in one pass, and E_A is the
-    closed form h^2/s.
+    The grid is checked once, here; then both branches' Wahba matrices
+    M(t) come in closed form for the whole grid, from the two angles 2st
+    and 2kt per latency (`branch_wahba`), with no 4x4 model, measurement
+    or eigendecomposition built.  Bob's extraction is solved for every
+    latency in one pass, and E_A is the closed form h^2/s.
     """
     grid = list(grid)
-    if not grid:
-        raise ValidationError("latency grid must be non-empty")
+    t = np.asarray(grid, dtype=float)
+    if t.ndim != 1 or not grid:
+        raise ValidationError("latency grid must be a non-empty list of numbers")
     for a, b in zip(grid, grid[1:]):
-        if b <= a:
+        if not b > a:  # also false where either is NaN
             raise ValidationError("latency grid must be strictly ascending")
+    if not grid[0] >= 0:
+        raise ValidationError("latencies must be >= 0")
+    if not math.isfinite(4.0 * p.energy_scale * grid[-1]):
+        # E_B <= 4s, so this keeps the phases 2st, 2kt and E_B*t_c finite
+        raise ValidationError("latencies must be finite, with 4*s*t_c finite")
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
 
-    m = branch_wahba(p, grid)
+    m = _branch_wahba(p, t)
     if policy == "optimize":
         e_b = _optimal_from_wahba(m, _BRANCH_PROBABILITIES, mode)[0]
     else:
         control = BobControl.family(optimal_rotation_angle(p))
         e_b = _controlled_from_wahba(m, _BRANCH_PROBABILITIES, control)[0]
     e_a = e_a_closed(p)
-
-    traces = []
-    for t_c, e in zip(grid, e_b.tolist()):
-        # Kept recomputable as e_b * t_c even when a fixed-angle policy
-        # injects energy (negative extraction); the audit op's e >= 0
-        # contract is not used here.
-        product = e * t_c
-        events = _ALICE_EVENTS + (
-            TraceEvent(t_c, "bob", "deliver"),
-            TraceEvent(t_c, "bob", "extract"),
-        )
-        traces.append(
-            ProtocolTrace(
-                params=p,
-                latency=t_c,
-                e_a=e_a,
-                e_b_extracted=e,
-                uncertainty_product=product,
-                events=events,
-                policy=policy,
-                mode=mode,
-                verdict=verdict_for(product),
-            )
-        )
-    return traces
+    return [
+        ProtocolTrace(p, t_c, e_a, e, policy, mode)
+        for t_c, e in zip(grid, e_b.tolist())
+    ]
 
 
 def traces_to_csv(traces) -> str:

@@ -22,6 +22,8 @@ from .errors import ValidationError
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Z, kron
 
 __all__ = [
+    "PARAM_MIN",
+    "PARAM_MAX",
     "ModelParams",
     "HamiltonianSet",
     "GroundState",
@@ -37,9 +39,21 @@ __all__ = [
 ]
 
 
+# The stated domain: h and k each lie in [PARAM_MIN, PARAM_MAX], so
+# alpha = h/k lies in [1e-60, 1e60].  Across it every closed-form
+# coefficient (h*(h/s), h*(k/s), k*(k/s)), E_A = h^2/s, the zero-delay E_B
+# (about h^2/4k or k^2/2h at the ends) and alpha^4 in `_f_curve` stay
+# normal floats, far from overflow and underflow.
+PARAM_MIN = 1e-30
+PARAM_MAX = 1e30
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """The two positive energy constants of the model (hbar = 1)."""
+    """The two positive energy constants of the model (hbar = 1).
+
+    Each must lie in the stated domain [PARAM_MIN, PARAM_MAX] = [1e-30, 1e30].
+    """
 
     h: float
     k: float
@@ -50,6 +64,11 @@ class ModelParams:
                 raise ValidationError(f"{name} must be a finite number")
             if value <= 0:
                 raise ValidationError(f"{name} must be strictly positive")
+            if not PARAM_MIN <= value <= PARAM_MAX:
+                raise ValidationError(
+                    f"{name}={value!r} is outside the stated domain "
+                    f"[{PARAM_MIN:g}, {PARAM_MAX:g}]"
+                )
 
     @classmethod
     def from_alpha(cls, alpha: float, k: float = 1.0) -> "ModelParams":

@@ -27,7 +27,7 @@ import numpy as np
 from . import kernel
 from .errors import NumericError, ValidationError
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import GroundState, HamiltonianSet, ModelParams, ground_state_closed_form
+from .model import GroundState, HamiltonianSet, ModelParams
 
 __all__ = [
     "MODES",
@@ -255,9 +255,11 @@ def _rotation(u) -> np.ndarray:
     return np.einsum("jab,kba->jk", turned, _SIGMAS).real / 2.0
 
 
-# The outcome probabilities of the measured ground state, exactly, and the
-# entry signs of branch mu = 1's M against branch mu = 0's (`branch_wahba`).
-_BRANCH_PROBABILITIES = (0.5, 0.5)
+# The outcome probabilities of the measured ground state, exactly, the sign
+# (-1)^mu per branch, and the entry signs of branch mu = 1's M against
+# branch mu = 0's (`branch_wahba`).
+_BRANCH_PROBABILITIES = np.array([0.5, 0.5])
+_MU_SIGNS = np.array([1.0, -1.0])
 _MU1_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
@@ -272,29 +274,45 @@ def branch_wahba(p: ModelParams, times) -> np.ndarray:
     |+-> = (|01> +- |10>)/sqrt2, c+- = (b +- a)/2, w+- = 2s +- 2k; the
     {|00>, |11>} part is the zero-energy eigenvector of its block.  On
     site B, H_tot has only h I(x)sigma_z and 2k sigma_x(x)sigma_x, so
-    M_x. = 2k<sigma_x(x)sigma_.>, M_y. = 0 and M_z. = h<I(x)sigma_.>: six
-    trigonometric polynomials in t with frequencies w+, w- and 4k.  The
+    M_x. = 2k<sigma_x(x)sigma_.>, M_y. = 0 and M_z. = h<I(x)sigma_.>.
+
+    The identities ab = -k/2s, c+c- = h/4s, c+^2 = h^2/(4s(s+k)) and
+    c-^2 = (s+k)/4s put branch 0's six nonzero entries on two angles, with
+    C, S = cos, sin(2st) and c, d = cos, sin(2kt):
+        M_xx = -2k^2/s            M_xy = (2hk/s) c d    M_xz = -(2hk/s) C c
+        M_zx = -h S d - (hk/s) C c    M_zy = (h^2/s) C d    M_zz = -(h^2/s) c^2
+    Every coefficient comes straight from (h, k, s) as h*(h/s) and the
+    like, so none cancels or overflows at either end of the domain.  The
     x-row's xz entry and the z-row's x and y entries change sign with mu.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
         raise ValidationError("evolution times must be a list, finite and >= 0")
-    amps = ground_state_closed_form(p).state.real
-    a, b = float(amps[0]), float(amps[3])
-    c_p, c_m = (b + a) / 2.0, (b - a) / 2.0
+    return _branch_wahba(p, t)
+
+
+def _branch_wahba(p: ModelParams, t: np.ndarray) -> np.ndarray:
+    """`branch_wahba` for a float array t of finite times >= 0, unchecked.
+
+    Elementwise only (no BLAS product), so a latency's row does not
+    depend on the length of the grid it is computed in.
+    """
     h, k = p.h, p.k
     s = p.energy_scale
-    cos_p, sin_p = np.cos((2.0 * s + 2.0 * k) * t), np.sin((2.0 * s + 2.0 * k) * t)
-    cos_m, sin_m = np.cos((2.0 * s - 2.0 * k) * t), np.sin((2.0 * s - 2.0 * k) * t)
+    hk_s = h * (k / s)
+    h2_s = h * (h / s)
+    angles = np.multiply.outer(t, (2.0 * s, 2.0 * k))
+    (big_c, c), (big_s, d) = np.cos(angles).T, np.sin(angles).T
+    cc = big_c * c
     m = np.zeros((t.size, 2, 3, 3))
-    m0 = m[:, 0]  # branch mu = 0; <sigma_x(x)sigma_x> = 2ab is constant
-    m0[:, 0, 0] = 2.0 * k * (2.0 * a * b)
-    m0[:, 0, 1] = 2.0 * k * (2.0 * c_p * c_m * np.sin(4.0 * k * t))
-    m0[:, 0, 2] = 2.0 * k * (-2.0 * c_p * c_m * (cos_p + cos_m))
-    m0[:, 2, 0] = h * (2.0 * (c_p * c_p * cos_p - c_m * c_m * cos_m))
-    m0[:, 2, 1] = h * (2.0 * c_p * c_m * (sin_p - sin_m))
-    m0[:, 2, 2] = h * ((a * a - b * b) * (1.0 + np.cos(4.0 * k * t)) / 2.0)
-    m[:, 1] = m0 * _MU1_SIGNS
+    m0 = m[:, 0]  # branch mu = 0
+    m0[:, 0, 0] = -2.0 * (k * (k / s))
+    m0[:, 0, 1] = (2.0 * hk_s) * (c * d)
+    m0[:, 0, 2] = (-2.0 * hk_s) * cc
+    m0[:, 2, 0] = -h * (big_s * d) - hk_s * cc
+    m0[:, 2, 1] = h2_s * (big_c * d)
+    m0[:, 2, 2] = -h2_s * (c * c)
+    np.multiply(m0, _MU1_SIGNS, out=m[:, 1])
     return m
 
 
@@ -324,7 +342,7 @@ def _family_optimum(m, probs):
     of the cancellation of a0 + hypot.
     """
     a0 = _weighted(m[..., 0, 0] + m[..., 2, 2], probs)
-    a2 = _weighted((m[..., 0, 2] - m[..., 2, 0]) * (1.0, -1.0), probs)
+    a2 = _weighted((m[..., 0, 2] - m[..., 2, 0]) * _MU_SIGNS, probs)
     norm = np.hypot(a0, a2)
     peak = np.divide(a2 * a2, norm - a0, out=a0 + norm, where=a0 < 0.0)
     return peak, np.arctan2(a2, -a0) / 2.0

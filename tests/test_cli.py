@@ -40,6 +40,21 @@ class TestUsage:
     def test_invalid_params_exit_2(self):
         assert main(["model", "--h", "-3", "--k", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # printed e_a=inf with exit 0
+            ["run", "--h", "1e300", "--k", "1", "--latency", "0"],
+            # printed e_b=2.46519032882e-32 at t_c = 0 (true about 2.5e-601)
+            ["sweep", "--h", "1e-300", "--k", "1", "--latencies", "0:1:0.5"],
+        ],
+    )
+    def test_outside_the_stated_domain_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "h=" in captured.err and "stated domain" in captured.err
+
     def test_numeric_failure_exit_3(self, monkeypatch, capsys):
         from qetsim import cli
         from qetsim.errors import NumericError
@@ -268,13 +283,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         ("alpha", "e_a", "e_b"),
-        [("1e-8", "1e-16", 2.5e-17), ("1e8", "100000000", 5e-9)],
+        [("1e-8", "1e-16", "2.5e-17"), ("1e8", "100000000", "5e-09")],
     )
     def test_extreme_alpha_keeps_its_digits(self, alpha, e_a, e_b, capsys):
         assert main(["run", "--alpha", alpha, "--latency", "0"]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         assert fields[3] == e_a
-        assert float(fields[4]) == pytest.approx(e_b, rel=1e-6)
+        assert fields[4] == e_b
 
 
 class TestSweepCommand:

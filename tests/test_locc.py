@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import socket
 import sys
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetsim import kernel, model, protocol
+from qetsim.audit import verdict_for
 from qetsim.errors import ProtocolError, ValidationError
 from qetsim.locc import (
     POLICIES,
@@ -152,6 +154,41 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_latency(P34, [0.0, bad])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [math.nan],
+            [math.inf],
+            [0.0, math.nan, 1.0],  # passes a plain b <= a check
+            [0.0, 1.0, math.inf],
+            [-math.inf, 0.0],
+            [[0.1]],
+        ],
+    )
+    def test_grid_checked_once_at_the_boundary(self, grid):
+        with pytest.raises(ValidationError):
+            sweep_latency(P34, grid)
+
+    def test_rejects_latency_whose_phase_overflows(self):
+        # 4*s*t_c overflows: the phases 2st and the product E_B*t_c with it
+        p = ModelParams(h=1e30, k=1.0)
+        with pytest.raises(ValidationError):
+            sweep_latency(p, [0.0, 1e300])
+        with pytest.raises(ValidationError):
+            run_once(ModelParams(h=1.0, k=1.0), 1e308)
+        assert math.isfinite(sweep_latency(p, [1e270])[0].uncertainty_product)
+
+    def test_trace_fields_are_frozen(self):
+        trace = run_once(P21, 0.3)
+        for field in ("latency", "e_b_extracted", "policy"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, field, 0.0)
+        with pytest.raises(AttributeError):
+            trace.verdict = "observable"
+        assert [f.name for f in dataclasses.fields(trace)] == [
+            "params", "latency", "e_a", "e_b_extracted", "policy", "mode"
+        ]
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("mode", ["family", "full", "shared"])
     def test_run_once_is_a_one_point_sweep(self, policy, mode):
@@ -167,7 +204,7 @@ class TestSweep:
     def test_zero_latency_across_the_alpha_domain(self, alpha):
         p = ModelParams.from_alpha(alpha)
         trace = run_once(p, 0.0)
-        assert trace.e_b_extracted == pytest.approx(e_b_closed(p), rel=1e-6)
+        assert trace.e_b_extracted == pytest.approx(e_b_closed(p), rel=1e-12, abs=0.0)
 
     def test_skips_the_numeric_model(self, monkeypatch):
         # every binding of the 4x4 model builders, the measurement and the
@@ -177,6 +214,7 @@ class TestSweep:
             kernel.expectation,
             kernel.kron,
             model.build_hamiltonians,
+            model.ground_state_closed_form,
             protocol.measure_alice,
             protocol.infused_energy,
         )
@@ -208,6 +246,11 @@ class TestSweep:
         assert rows[0].e_b_extracted == pytest.approx(e_b_closed(P21), rel=1e-9)
         for row, floor in zip(rows, fixed):
             assert row.e_b_extracted >= floor.e_b_extracted - 1e-9
+            assert row.uncertainty_product == row.e_b_extracted * row.latency
+            assert row.verdict == verdict_for(row.uncertainty_product)
+        assert {row.verdict for row in rows} == {"observable", "unobservable"}
+        for i in range(0, 10_000, 997):  # a row does not depend on the grid
+            assert rows[i] == run_once(P21, grid[i])
 
 
 def oracle_e_b(p, t_c, policy, mode):

@@ -6,6 +6,8 @@ import pytest
 from qetsim import kernel
 from qetsim.errors import ValidationError
 from qetsim.model import (
+    PARAM_MAX,
+    PARAM_MIN,
     ModelParams,
     build_hamiltonians,
     diffusion_period,
@@ -37,6 +39,24 @@ class TestParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             ModelParams(h=float("nan"), k=1.0)
+
+    @pytest.mark.parametrize(
+        "h,k,name",
+        [(1e300, 1.0, "h"), (1e-300, 1.0, "h"), (1.0, 1e31, "k"), (2.0, 9e-31, "k")],
+    )
+    def test_rejects_points_outside_the_stated_domain(self, h, k, name):
+        with pytest.raises(ValidationError, match=f"^{name}=.*stated domain"):
+            ModelParams(h=h, k=k)
+
+    def test_domain_ends_are_accepted(self):
+        assert (PARAM_MIN, PARAM_MAX) == (1e-30, 1e30)
+        for h in (PARAM_MIN, PARAM_MAX):
+            for k in (PARAM_MIN, PARAM_MAX):
+                p = ModelParams(h=h, k=k)
+                for value in (e_a_closed(p), e_b_closed(p)):
+                    assert value >= np.finfo(float).tiny and math.isfinite(value)
+        ModelParams(h=1e-9, k=1.0)
+        ModelParams.from_alpha(1e8)
 
     def test_alpha_view(self):
         p = ModelParams.from_alpha(2.0)

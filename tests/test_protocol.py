@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from qetsim import kernel, protocol
 from qetsim.errors import ValidationError
+from qetsim.locc import run_once
 from qetsim.kernel import ID2, SIGMA_X, expectation, kron, su2
 from qetsim.model import (
+    PARAM_MAX,
+    PARAM_MIN,
     ModelParams,
     build_hamiltonians,
     e_a_closed,
@@ -341,3 +345,60 @@ class TestClosedFormWahba:
     def test_rejects_bad_times(self, times):
         with pytest.raises(ValidationError):
             branch_wahba(P34, times)
+
+
+def amplitude_form_wahba(h, k, t):
+    """Branch 0's M(t) in mpmath from the ground amplitudes (a, b).
+
+    The amplitude form: c+- = (b +- a)/2, frequencies 2s +- 2k and 4k.
+    Independent of the two-angle form in `branch_wahba`; the caller sets
+    a working precision that covers its cancellations.
+    """
+    h, k, t = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(t)
+    s = mpmath.sqrt(h * h + k * k)
+    a = k / mpmath.sqrt(2 * s * (s + h))
+    b = -mpmath.sqrt((1 + h / s) / 2)
+    c_p, c_m = (b + a) / 2, (b - a) / 2
+    cos_p, sin_p = mpmath.cos((2 * s + 2 * k) * t), mpmath.sin((2 * s + 2 * k) * t)
+    cos_m, sin_m = mpmath.cos((2 * s - 2 * k) * t), mpmath.sin((2 * s - 2 * k) * t)
+    m = [
+        [
+            2 * k * (2 * a * b),
+            2 * k * (2 * c_p * c_m * mpmath.sin(4 * k * t)),
+            2 * k * (-2 * c_p * c_m * (cos_p + cos_m)),
+        ],
+        [0, 0, 0],
+        [
+            h * 2 * (c_p**2 * cos_p - c_m**2 * cos_m),
+            h * 2 * c_p * c_m * (sin_p - sin_m),
+            h * (a * a - b * b) * (1 + mpmath.cos(4 * k * t)) / 2,
+        ],
+    ]
+    return np.array(m, dtype=float)
+
+
+class TestWahbaAcrossTheDomain:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.floats(-60.0, 60.0),
+        st.floats(0.0, 1.0),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    def test_matches_a_high_precision_oracle(self, log_alpha, k_place, fractions):
+        # alpha log-uniform over the whole stated domain, k anywhere that
+        # keeps h = alpha*k in it, t over five periods of 2s + 2k
+        lo, hi = max(-30.0, -30.0 - log_alpha), min(30.0, 30.0 - log_alpha)
+        k = 10.0 ** (lo + (hi - lo) * k_place)
+        h = min(max(10.0**log_alpha * k, PARAM_MIN), PARAM_MAX)
+        p = ModelParams(h=h, k=k)
+        w_max = 2.0 * p.energy_scale + 2.0 * k
+        times = np.array(sorted(f * 5.0 * 2.0 * math.pi / w_max for f in fractions))
+        # 50 digits plus the 2|log10 alpha| that c+- and 2s - 2k cancel
+        with mpmath.workdps(55 + 2 * math.ceil(abs(log_alpha))):
+            exact = np.array([amplitude_form_wahba(h, k, t) for t in times])
+        closed = branch_wahba(p, times)[:, 0]
+        # both forms agree to a few ulps of the largest entry per radian
+        bound = 4.0 * np.finfo(float).eps * max(h, 2.0 * k) * (1.0 + w_max * times)
+        assert np.all(np.abs(closed - exact).max(axis=(1, 2)) <= bound)
+        e_b = run_once(p, 0.0).e_b_extracted
+        assert abs(e_b - e_b_closed(p)) <= 1e-12 * e_b_closed(p)
