@@ -327,7 +327,8 @@ def main(argv=None) -> int:
         print(f"qetsim: error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        print(f"qetsim: numeric failure: {exc}", file=sys.stderr)
+        best = "" if exc.best is None else f" (best value found: {exc.best})"
+        print(f"qetsim: numeric failure: {exc}{best}", file=sys.stderr)
         return 3
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import socket
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,14 +23,7 @@ from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
 from .formatting import fmt
 from .model import ModelParams, e_a_closed, optimal_rotation_angle
-from .protocol import (
-    _BRANCH_PROBABILITIES,
-    MODES,
-    BobControl,
-    _branch_wahba,
-    _controlled_from_wahba,
-    _optimal_from_wahba,
-)
+from .protocol import MODES, _check_times, _extracted_energies
 
 __all__ = [
     "ChannelMessage",
@@ -203,35 +195,27 @@ def sweep_latency(
 ) -> list[ProtocolTrace]:
     """One trace per latency of a strictly ascending, finite grid >= 0.
 
-    The grid is checked once, here; then both branches' Wahba matrices
-    M(t) come in closed form for the whole grid, from the two angles 2st
-    and 2kt per latency (`branch_wahba`), with no 4x4 model, measurement
-    or eigendecomposition built.  Bob's extraction is solved for every
-    latency in one pass, and E_A is the closed form h^2/s.
+    The grid is checked once, here; then Bob's energy comes for the whole
+    grid in one elementwise pass off branch 0's six Wahba entries on the
+    two angles 2st and 2kt per latency (`branch_wahba`), in closed form in
+    every mode and policy, with no 4x4 model, measurement,
+    eigendecomposition or SVD.  E_A is the closed form h^2/s.
     """
     grid = list(grid)
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or not grid:
+    if not grid:
         raise ValidationError("latency grid must be a non-empty list of numbers")
+    t = np.asarray(grid, dtype=float)
+    _check_times(p, t, "latencies")
     for a, b in zip(grid, grid[1:]):
         if not b > a:  # also false where either is NaN
             raise ValidationError("latency grid must be strictly ascending")
-    if not grid[0] >= 0:
-        raise ValidationError("latencies must be >= 0")
-    if not math.isfinite(4.0 * p.energy_scale * grid[-1]):
-        # E_B <= 4s, so this keeps the phases 2st, 2kt and E_B*t_c finite
-        raise ValidationError("latencies must be finite, with 4*s*t_c finite")
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
 
-    m = _branch_wahba(p, t)
-    if policy == "optimize":
-        e_b = _optimal_from_wahba(m, _BRANCH_PROBABILITIES, mode)[0]
-    else:
-        control = BobControl.family(optimal_rotation_angle(p))
-        e_b = _controlled_from_wahba(m, _BRANCH_PROBABILITIES, control)[0]
+    theta = optimal_rotation_angle(p) if policy == "closed-form-theta" else None
+    e_b = _extracted_energies(p, t, mode, theta)
     e_a = e_a_closed(p)
     return [
         ProtocolTrace(p, t_c, e_a, e, policy, mode)

@@ -6,12 +6,17 @@ their exact probabilities), never by sampling, so every quantity downstream
 is deterministic.  Bob's optimum has a closed form in every mode, with no
 numerical search: a branch's energy is const + tr(R^T M) in the site-B
 rotation R, with one 3x3 Wahba matrix M per branch.  The sigma_y family is a
-sinusoid in 2*theta with coefficients read off M; over all of SU(2) (full
-and shared modes) the best R solves Wahba's problem through one Kabsch SVD.
+sinusoid in 2*theta with coefficients read off M.  M's y row is zero, so
+rank(M) <= 2 and the best rotation over all of SU(2) (full and shared
+modes) gives up tr M + sigma1 + sigma2, a closed form in M's entries
+(`_rank2_gain`).  The Kabsch SVD (`minimize`) is used only where a
+rotation must be returned: `optimize_bob`'s control and
+`optimal_extraction`'s solution.
 
-Extraction is one piece of code fed by two sources of M.  `branch_wahba`
-gives M(t) in closed form straight from (h, k, t), with no 4x4 matrix,
-projector or eigendecomposition; every latency sweep and round reads it.
+Extraction is fed by two sources of M.  `branch_wahba` gives M(t) in
+closed form straight from (h, k, t), with no 4x4 matrix, projector or
+eigendecomposition; every latency sweep and round reads its energy off
+branch 0's six nonzero entries (`_extracted_energies`).
 `_rotation_costs` measures M on explicit branch states, the path of the
 state-level API (`optimize_bob`, `controlled_extraction`,
 `optimal_extraction`) and the tests' oracle.
@@ -255,12 +260,27 @@ def _rotation(u) -> np.ndarray:
     return np.einsum("jab,kba->jk", turned, _SIGMAS).real / 2.0
 
 
-# The outcome probabilities of the measured ground state, exactly, the sign
-# (-1)^mu per branch, and the entry signs of branch mu = 1's M against
-# branch mu = 0's (`branch_wahba`).
-_BRANCH_PROBABILITIES = np.array([0.5, 0.5])
+# The sign (-1)^mu per branch, and the entry signs of branch mu = 1's M
+# against branch mu = 0's (`branch_wahba`).
 _MU_SIGNS = np.array([1.0, -1.0])
 _MU1_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+
+# (row, column) in M of each entry `_branch0_entries` returns.
+_ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))
+
+
+def _check_times(p: ModelParams, t: np.ndarray, what: str) -> None:
+    """Admit a 1-d float array of times >= 0 with 4*s*t finite.
+
+    E_B <= 4s, so the bound keeps the phases 2st, 2kt and the product
+    E_B*t finite; a NaN fails both comparisons.
+    """
+    if t.ndim != 1:
+        raise ValidationError(f"{what} must be a flat list of numbers")
+    if t.size and not (
+        t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))
+    ):
+        raise ValidationError(f"{what} must be finite and >= 0, with 4*s*t finite")
 
 
 def branch_wahba(p: ModelParams, times) -> np.ndarray:
@@ -284,18 +304,23 @@ def branch_wahba(p: ModelParams, times) -> np.ndarray:
     Every coefficient comes straight from (h, k, s) as h*(h/s) and the
     like, so none cancels or overflows at either end of the domain.  The
     x-row's xz entry and the z-row's x and y entries change sign with mu.
+    Times must be finite and >= 0 with 4*s*t finite (`_check_times`).
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise ValidationError("evolution times must be a list, finite and >= 0")
-    return _branch_wahba(p, t)
+    _check_times(p, t, "evolution times")
+    m = np.zeros((t.size, 2, 3, 3))
+    for (row, col), entry in zip(_ENTRY_INDEX, _branch0_entries(p, t)):
+        m[:, 0, row, col] = entry
+    np.multiply(m[:, 0], _MU1_SIGNS, out=m[:, 1])
+    return m
 
 
-def _branch_wahba(p: ModelParams, t: np.ndarray) -> np.ndarray:
-    """`branch_wahba` for a float array t of finite times >= 0, unchecked.
+def _branch0_entries(p: ModelParams, t: np.ndarray):
+    """Branch 0's six nonzero M entries (xx, xy, xz, zx, zy, zz) at times t.
 
-    Elementwise only (no BLAS product), so a latency's row does not
-    depend on the length of the grid it is computed in.
+    The formulas of `branch_wahba`, for a checked float array t; xx does
+    not depend on t and is a float.  Elementwise only (no BLAS product),
+    so a time's entries do not depend on the grid it is computed in.
     """
     h, k = p.h, p.k
     s = p.energy_scale
@@ -304,16 +329,65 @@ def _branch_wahba(p: ModelParams, t: np.ndarray) -> np.ndarray:
     angles = np.multiply.outer(t, (2.0 * s, 2.0 * k))
     (big_c, c), (big_s, d) = np.cos(angles).T, np.sin(angles).T
     cc = big_c * c
-    m = np.zeros((t.size, 2, 3, 3))
-    m0 = m[:, 0]  # branch mu = 0
-    m0[:, 0, 0] = -2.0 * (k * (k / s))
-    m0[:, 0, 1] = (2.0 * hk_s) * (c * d)
-    m0[:, 0, 2] = (-2.0 * hk_s) * cc
-    m0[:, 2, 0] = -h * (big_s * d) - hk_s * cc
-    m0[:, 2, 1] = h2_s * (big_c * d)
-    m0[:, 2, 2] = -h2_s * (c * c)
-    np.multiply(m0, _MU1_SIGNS, out=m[:, 1])
-    return m
+    return (
+        -2.0 * (k * (k / s)),
+        (2.0 * hk_s) * (c * d),
+        (-2.0 * hk_s) * cc,
+        -h * (big_s * d) - hk_s * cc,
+        h2_s * (big_c * d),
+        -h2_s * (c * c),
+    )
+
+
+def _extracted_energies(p: ModelParams, t: np.ndarray, mode: str, theta=None):
+    """E_B at every time of a checked float array t, off branch 0's M entries.
+
+    Both branches give up the same energy: branch 1's M differs only in
+    the signs of M_xz, M_zx and M_zy, which leave the family's a0 and a2,
+    tr M, |a_x|^2, |a_z|^2 and |a_x x a_z| unchanged, and 0.5*g + 0.5*g
+    is g exactly.  Given theta, the family control at that fixed angle
+    gives a0 (1 - cos 2theta) + a2 sin 2theta, with 1 - cos 2theta taken
+    as 2 sin^2 theta so that a small angle keeps its digits.  Otherwise
+    the result is Bob's optimum in `mode`: the family peak, or
+    tr M + sigma1 + sigma2 (`_rank2_gain`) of M in full mode and of
+    (M_0 + M_1)/2, which keeps only xx, xy and zz, in shared mode.
+    xx = -2k^2/s < 0 and zz = -(h^2/s) c^2 <= 0, so a0 = tr M < 0 at every
+    time and each peak is taken in its cancellation-free quotient form.
+    """
+    xx, xy, xz, zx, zy, zz = _branch0_entries(p, t)
+    if theta is not None:
+        half = math.sin(theta)
+        return (xx + zz) * (2.0 * half * half) + (xz - zx) * math.sin(2.0 * theta)
+    if mode == "family":
+        return _family_peak(xx + zz, xz - zx)
+    if mode == "shared":
+        return _rank2_gain(xx, xy, 0.0, 0.0, 0.0, zz)
+    return _rank2_gain(xx, xy, xz, zx, zy, zz)
+
+
+def _rank2_gain(xx, xy, xz, zx, zy, zz):
+    """tr M + sigma1 + sigma2: the most a site-B rotation extracts from M.
+
+    M has rows a_x = (xx, xy, xz), a_z = (zx, zy, zz) and a zero y row, so
+    sigma3 = 0 and the minimum over SO(3) of tr(R^T M) is -(sigma1 + sigma2)
+    whatever the sign of det M; sigma1 sigma2 = |a_x x a_z| and
+    sigma1^2 + sigma2^2 = |M|^2.  For tr M = xx + zz < 0 (every branch
+    M(t)) the gain is n/((sigma1 + sigma2) - tr M), where
+        n = (sigma1 + sigma2)^2 - tr^2
+          = xy^2 + zy^2 + (xz - zx)^2 + 2(|a_x x a_z| - det),
+    det = xx zz - xz zx, is a sum of terms >= 0 (|a_x x a_z| >= |det|).
+    Where det > 0, |a_x x a_z| - det is taken as r^2/(|a_x x a_z| + det),
+    with r = hypot(cx, cz) over the cross product's other two components,
+    so nothing cancels; hypot keeps every square in range.
+    """
+    det = xx * zz - xz * zx
+    r = np.hypot(xy * zz - xz * zy, xx * zy - xy * zx)
+    cross = np.hypot(r, det)
+    excess = np.divide(r * r, cross + det, out=cross - det, where=det > 0.0)
+    off = np.hypot(np.hypot(xy, zy), xz - zx)  # sqrt(xy^2 + zy^2 + (xz - zx)^2)
+    n = off * off + 2.0 * excess
+    tr = xx + zz
+    return n / (np.hypot(tr, np.sqrt(n)) - tr)
 
 
 def _controlled_from_wahba(m, probs, control: BobControl):
@@ -331,21 +405,27 @@ def controlled_extraction(states, probs, h_tot, control: BobControl):
     return _controlled_from_wahba(_rotation_costs(states, h_tot), probs, control)
 
 
+def _family_peak(a0, a2):
+    """Peak a0 + hypot(a0, a2) of a0 (1 - cos 2theta) + a2 sin 2theta.
+
+    Where a0 < 0 it is taken as a2^2/(hypot(a0, a2) - a0), equal in exact
+    arithmetic and free of the cancellation of a0 + hypot.
+    """
+    norm = np.hypot(a0, a2)
+    return np.divide(a2 * a2, norm - a0, out=a0 + norm, where=a0 < 0.0)
+
+
 def _family_optimum(m, probs):
     """Exact family optimum from the branch M (N, 2, 3, 3): (energy, theta*).
 
     U_B(mu) rotates site B about y by (-1)^mu 2theta, so branch mu gives up
     (1 - cos 2theta)(M_xx + M_zz) + (-1)^mu sin 2theta (M_xz - M_zx), and
     the total a0 (1 - cos 2theta) + a2 sin 2theta peaks at a0 + hypot(a0, a2)
-    at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].  Where a0 < 0 the peak is
-    taken as a2^2/(hypot(a0, a2) - a0), equal in exact arithmetic and free
-    of the cancellation of a0 + hypot.
+    (`_family_peak`) at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
     """
     a0 = _weighted(m[..., 0, 0] + m[..., 2, 2], probs)
     a2 = _weighted((m[..., 0, 2] - m[..., 2, 0]) * _MU_SIGNS, probs)
-    norm = np.hypot(a0, a2)
-    peak = np.divide(a2 * a2, norm - a0, out=a0 + norm, where=a0 < 0.0)
-    return peak, np.arctan2(a2, -a0) / 2.0
+    return _family_peak(a0, a2), np.arctan2(a2, -a0) / 2.0
 
 
 def minimize(m) -> np.ndarray:
@@ -417,15 +497,18 @@ def optimize_bob(
     a0 (1 - cos 2theta) + a2 sin 2theta, with a0 and a2 read off the branch
     M, and is maximised at theta* = atan2(a2, -a0)/2.
     mode "full": an independent SU(2) element per outcome.  Branch energy is
-    const + tr(R^T M) over rotations R of site B, minimised by the Kabsch
-    SVD of M (`minimize`); never below the family value.
+    const + tr(R^T M) over rotations R of site B; the control is the
+    rotation the Kabsch SVD of M gives (`minimize`).  Never below the
+    family value.
     mode "shared": one unitary for both outcomes, from the probability-
     weighted sum of the branch M -- the no-information baseline, which
     cannot extract energy at zero delay.
 
     The optimum and the returned control's energies are both read off one
     M of the given branches, as in `optimal_extraction` and
-    `controlled_extraction`.
+    `controlled_extraction`.  This is the path that returns a control;
+    sweeps and rounds need only the energy and read it off the rank-2
+    closed form instead (`_extracted_energies`), with no SVD.
     """
     states, probs = _stacked(branches)
     m = _rotation_costs(states, hams.h_tot)  # (2, 3, 3)

@@ -43,11 +43,11 @@ def f_alpha_decimal(alpha):
 class TestFAlpha:
     def test_alpha_one(self):
         # (3/sqrt(2)) * (sqrt(10/9) - 1)
-        assert f_alpha(1.0) == pytest.approx(0.11474763394014725, rel=1e-14)
+        assert f_alpha(1.0) == pytest.approx(0.11474763394014725, rel=1e-14, abs=0.0)
 
     def test_alpha_two(self):
         # (6/sqrt(5)) * (sqrt(10/9) - 1)
-        assert f_alpha(2.0) == pytest.approx(0.14514555174644264, rel=1e-14)
+        assert f_alpha(2.0) == pytest.approx(0.14514555174644264, rel=1e-14, abs=0.0)
 
     def test_small_alpha_limit(self):
         assert f_alpha(1e-8) == pytest.approx(0.0, abs=1e-12)
@@ -123,8 +123,8 @@ class TestScan:
 
     def test_maximum_is_exact(self):
         result = scan_alpha(points=100)
-        assert result.argmax_alpha == pytest.approx(ALPHA_STAR, rel=1e-15)
-        assert result.max_value == pytest.approx(F_MAX, rel=1e-15)
+        assert result.argmax_alpha == pytest.approx(ALPHA_STAR, rel=1e-15, abs=0.0)
+        assert result.max_value == pytest.approx(F_MAX, rel=1e-15, abs=0.0)
 
     def test_point_limit_is_inclusive(self, monkeypatch):
         from qetsim import audit

@@ -66,6 +66,21 @@ class TestUsage:
         assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_numeric_failure_shows_the_best_value(self, monkeypatch, capsys):
+        from qetsim import cli
+        from qetsim.errors import NumericError
+
+        def boom(*args, **kwargs):
+            raise NumericError("synthetic", best=0.125)
+
+        monkeypatch.setattr(cli, "run_once", boom)
+        assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qetsim: numeric failure: synthetic (best value found: 0.125)\n"
+        )
+
 
 class TestImports:
     def test_cli_import_leaves_out_scipy(self):
@@ -286,10 +301,13 @@ class TestRunCommand:
         [("1e-8", "1e-16", "2.5e-17"), ("1e8", "100000000", "5e-09")],
     )
     def test_extreme_alpha_keeps_its_digits(self, alpha, e_a, e_b, capsys):
-        assert main(["run", "--alpha", alpha, "--latency", "0"]) == 0
-        fields = capsys.readouterr().out.splitlines()[1].split(",")
-        assert fields[3] == e_a
-        assert fields[4] == e_b
+        # full mode printed 5e-17 and 2.7795539809e-08 through a Kabsch SVD,
+        # and the fixed angle 5.00000019166e-17 and 9.99999993923e-09
+        for control in ([], ["--mode", "full"], ["--policy", "closed-form-theta"]):
+            assert main(["run", "--alpha", alpha, "--latency", "0", *control]) == 0
+            fields = capsys.readouterr().out.splitlines()[1].split(",")
+            assert fields[3] == e_a
+            assert fields[4] == e_b
 
 
 class TestSweepCommand:

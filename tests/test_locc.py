@@ -202,21 +202,35 @@ class TestSweep:
 
     @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
     def test_zero_latency_across_the_alpha_domain(self, alpha):
+        # at t_c = 0 the branch M has rank 1, so the full optimum is the
+        # family's, and the fixed zero-delay angle is the family's optimum
         p = ModelParams.from_alpha(alpha)
-        trace = run_once(p, 0.0)
-        assert trace.e_b_extracted == pytest.approx(e_b_closed(p), rel=1e-12, abs=0.0)
+        for policy, mode in [
+            ("optimize", "family"),
+            ("optimize", "full"),
+            ("closed-form-theta", "family"),
+        ]:
+            trace = run_once(p, 0.0, policy=policy, mode=mode)
+            assert trace.e_b_extracted == pytest.approx(
+                e_b_closed(p), rel=1e-12, abs=0.0
+            )
 
     def test_skips_the_numeric_model(self, monkeypatch):
-        # every binding of the 4x4 model builders, the measurement and the
-        # numeric expectation/eigensolver raises; sweeps must not need them
+        # every binding of the 4x4 model builders, the measurement, the
+        # numeric expectation/eigensolver, the Kabsch SVD and the su2 ->
+        # rotation round trip raises; sweeps and rounds read E_B off the
+        # closed-form M entries in every mode and policy
         banned = (
             kernel.hermitian_eig,
             kernel.expectation,
             kernel.kron,
+            kernel.su2,
             model.build_hamiltonians,
             model.ground_state_closed_form,
             protocol.measure_alice,
             protocol.infused_energy,
+            protocol.minimize,
+            protocol._rotation,
         )
 
         def boom(*args, **kwargs):

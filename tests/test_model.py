@@ -169,7 +169,7 @@ class TestClosedForms:
             hb_expected(P34, -0.1)
 
     def test_e_b_at_3_4(self):
-        assert e_b_closed(P34) == pytest.approx(E_B_34, rel=1e-14)
+        assert e_b_closed(P34) == pytest.approx(E_B_34, rel=1e-14, abs=0.0)
 
     def test_e_b_equals_simplified_form(self):
         rng = np.random.default_rng(6)

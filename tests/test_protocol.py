@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qetsim import kernel, protocol
 from qetsim.errors import ValidationError
-from qetsim.locc import run_once
+from qetsim.locc import run_once, sweep_latency
 from qetsim.kernel import ID2, SIGMA_X, expectation, kron, su2
 from qetsim.model import (
     PARAM_MAX,
@@ -341,10 +341,19 @@ class TestClosedFormWahba:
         m = branch_wahba(P34, [0.0, 0.3, 1.7])
         assert np.all(m[:, :, 1, :] == 0.0)
 
-    @pytest.mark.parametrize("times", [[0.0, -0.1], [0.0, math.nan], [[0.1]]])
+    @pytest.mark.parametrize(
+        "times", [[0.0, -0.1], [0.0, math.nan], [[0.1]], [math.inf]]
+    )
     def test_rejects_bad_times(self, times):
         with pytest.raises(ValidationError):
             branch_wahba(P34, times)
+
+    def test_rejects_times_whose_phase_overflows(self):
+        # 2st overflowed to inf and the entries came back nan
+        p = ModelParams(h=1e30, k=1.0)
+        with pytest.raises(ValidationError, match="4\\*s\\*t finite"):
+            branch_wahba(p, [1e300])
+        assert np.all(np.isfinite(branch_wahba(p, [0.0, 1e270])))
 
 
 def amplitude_form_wahba(h, k, t):
@@ -352,7 +361,7 @@ def amplitude_form_wahba(h, k, t):
 
     The amplitude form: c+- = (b +- a)/2, frequencies 2s +- 2k and 4k.
     Independent of the two-angle form in `branch_wahba`; the caller sets
-    a working precision that covers its cancellations.
+    a working precision that covers its cancellations.  Rows of mpf.
     """
     h, k, t = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(t)
     s = mpmath.sqrt(h * h + k * k)
@@ -374,7 +383,7 @@ def amplitude_form_wahba(h, k, t):
             h * (a * a - b * b) * (1 + mpmath.cos(4 * k * t)) / 2,
         ],
     ]
-    return np.array(m, dtype=float)
+    return m
 
 
 class TestWahbaAcrossTheDomain:
@@ -395,10 +404,65 @@ class TestWahbaAcrossTheDomain:
         times = np.array(sorted(f * 5.0 * 2.0 * math.pi / w_max for f in fractions))
         # 50 digits plus the 2|log10 alpha| that c+- and 2s - 2k cancel
         with mpmath.workdps(55 + 2 * math.ceil(abs(log_alpha))):
-            exact = np.array([amplitude_form_wahba(h, k, t) for t in times])
+            exact = np.array(
+                [amplitude_form_wahba(h, k, t) for t in times], dtype=float
+            )
         closed = branch_wahba(p, times)[:, 0]
         # both forms agree to a few ulps of the largest entry per radian
         bound = 4.0 * np.finfo(float).eps * max(h, 2.0 * k) * (1.0 + w_max * times)
         assert np.all(np.abs(closed - exact).max(axis=(1, 2)) <= bound)
         e_b = run_once(p, 0.0).e_b_extracted
         assert abs(e_b - e_b_closed(p)) <= 1e-12 * e_b_closed(p)
+
+
+def oracle_gains(m):
+    """(full, shared) E_B from branch 0's exact M (rows of mpf).
+
+    Full: tr M + sigma1 + sigma2 + sigma3 from mpmath's SVD; sigma3 = 0,
+    so the sign of det M does not matter.  Shared: (M_0 + M_1)/2 keeps
+    xx, xy and zz, its rows (xx, xy, 0) and (0, 0, zz) are orthogonal, and
+    its singular values are hypot(xx, xy) and |zz|; with xx < 0 and
+    zz <= 0 the gain is hypot(xx, xy) + xx = xy^2/(hypot(xx, xy) - xx),
+    exactly 0 where xy is.
+    """
+    sigmas = mpmath.svd_r(mpmath.matrix(m), compute_uv=False)
+    xx, xy, zz = m[0][0], m[0][1], m[2][2]
+    assert xx < 0 and zz <= 0
+    full = xx + zz + sum(sigmas)
+    shared = xy * xy / (mpmath.hypot(xx, xy) - xx)
+    return full, shared
+
+
+class TestRank2AcrossTheDomain:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.floats(-60.0, 60.0),
+        st.floats(0.0, 1.0),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_matches_a_high_precision_oracle(self, log_alpha, k_place, fractions):
+        # the sampling of TestWahbaAcrossTheDomain, always with t = 0
+        lo, hi = max(-30.0, -30.0 - log_alpha), min(30.0, 30.0 - log_alpha)
+        k = 10.0 ** (lo + (hi - lo) * k_place)
+        h = min(max(10.0**log_alpha * k, PARAM_MIN), PARAM_MAX)
+        p = ModelParams(h=h, k=k)
+        w_max = 2.0 * p.energy_scale + 2.0 * k
+        times = sorted({0.0, *(f * 5.0 * 2.0 * math.pi / w_max for f in fractions)})
+        # E_B can sit 2|log10 alpha| digits below the largest entry
+        with mpmath.workdps(60 + 3 * math.ceil(abs(log_alpha))):
+            exact = [oracle_gains(amplitude_form_wahba(h, k, t)) for t in times]
+        rows = {
+            mode: [r.e_b_extracted for r in sweep_latency(p, times, mode=mode)]
+            for mode in ("family", "full", "shared")
+        }
+        eps = np.finfo(float).eps
+        for i, t in enumerate(times):
+            # a few ulps of E_B, plus the entries' phase error per radian
+            slack = 32.0 * eps * max(h, 2.0 * k) * w_max * t
+            for mode, value in zip(("full", "shared"), exact[i]):
+                bound = 32.0 * eps * abs(float(value)) + slack
+                assert abs(rows[mode][i] - float(value)) <= bound
+            full, family, shared = (rows[m][i] for m in ("full", "family", "shared"))
+            assert full >= family - 32.0 * eps * family - slack
+            assert full >= shared - 32.0 * eps * shared - slack
+        assert rows["shared"][0] == 0.0  # no classical bit at t = 0
