@@ -110,6 +110,8 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     # Phase-align the numeric ground vector to the closed form for
     # amplitude-by-amplitude residuals (global phase is not physical).
     overlap = complex(np.vdot(numeric.state, closed.state))
+    if overlap == 0.0:
+        raise NumericError("numeric ground vector is orthogonal to the closed form")
     aligned = numeric.state * (overlap / abs(overlap))
     fidelity = abs(overlap) ** 2
 

@@ -4,8 +4,9 @@ Model time, not wall time, drives the physics: the channel latency t_c is
 the duration of unitary diffusion between Alice's measurement and Bob's
 conditioned operation.  The in-process runner is a single-threaded
 deterministic event loop over model time; wire mode moves the outcome
-frames across a real byte stream while each side computes the identical
-4-dim physics, so the two traces agree bit for bit.
+frames across a real byte stream while each side runs the same one-point
+round, E_B read off the closed-form branch M at the received latency, so
+the two traces agree bit for bit.
 """
 
 from __future__ import annotations

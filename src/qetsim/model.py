@@ -198,8 +198,9 @@ def optimal_rotation_angle(p: ModelParams) -> float:
     The post-measurement branches live on the (|++>,|-->)-like circle; the
     family rotates that circle, and the raw energy along it is
     h*cos(2*psi) + 2k*sin(2*psi).  The minimiser gives
-    theta* = (atan2(-k,-h) - atan2(-2k,-h)) / 2, always inside (-pi/4, pi/4).
+    theta* = (atan2(-k,-h) - atan2(-2k,-h)) / 2, always inside (-pi/4, pi/4);
+    it is taken as the single angle -atan2(hk, h^2 + 2k^2) / 2, equal in
+    exact arithmetic, because the difference of two angles near -pi loses
+    digits at either end of the alpha range.
     """
-    two_phi = math.atan2(-p.k, -p.h)
-    two_psi = math.atan2(-2.0 * p.k, -p.h)
-    return (two_phi - two_psi) / 2.0
+    return -math.atan2(p.h * p.k, p.h * p.h + 2.0 * p.k * p.k) / 2.0

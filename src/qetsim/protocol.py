@@ -9,17 +9,18 @@ rotation R, with one 3x3 Wahba matrix M per branch.  The sigma_y family is a
 sinusoid in 2*theta with coefficients read off M.  M's y row is zero, so
 rank(M) <= 2 and the best rotation over all of SU(2) (full and shared
 modes) gives up tr M + sigma1 + sigma2, a closed form in M's entries
-(`_rank2_gain`).  The Kabsch SVD (`minimize`) is used only where a
-rotation must be returned: `optimize_bob`'s control and
-`optimal_extraction`'s solution.
+(`_rank2_gain`).  A fixed control's energy is tr((I - R)^T M), with I - R
+built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
+(`minimize`) is used only where a rotation must be returned:
+`optimize_bob`'s full and shared controls.
 
 Extraction is fed by two sources of M.  `branch_wahba` gives M(t) in
 closed form straight from (h, k, t), with no 4x4 matrix, projector or
 eigendecomposition; every latency sweep and round reads its energy off
 branch 0's six nonzero entries (`_extracted_energies`).
 `_rotation_costs` measures M on explicit branch states, the path of the
-state-level API (`optimize_bob`, `controlled_extraction`,
-`optimal_extraction`) and the tests' oracle.
+state-level API (`optimize_bob`, `controlled_extraction`) and the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "BobControl",
     "ExtractionResult",
     "measure_alice",
-    "sample_outcome",
     "infused_energy",
     "evolve_branches",
     "apply_bob",
@@ -50,7 +50,6 @@ __all__ = [
     "evolved_states",
     "branch_wahba",
     "controlled_extraction",
-    "optimal_extraction",
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -90,16 +89,18 @@ class BobControl:
     def full(cls, params_mu0, params_mu1) -> "BobControl":
         return cls(mode="full", full_params=(tuple(params_mu0), tuple(params_mu1)))
 
-    def unitary(self, mu: int) -> np.ndarray:
+    def angle_axis(self, mu: int) -> tuple[float, tuple[float, float, float]]:
+        """(theta, axis) of U_B(mu) = su2(theta, axis)."""
         if mu not in (0, 1):
             raise ValidationError("outcome label must be 0 or 1")
         if self.mode == "family":
-            sign = 1.0 if mu == 0 else -1.0
-            return su2(sign * self.theta, Y_AXIS)
+            return (self.theta if mu == 0 else -self.theta), Y_AXIS
         if self.mode == "full":
-            theta, axis = self.full_params[mu]
-            return su2(theta, axis)
+            return self.full_params[mu]
         raise ValidationError(f"unknown control mode {self.mode!r}")
+
+    def unitary(self, mu: int) -> np.ndarray:
+        return su2(*self.angle_axis(mu))
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,6 @@ def measure_alice(g: GroundState) -> tuple[OutcomeBranch, OutcomeBranch]:
     if abs(total - 1.0) > kernel.TOL.structural:
         raise NumericError(f"branch probabilities sum to {total}, not 1")
     return branches[0], branches[1]
-
-
-def sample_outcome(branches, seed: int) -> int:
-    """Draw one outcome label from the branch probabilities.
-
-    Demonstration output only; every physical quantity in the package is
-    computed from the exhaustive branch enumeration, never from samples.
-    """
-    rng = np.random.default_rng(seed)
-    return int(rng.random() >= branches[0].probability)
 
 
 def infused_energy(branches, hams: HamiltonianSet) -> float:
@@ -232,7 +223,6 @@ def _weighted(per_branch, probs) -> np.ndarray:
 # _PAULI_PAIRS[a, j] = sigma_a (x) sigma_j, a over (I, x, y, z), j over (x, y, z).
 _PAULIS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULIS[1:]] for a in _PAULIS])
-_SIGMAS = np.array(_PAULIS[1:])
 
 
 def _rotation_costs(states, h_tot) -> np.ndarray:
@@ -247,17 +237,6 @@ def _rotation_costs(states, h_tot) -> np.ndarray:
     c = np.einsum("ajkl,lk->aj", _PAULI_PAIRS, h_tot).real / 4.0
     corr = expectation(states[..., None, None, :], _PAULI_PAIRS)
     return np.einsum("aj,...ak->...jk", c, corr)
-
-
-def _gains(m, r) -> np.ndarray:
-    """Energy a branch gives up under site-B rotation r: tr((I - r)^T m)."""
-    return np.einsum("...jk,...jk->...", np.eye(3) - r, m)
-
-
-def _rotation(u) -> np.ndarray:
-    """R with U^H sigma_j U = sum_k R_jk sigma_k; the inverse of `_su2_params`."""
-    turned = u.conj().T @ _SIGMAS @ u
-    return np.einsum("jab,kba->jk", turned, _SIGMAS).real / 2.0
 
 
 # The sign (-1)^mu per branch, and the entry signs of branch mu = 1's M
@@ -390,10 +369,25 @@ def _rank2_gain(xx, xy, xz, zx, zy, zz):
     return n / (np.hypot(tr, np.sqrt(n)) - tr)
 
 
+def _turn(theta: float, axis) -> np.ndarray:
+    """I - R for the rotation R of U = su2(theta, axis) on site B.
+
+    U^H sigma_j U = sum_k R_jk sigma_k, and by Rodrigues' formula
+    I - R = 2 sin^2(theta) (I - n n^T) + sin(2 theta) [n]x, with [n]x v =
+    n x v.  2 sin^2(theta) stands in for 1 - cos(2 theta), which cancels at
+    small angles.
+    """
+    n = np.asarray(axis, dtype=float)
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    half = math.sin(theta)
+    sine = math.sin(2.0 * theta)
+    return (2.0 * half * half) * (np.eye(3) - np.outer(n, n)) + sine * cross
+
+
 def _controlled_from_wahba(m, probs, control: BobControl):
     """(total, per branch) energy `control` extracts from branch M (..., 2, 3, 3)."""
-    r = np.array([_rotation(control.unitary(mu)) for mu in (0, 1)])
-    per_branch = _gains(m, r)
+    turns = np.array([_turn(*control.angle_axis(mu)) for mu in (0, 1)])
+    per_branch = np.einsum("...jk,...jk->...", turns, m)
     return _weighted(per_branch, probs), per_branch
 
 
@@ -413,19 +407,6 @@ def _family_peak(a0, a2):
     """
     norm = np.hypot(a0, a2)
     return np.divide(a2 * a2, norm - a0, out=a0 + norm, where=a0 < 0.0)
-
-
-def _family_optimum(m, probs):
-    """Exact family optimum from the branch M (N, 2, 3, 3): (energy, theta*).
-
-    U_B(mu) rotates site B about y by (-1)^mu 2theta, so branch mu gives up
-    (1 - cos 2theta)(M_xx + M_zz) + (-1)^mu sin 2theta (M_xz - M_zx), and
-    the total a0 (1 - cos 2theta) + a2 sin 2theta peaks at a0 + hypot(a0, a2)
-    (`_family_peak`) at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
-    """
-    a0 = _weighted(m[..., 0, 0] + m[..., 2, 2], probs)
-    a2 = _weighted((m[..., 0, 2] - m[..., 2, 0]) * _MU_SIGNS, probs)
-    return _family_peak(a0, a2), np.arctan2(a2, -a0) / 2.0
 
 
 def minimize(m) -> np.ndarray:
@@ -465,60 +446,47 @@ def _su2_params(r) -> tuple[float, tuple[float, float, float]]:
     return math.atan2(sin_theta, float(q[0])), tuple(float(x) for x in axis)
 
 
-def optimal_extraction(states, probs, h_tot, mode: str):
-    """Bob's exact optimum for stacked branch states (N, 2, 4).
-
-    Returns (extracted energy (N,), solution): the family angles theta*
-    (N,) in mode "family", the site-B rotations (N, 2, 3, 3) in mode "full"
-    and (N, 1, 3, 3) in mode "shared".  See `optimize_bob` for the modes.
-    """
-    return _optimal_from_wahba(_rotation_costs(states, h_tot), probs, mode)
-
-
-def _optimal_from_wahba(m, probs, mode: str):
-    """`optimal_extraction` from the branch M (N, 2, 3, 3)."""
-    if mode not in MODES:
-        raise ValidationError(f"unknown optimiser mode {mode!r}")
-    if mode == "family":
-        return _family_optimum(m, probs)
-    if mode == "shared":
-        r = minimize(np.einsum("m,nmjk->njk", probs, m))[:, None]
-    else:
-        r = minimize(m)
-    return _weighted(_gains(m, r), probs), r
-
-
 def optimize_bob(
     branches, hams: HamiltonianSet, mode: str = "family"
 ) -> ExtractionResult:
     """Maximise the extracted energy over Bob's control, in closed form.
 
-    mode "family": U_B(mu) = su2((-1)^mu theta, y); the extracted energy is
-    a0 (1 - cos 2theta) + a2 sin 2theta, with a0 and a2 read off the branch
-    M, and is maximised at theta* = atan2(a2, -a0)/2.
+    mode "family": U_B(mu) = su2((-1)^mu theta, y) rotates site B about y
+    by (-1)^mu 2theta, so the extracted energy is
+    a0 (1 - cos 2theta) + a2 sin 2theta, with a0 the weighted M_xx + M_zz
+    and a2 the weighted (-1)^mu (M_xz - M_zx), maximised at
+    theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
     mode "full": an independent SU(2) element per outcome.  Branch energy is
-    const + tr(R^T M) over rotations R of site B; the control is the
-    rotation the Kabsch SVD of M gives (`minimize`).  Never below the
-    family value.
-    mode "shared": one unitary for both outcomes, from the probability-
-    weighted sum of the branch M -- the no-information baseline, which
-    cannot extract energy at zero delay.
+    const + tr(R^T M) over rotations R of site B; each branch gives up
+    tr M + sigma1 + sigma2 (`_rank2_gain`), and the control is the rotation
+    the Kabsch SVD of M gives (`minimize`).  Never below the family value.
+    mode "shared": one unitary for both outcomes, from the Kabsch SVD of the
+    probability-weighted sum of the branch M -- the no-information
+    baseline, which cannot extract energy at zero delay.
 
-    The optimum and the returned control's energies are both read off one
-    M of the given branches, as in `optimal_extraction` and
-    `controlled_extraction`.  This is the path that returns a control;
-    sweeps and rounds need only the energy and read it off the rank-2
-    closed form instead (`_extracted_energies`), with no SVD.
+    Everything is read off one M per given branch (`_rotation_costs`).  The
+    family and shared energies are those of the returned control, as in
+    `controlled_extraction`; no SU(2) matrix is built.  Sweeps and rounds
+    need only the energy and read it off the closed-form M instead
+    (`_extracted_energies`), with no SVD.
     """
+    if mode not in MODES:
+        raise ValidationError(f"unknown optimiser mode {mode!r}")
     states, probs = _stacked(branches)
     m = _rotation_costs(states, hams.h_tot)  # (2, 3, 3)
-    solution = _optimal_from_wahba(m[None], probs, mode)[1][0]
-    if mode == "family":
-        control = BobControl.family(float(solution))
+    if mode == "full":
+        control = BobControl.full(*(_su2_params(r) for r in minimize(m)))
+        per_branch = _rank2_gain(*(m[:, row, col] for row, col in _ENTRY_INDEX))
+        energy = _weighted(per_branch, probs)
     else:
-        rotations = np.broadcast_to(solution, (2, 3, 3))
-        control = BobControl.full(*(_su2_params(r) for r in rotations))
-    energy, per_branch = _controlled_from_wahba(m, probs, control)
+        if mode == "family":
+            a0 = _weighted(m[:, 0, 0] + m[:, 2, 2], probs)
+            a2 = _weighted((m[:, 0, 2] - m[:, 2, 0]) * _MU_SIGNS, probs)
+            control = BobControl.family(math.atan2(a2, -a0) / 2.0)
+        else:
+            params = _su2_params(minimize(np.einsum("m,mjk->jk", probs, m)))
+            control = BobControl.full(params, params)
+        energy, per_branch = _controlled_from_wahba(m, probs, control)
     return ExtractionResult(
         extracted_energy=float(energy),
         control=control,

@@ -157,6 +157,23 @@ class TestModelCommand:
         assert code == 0
         assert got.decode().splitlines()[0] == "quantity,closed,numeric,residual,tolerance"
 
+    def test_e_b_row_holds_at_extreme_alpha(self, tmp_path):
+        # the numeric e_b read 1e-08 against 5e-09; other rows exceed their
+        # absolute tolerances at E_A = 1e8, so the command exits 3
+        code, got = run_cli(["model", "--alpha", "1e8", "--format", "json"], tmp_path)
+        assert code == 3
+        by_name = {c["quantity"]: c for c in json.loads(got)["checks"]}
+        assert by_name["e_b"]["residual"] <= by_name["e_b"]["tolerance"]
+
+    def test_degenerate_ground_level_exit_3(self, capsys):
+        # the two lowest levels are 1e-16 apart at alpha = 1e-8, and the
+        # numeric ground vector came out orthogonal to the closed form: the
+        # phase alignment divided by zero (a traceback and exit 1)
+        assert main(["model", "--alpha", "1e-8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qetsim: numeric failure: ")
+        assert "Traceback" not in err
+
 
 class TestScanCommand:
     def test_exact_row_count(self, tmp_path):

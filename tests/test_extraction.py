@@ -6,6 +6,7 @@ qetsim.protocol, so they check the closed forms rather than restate them.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from qetsim.model import (
     ground_state_closed_form,
 )
 from qetsim.protocol import (
+    MODES,
     BobControl,
-    _rotation,
     _su2_params,
+    _turn,
     apply_bob,
     controlled_extraction,
     evolve_branches,
@@ -187,8 +189,31 @@ class TestSolver:
         u_back = su2(*_su2_params(r))
         # U and -U act identically on operators
         assert min(np.abs(u_back - u).max(), np.abs(u_back + u).max()) <= 1e-14
-        # and _rotation inverts _su2_params
-        assert np.abs(_rotation(u_back) - r).max() <= 1e-12
+        # and I - R built from the returned (theta, axis) is I - r
+        assert np.abs(_turn(*_su2_params(r)) - (np.eye(3) - r)).max() <= 1e-15
+
+    def test_never_builds_an_su2_matrix(self, monkeypatch):
+        # the optimum's control and energies come from M and the closed-form
+        # I - R; an SU(2) matrix would bring back the 1 - cos 2theta loss
+        def boom(*args, **kwargs):
+            raise AssertionError("su2 reached from the extraction")
+
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "qetsim":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is su2:
+                    monkeypatch.setattr(module, attr, boom)
+                    patched += 1
+        assert patched >= 2  # at least kernel's own and protocol's binding
+        hams, branches = evolved_round(ModelParams(h=1.0, k=0.5), 0.7)
+        states = np.array([b.state for b in branches])
+        probs = np.array([b.probability for b in branches])
+        for mode in MODES:
+            result = optimize_bob(branches, hams, mode=mode)
+            energy, _ = controlled_extraction(states, probs, hams.h_tot, result.control)
+            assert float(energy) == pytest.approx(result.extracted_energy, rel=1e-12)
 
 
 alphas = st.floats(math.log(0.1), math.log(10.0)).map(math.exp)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -198,3 +200,15 @@ class TestClosedForms:
         assert optimal_rotation_angle(P34) == pytest.approx(
             -0.14236521926135604, abs=1e-15
         )
+
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+    def test_optimal_angle_across_the_alpha_domain(self, k):
+        # the difference of two angles near -pi lost up to 3.8e-8 relative
+        # at alpha = 1e-8; -atan(hk/(h^2 + 2k^2))/2 at 50 digits is the oracle
+        for e in range(-80, 81):
+            p = ModelParams.from_alpha(10.0 ** (e / 10), k)
+            with mpmath.workdps(50):
+                h, kk = mpmath.mpf(p.h), mpmath.mpf(p.k)
+                exact = float(-mpmath.atan(h * kk / (h * h + 2 * kk * kk)) / 2)
+            theta = optimal_rotation_angle(p)
+            assert abs(theta - exact) <= 2.0 * sys.float_info.epsilon * abs(exact)

@@ -75,16 +75,6 @@ class TestMeasurement:
         for b in branches:
             assert abs(np.linalg.norm(b.state) - 1.0) <= 1e-12
 
-    def test_sampling_is_seed_deterministic(self):
-        from qetsim.protocol import sample_outcome
-
-        _, branches = setup_round(P34)
-        draws = [sample_outcome(branches, seed=s) for s in range(200)]
-        assert draws == [sample_outcome(branches, seed=s) for s in range(200)]
-        assert set(draws) == {0, 1}
-        # both outcomes appear at roughly even rates for the half/half split
-        assert 60 <= sum(draws) <= 140
-
 
 class TestInfusedEnergy:
     def test_matches_closed_form(self):
