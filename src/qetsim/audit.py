@@ -108,8 +108,8 @@ def uncertainty_product(e: float, t: float) -> float:
     return e * t
 
 
-def verdict_for(product: float, threshold: float = THRESHOLD) -> str:
-    return "observable" if product >= threshold else "unobservable"
+def verdict_for(product: float) -> str:
+    return "observable" if product >= THRESHOLD else "unobservable"
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,13 @@ from .model import (
     ground_state_numeric,
     spectrum_closed_form,
 )
-from .protocol import evolve_branches, infused_energy, measure_alice, optimize_bob
+from .protocol import (
+    POLICIES,
+    evolve_branches,
+    infused_energy,
+    measure_alice,
+    optimize_bob,
+)
 
 __all__ = ["main", "entry"]
 
@@ -277,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("run", help="one protocol round, trace CSV")
     _add_model_params(rp)
     rp.add_argument("--latency", type=float, required=True)
-    rp.add_argument(
-        "--policy", choices=("optimize", "closed-form-theta"), default="optimize"
-    )
+    rp.add_argument("--policy", choices=POLICIES, default="optimize")
     rp.add_argument("--mode", choices=("family", "full"), default="family")
     rp.add_argument("--wire", choices=("alice", "bob"))
     rp.add_argument("--listen", help="host:port to serve on (alice)")
@@ -292,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument(
         "--latencies", required=True, help="start:stop:step or comma-separated"
     )
-    wp.add_argument(
-        "--policy", choices=("optimize", "closed-form-theta"), default="optimize"
-    )
+    wp.add_argument("--policy", choices=POLICIES, default="optimize")
     wp.add_argument("--mode", choices=("family", "full"), default="family")
     wp.add_argument("--output")
     wp.set_defaults(func=cmd_sweep)

@@ -2,11 +2,10 @@
 
 Model time, not wall time, drives the physics: the channel latency t_c is
 the duration of unitary diffusion between Alice's measurement and Bob's
-conditioned operation.  The in-process runner is a single-threaded
-deterministic event loop over model time; wire mode moves the outcome
-frames across a real byte stream while each side runs the same one-point
-round, E_B read off the closed-form branch M at the received latency, so
-the two traces agree bit for bit.
+conditioned operation.  A sweep is one closed-form pass over its latency
+grid (`protocol.extraction_curve`), and a round is a one-point sweep; wire
+mode moves the outcome frames across a real byte stream while each side
+runs that same one-point round, so the two traces agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ import socket
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
 from .formatting import fmt
-from .model import ModelParams, e_a_closed, optimal_rotation_angle
-from .protocol import MODES, _check_times, _extracted_energies
+from .model import ModelParams, e_a_closed
+from .protocol import POLICIES, extraction_curve
 
 __all__ = [
     "ChannelMessage",
@@ -39,8 +36,6 @@ __all__ = [
     "wire_alice",
     "wire_bob",
 ]
-
-POLICIES = ("optimize", "closed-form-theta")
 
 WIRE_TIMEOUT = 30.0  # seconds of wall time before a socket read gives up
 
@@ -196,27 +191,18 @@ def sweep_latency(
 ) -> list[ProtocolTrace]:
     """One trace per latency of a strictly ascending, finite grid >= 0.
 
-    The grid is checked once, here; then Bob's energy comes for the whole
-    grid in one elementwise pass off branch 0's six Wahba entries on the
-    two angles 2st and 2kt per latency (`branch_wahba`), in closed form in
-    every mode and policy, with no 4x4 model, measurement,
-    eigendecomposition or SVD.  E_A is the closed form h^2/s.
+    Bob's energy comes for the whole grid in one elementwise pass off the
+    closed-form branch M (`extraction_curve`, which checks policy, mode and
+    latencies), with no 4x4 model, measurement, eigendecomposition or SVD.
+    E_A is the closed form h^2/s.
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("latency grid must be a non-empty list of numbers")
-    t = np.asarray(grid, dtype=float)
-    _check_times(p, t, "latencies")
     for a, b in zip(grid, grid[1:]):
         if not b > a:  # also false where either is NaN
             raise ValidationError("latency grid must be strictly ascending")
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
-
-    theta = optimal_rotation_angle(p) if policy == "closed-form-theta" else None
-    e_b = _extracted_energies(p, t, mode, theta)
+    e_b = extraction_curve(p, grid, policy, mode)
     e_a = e_a_closed(p)
     return [
         ProtocolTrace(p, t_c, e_a, e, policy, mode)
@@ -312,7 +298,12 @@ def wire_alice(
     policy: str = "optimize",
     mode: str = "family",
 ) -> ProtocolTrace:
-    """Serve one protocol round: handshake, then send both outcome frames."""
+    """Serve one protocol round: handshake, then send both outcome frames.
+
+    The round is computed first, so bad inputs fail before any peer is
+    awaited.
+    """
+    trace = run_once(p, t_c, policy=policy, mode=mode)
     with _socket_errors("alice wire failure"):
         conn, _addr = listener.accept()
         conn.settimeout(WIRE_TIMEOUT)
@@ -322,7 +313,7 @@ def wire_alice(
             for message in channel_messages(t_c):
                 stream.write(message.frame())
             stream.flush()
-    return run_once(p, t_c, policy=policy, mode=mode)
+    return trace
 
 
 def wire_bob(
@@ -332,7 +323,11 @@ def wire_bob(
     policy: str = "optimize",
     mode: str = "family",
 ) -> ProtocolTrace:
-    """Run one round against a listening peer: handshake, receive outcomes."""
+    """Run one round against a listening peer: handshake, receive outcomes.
+
+    The round is computed first, so bad inputs fail before any connection.
+    """
+    trace = run_once(p, t_c, policy=policy, mode=mode)
     host, port = _parse_endpoint(endpoint)
     with (
         _socket_errors("bob wire failure"),
@@ -344,7 +339,7 @@ def wire_bob(
         _check_hello(_read_frame(stream), p, t_c)
         for mu in (0, 1):
             _check_outcome(_read_frame(stream), mu, t_c)
-    return run_once(p, t_c, policy=policy, mode=mode)
+    return trace
 
 
 def wire_mode(

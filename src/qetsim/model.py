@@ -146,9 +146,13 @@ def ground_state_numeric(hams: HamiltonianSet) -> GroundState:
 
 
 def spectrum_closed_form(p: ModelParams) -> tuple[float, float, float, float]:
-    """Eigenvalues of H_tot after offsets: (0, 2s-2k, 2s+2k, 4s), ascending."""
-    s = p.energy_scale
-    return (0.0, 2.0 * s - 2.0 * p.k, 2.0 * s + 2.0 * p.k, 4.0 * s)
+    """Eigenvalues of H_tot after offsets: (0, 2s-2k, 2s+2k, 4s), ascending.
+
+    2s - 2k is taken as 2h^2/(s + k), equal in exact arithmetic and free of
+    the cancellation of 2s - 2k at small alpha.
+    """
+    h, s = p.h, p.energy_scale
+    return (0.0, 2.0 * h * h / (s + p.k), 2.0 * s + 2.0 * p.k, 4.0 * s)
 
 
 def e_a_closed(p: ModelParams) -> float:

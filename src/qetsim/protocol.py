@@ -14,13 +14,12 @@ built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
 (`minimize`) is used only where a rotation must be returned:
 `optimize_bob`'s full and shared controls.
 
-Extraction is fed by two sources of M.  `branch_wahba` gives M(t) in
-closed form straight from (h, k, t), with no 4x4 matrix, projector or
-eigendecomposition; every latency sweep and round reads its energy off
-branch 0's six nonzero entries (`_extracted_energies`).
+Extraction is fed by two sources of M.  Every latency sweep and round
+reads E_B off branch 0's six nonzero entries in closed form, straight
+from (h, k, t), with no 4x4 matrix, projector or eigendecomposition
+(`extraction_curve`, the checked entry point for a latency grid).
 `_rotation_costs` measures M on explicit branch states, the path of the
-state-level API (`optimize_bob`, `controlled_extraction`) and the tests'
-oracle.
+state-level API (`optimize_bob`) and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from . import kernel
 from .errors import NumericError, ValidationError
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import GroundState, HamiltonianSet, ModelParams
+from .model import GroundState, HamiltonianSet, ModelParams, optimal_rotation_angle
 
 __all__ = [
     "MODES",
@@ -47,15 +46,16 @@ __all__ = [
     "extracted_energy",
     "optimize_bob",
     "minimize",
-    "evolved_states",
-    "branch_wahba",
-    "controlled_extraction",
+    "POLICIES",
+    "extraction_curve",
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
 
-# Bob's control sets, described at `optimize_bob`.
+# Bob's control sets, described at `optimize_bob`, and a round's two ways
+# of choosing his control, described at `extraction_curve`.
 MODES = ("family", "full", "shared")
+POLICIES = ("optimize", "closed-form-theta")
 
 
 @dataclass(frozen=True)
@@ -199,22 +199,6 @@ def _stacked(branches) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def evolved_states(branches, hams: HamiltonianSet, times) -> np.ndarray:
-    """Both branch states at every time, shape (len(times), 2, 4).
-
-    Evolved in the eigenbasis of H_tot, psi(t) = V (exp(-i w t) * V^H psi),
-    from one eigendecomposition and without a propagator per time.
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise ValidationError("evolution times must be a list, finite and >= 0")
-    spec = kernel.hermitian_eig(hams.h_tot)
-    v = spec.eigenvectors
-    coeffs = _stacked(branches)[0] @ v.conj()  # rows V^H psi
-    phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
-    return (phases[:, None, :] * coeffs) @ v.T
-
-
 def _weighted(per_branch, probs) -> np.ndarray:
     """p0*e0 + p1*e1 over the last axis, never as a fused multiply-add."""
     return (per_branch * probs).sum(axis=-1)
@@ -239,35 +223,20 @@ def _rotation_costs(states, h_tot) -> np.ndarray:
     return np.einsum("aj,...ak->...jk", c, corr)
 
 
-# The sign (-1)^mu per branch, and the entry signs of branch mu = 1's M
-# against branch mu = 0's (`branch_wahba`).
+# The sign (-1)^mu per branch.
 _MU_SIGNS = np.array([1.0, -1.0])
-_MU1_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 # (row, column) in M of each entry `_branch0_entries` returns.
 _ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))
 
 
-def _check_times(p: ModelParams, t: np.ndarray, what: str) -> None:
-    """Admit a 1-d float array of times >= 0 with 4*s*t finite.
+def _branch0_entries(p: ModelParams, t: np.ndarray):
+    """Branch 0's six nonzero M entries (xx, xy, xz, zx, zy, zz) at times t.
 
-    E_B <= 4s, so the bound keeps the phases 2st, 2kt and the product
-    E_B*t finite; a NaN fails both comparisons.
-    """
-    if t.ndim != 1:
-        raise ValidationError(f"{what} must be a flat list of numbers")
-    if t.size and not (
-        t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))
-    ):
-        raise ValidationError(f"{what} must be finite and >= 0, with 4*s*t finite")
-
-
-def branch_wahba(p: ModelParams, times) -> np.ndarray:
-    """Both branches' Wahba matrices M at every time, shape (N, 2, 3, 3).
-
-    Closed form of `_rotation_costs(evolved_states(...))` for the measured
-    ground state.  Each outcome mu has probability exactly 1/2, and with
-    the ground amplitudes (a, b) on |00>, |11> the branch state is
+    Closed form of branch 0 of `_rotation_costs` over `evolve_branches`
+    for the measured ground state.  Each outcome mu has probability
+    exactly 1/2, and with the ground amplitudes (a, b) on |00>, |11> the
+    branch state is
     psi_mu(t) = (a|00> + b|11>)/sqrt2
                 + (-1)^mu [c+ e^(-i w+ t)|+> + c- e^(-i w- t)|->],
     |+-> = (|01> +- |10>)/sqrt2, c+- = (b +- a)/2, w+- = 2s +- 2k; the
@@ -276,30 +245,17 @@ def branch_wahba(p: ModelParams, times) -> np.ndarray:
     M_x. = 2k<sigma_x(x)sigma_.>, M_y. = 0 and M_z. = h<I(x)sigma_.>.
 
     The identities ab = -k/2s, c+c- = h/4s, c+^2 = h^2/(4s(s+k)) and
-    c-^2 = (s+k)/4s put branch 0's six nonzero entries on two angles, with
+    c-^2 = (s+k)/4s put the six entries on two angles, with
     C, S = cos, sin(2st) and c, d = cos, sin(2kt):
         M_xx = -2k^2/s            M_xy = (2hk/s) c d    M_xz = -(2hk/s) C c
         M_zx = -h S d - (hk/s) C c    M_zy = (h^2/s) C d    M_zz = -(h^2/s) c^2
     Every coefficient comes straight from (h, k, s) as h*(h/s) and the
-    like, so none cancels or overflows at either end of the domain.  The
-    x-row's xz entry and the z-row's x and y entries change sign with mu.
-    Times must be finite and >= 0 with 4*s*t finite (`_check_times`).
-    """
-    t = np.asarray(times, dtype=float)
-    _check_times(p, t, "evolution times")
-    m = np.zeros((t.size, 2, 3, 3))
-    for (row, col), entry in zip(_ENTRY_INDEX, _branch0_entries(p, t)):
-        m[:, 0, row, col] = entry
-    np.multiply(m[:, 0], _MU1_SIGNS, out=m[:, 1])
-    return m
+    like, so none cancels or overflows at either end of the domain.
+    Branch 1's M differs in the signs of M_xz, M_zx and M_zy.
 
-
-def _branch0_entries(p: ModelParams, t: np.ndarray):
-    """Branch 0's six nonzero M entries (xx, xy, xz, zx, zy, zz) at times t.
-
-    The formulas of `branch_wahba`, for a checked float array t; xx does
-    not depend on t and is a float.  Elementwise only (no BLAS product),
-    so a time's entries do not depend on the grid it is computed in.
+    t must be a checked float array (`extraction_curve`); xx does not
+    depend on t and is a float.  Elementwise only (no BLAS product), so a
+    time's entries do not depend on the grid it is computed in.
     """
     h, k = p.h, p.k
     s = p.energy_scale
@@ -318,23 +274,42 @@ def _branch0_entries(p: ModelParams, t: np.ndarray):
     )
 
 
-def _extracted_energies(p: ModelParams, t: np.ndarray, mode: str, theta=None):
-    """E_B at every time of a checked float array t, off branch 0's M entries.
+def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarray:
+    """E_B at every latency of `times`, in closed form, shape (len(times),).
 
-    Both branches give up the same energy: branch 1's M differs only in
-    the signs of M_xz, M_zx and M_zy, which leave the family's a0 and a2,
-    tr M, |a_x|^2, |a_z|^2 and |a_x x a_z| unchanged, and 0.5*g + 0.5*g
-    is g exactly.  Given theta, the family control at that fixed angle
-    gives a0 (1 - cos 2theta) + a2 sin 2theta, with 1 - cos 2theta taken
-    as 2 sin^2 theta so that a small angle keeps its digits.  Otherwise
-    the result is Bob's optimum in `mode`: the family peak, or
+    Checks policy, mode and times, in that order.  Times must be a flat
+    list of numbers >= 0 with 4*s*t finite: E_B <= 4s, so the bound keeps
+    the phases 2st, 2kt and the product E_B*t finite; a NaN fails both
+    comparisons.
+
+    The energy is read off branch 0's M entries (`_branch0_entries`).
+    Both branches give up the same energy: branch 1's sign flips leave the
+    family's a0 and a2, tr M, |a_x|^2, |a_z|^2 and |a_x x a_z| unchanged,
+    and 0.5*g + 0.5*g is g exactly.  Under policy "closed-form-theta" Bob
+    applies the family control at the zero-delay angle theta
+    (`optimal_rotation_angle`), which gives a0 (1 - cos 2theta) +
+    a2 sin 2theta, with 1 - cos 2theta taken as 2 sin^2 theta so that a
+    small angle keeps its digits.  Under "optimize" the result is Bob's
+    optimum in `mode`: the family peak, or
     tr M + sigma1 + sigma2 (`_rank2_gain`) of M in full mode and of
     (M_0 + M_1)/2, which keeps only xx, xy and zz, in shared mode.
     xx = -2k^2/s < 0 and zz = -(h^2/s) c^2 <= 0, so a0 = tr M < 0 at every
     time and each peak is taken in its cancellation-free quotient form.
     """
+    if policy not in POLICIES:
+        raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValidationError("latencies must be a flat list of numbers")
+    if t.size and not (
+        t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))
+    ):
+        raise ValidationError("latencies must be finite and >= 0, with 4*s*t finite")
     xx, xy, xz, zx, zy, zz = _branch0_entries(p, t)
-    if theta is not None:
+    if policy == "closed-form-theta":
+        theta = optimal_rotation_angle(p)
         half = math.sin(theta)
         return (xx + zz) * (2.0 * half * half) + (xz - zx) * math.sin(2.0 * theta)
     if mode == "family":
@@ -389,14 +364,6 @@ def _controlled_from_wahba(m, probs, control: BobControl):
     turns = np.array([_turn(*control.angle_axis(mu)) for mu in (0, 1)])
     per_branch = np.einsum("...jk,...jk->...", turns, m)
     return _weighted(per_branch, probs), per_branch
-
-
-def controlled_extraction(states, probs, h_tot, control: BobControl):
-    """Energy one control extracts from stacked branch states (..., 2, 4).
-
-    Returns (total, per branch): shapes (...,) and (..., 2).
-    """
-    return _controlled_from_wahba(_rotation_costs(states, h_tot), probs, control)
 
 
 def _family_peak(a0, a2):
@@ -465,10 +432,10 @@ def optimize_bob(
     baseline, which cannot extract energy at zero delay.
 
     Everything is read off one M per given branch (`_rotation_costs`).  The
-    family and shared energies are those of the returned control, as in
-    `controlled_extraction`; no SU(2) matrix is built.  Sweeps and rounds
-    need only the energy and read it off the closed-form M instead
-    (`_extracted_energies`), with no SVD.
+    family and shared energies are those of the returned control
+    (`_controlled_from_wahba`); no SU(2) matrix is built.  Sweeps and
+    rounds need only the energy and read it off the closed-form M instead
+    (`extraction_curve`), with no SVD.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown optimiser mode {mode!r}")

@@ -278,6 +278,20 @@ class TestRunCommand:
             assert main([*self.WIRE_BOB, "--connect", f"127.0.0.1:{port}"]) == 2
         assert "timed out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "endpoint", [["--wire", "bob", "--connect", "127.0.0.1:1"],
+                     ["--wire", "alice", "--listen", "127.0.0.1:0"]],
+        ids=["bob", "alice"],
+    )
+    def test_wire_bad_latency_exit_2(self, endpoint, monkeypatch, capsys):
+        # the round is computed before any connect or accept: Bob reported a
+        # refused connection and Alice waited for a peer that never came
+        from qetsim import locc
+
+        monkeypatch.setattr(locc, "WIRE_TIMEOUT", 0.3)
+        argv = ["run", "--h", "3", "--k", "4", "--latency", "-1", *endpoint]
+        assert main(argv) == 2
+        assert "latencies must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("reply", "message"),

@@ -24,10 +24,11 @@ from qetsim.model import (
 from qetsim.protocol import (
     MODES,
     BobControl,
+    _controlled_from_wahba,
+    _rotation_costs,
     _su2_params,
     _turn,
     apply_bob,
-    controlled_extraction,
     evolve_branches,
     extracted_energy,
     infused_energy,
@@ -212,7 +213,8 @@ class TestSolver:
         probs = np.array([b.probability for b in branches])
         for mode in MODES:
             result = optimize_bob(branches, hams, mode=mode)
-            energy, _ = controlled_extraction(states, probs, hams.h_tot, result.control)
+            m = _rotation_costs(states, hams.h_tot)
+            energy, _ = _controlled_from_wahba(m, probs, result.control)
             assert float(energy) == pytest.approx(result.extracted_energy, rel=1e-12)
 
 
@@ -274,7 +276,8 @@ def test_controlled_extraction_matches_applied_control(
     control = BobControl.full(params_mu0, params_mu1)
     states = np.array([b.state for b in branches])
     probs = np.array([b.probability for b in branches])
-    energy, _ = controlled_extraction(states, probs, hams.h_tot, control)
+    m = _rotation_costs(states, hams.h_tot)
+    energy, _ = _controlled_from_wahba(m, probs, control)
     applied = extracted_energy(branches, apply_bob(branches, control), hams)
     tol = 1e-12 * max(1.0, infused_energy(branches, hams))
     assert abs(float(energy) - applied) <= tol

@@ -212,3 +212,17 @@ class TestClosedForms:
                 exact = float(-mpmath.atan(h * kk / (h * h + 2 * kk * kk)) / 2)
             theta = optimal_rotation_angle(p)
             assert abs(theta - exact) <= 2.0 * sys.float_info.epsilon * abs(exact)
+
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+    def test_spectrum_across_the_alpha_domain(self, k):
+        # 2s - 2k cancelled at small alpha (8.9e-5 relative at alpha = 1e-6);
+        # every level against 60 digits, the gap 2s - 2k as 2h^2/(s + k)
+        for e in range(-80, 81):
+            p = ModelParams.from_alpha(10.0 ** (e / 10), k)
+            with mpmath.workdps(60):
+                h, kk = mpmath.mpf(p.h), mpmath.mpf(p.k)
+                s = mpmath.sqrt(h * h + kk * kk)
+                exact = [0, 2 * h * h / (s + kk), 2 * s + 2 * kk, 4 * s]
+            for level, want in zip(spectrum_closed_form(p), exact):
+                want = float(want)
+                assert abs(level - want) <= 2.0 * sys.float_info.epsilon * want

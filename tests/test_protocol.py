@@ -22,13 +22,15 @@ from qetsim.model import (
     optimal_rotation_angle,
 )
 from qetsim.protocol import (
+    POLICIES,
     BobControl,
+    _branch0_entries,
+    _ENTRY_INDEX,
     _rotation_costs,
     apply_bob,
-    branch_wahba,
     evolve_branches,
-    evolved_states,
     extracted_energy,
+    extraction_curve,
     infused_energy,
     measure_alice,
     optimize_bob,
@@ -124,22 +126,6 @@ class TestEvolution:
         hams, branches = setup_round(P34)
         with pytest.raises(ValidationError):
             evolve_branches(branches, hams, -0.5)
-
-    def test_stacked_states_match_propagator(self):
-        for p in (P34, ModelParams(0.2, 1.5)):
-            hams, branches = setup_round(p)
-            times = [0.0, 0.03, 0.4, 1.7, 9.0]
-            states = evolved_states(branches, hams, times)
-            assert states.shape == (5, 2, 4)
-            for t, row in zip(times, states):
-                for b, state in zip(evolve_branches(branches, hams, t), row):
-                    assert np.abs(state - b.state).max() <= 1e-13
-
-    @pytest.mark.parametrize("times", [[0.0, -0.1], [0.0, math.nan], [math.inf]])
-    def test_stacked_states_reject_bad_times(self, times):
-        hams, branches = setup_round(P34)
-        with pytest.raises(ValidationError):
-            evolved_states(branches, hams, times)
 
 
 class TestBobControl:
@@ -307,6 +293,33 @@ class TestExtraction:
         assert len(calls) == 1
 
 
+def closed_branch0(p, times):
+    """Branch 0's M at every time, shape (N, 3, 3), from `_branch0_entries`."""
+    t = np.asarray(times, dtype=float)
+    m = np.zeros((t.size, 3, 3))
+    for (row, col), entry in zip(_ENTRY_INDEX, _branch0_entries(p, t)):
+        m[:, row, col] = entry
+    return m
+
+
+def measured_wahba(p, times):
+    """Both branches' M measured on the evolved states, shape (N, 2, 3, 3)."""
+    hams, branches = setup_round(p)
+    return np.array(
+        [
+            _rotation_costs(
+                np.array([b.state for b in evolve_branches(branches, hams, t)]),
+                hams.h_tot,
+            )
+            for t in times
+        ]
+    )
+
+
+# Branch 1's M against branch 0's: M_xz, M_zx and M_zy change sign with mu.
+MU1_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+
+
 class TestClosedFormWahba:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -320,37 +333,48 @@ class TestClosedFormWahba:
         p = ModelParams.from_alpha(alpha, k)
         w_max = 2.0 * p.energy_scale + 2.0 * k
         times = np.array(sorted(f * 1e3 * 2.0 * math.pi / w_max for f in fractions))
-        hams, branches = setup_round(p)
-        measured = _rotation_costs(evolved_states(branches, hams, times), hams.h_tot)
-        closed = branch_wahba(p, times)
-        assert closed.shape == (len(times), 2, 3, 3)
+        measured = measured_wahba(p, times)
         bound = 1e-14 * max(p.h, 2.0 * k) * (1.0 + w_max * times)
-        assert np.all(np.abs(closed - measured).max(axis=(1, 2, 3)) <= bound)
+        closed = closed_branch0(p, times)
+        assert np.all(np.abs(closed - measured[:, 0]).max(axis=(1, 2)) <= bound)
+        # the sweep reads branch 0 alone: branch 1 only flips three signs
+        flipped = measured[:, 0] * MU1_SIGNS
+        assert np.all(np.abs(measured[:, 1] - flipped).max(axis=(1, 2)) <= bound)
 
     def test_y_row_vanishes(self):
-        m = branch_wahba(P34, [0.0, 0.3, 1.7])
+        # H_tot has no sigma_y term on site B, so rank(M) <= 2
+        m = measured_wahba(P34, [0.0, 0.3, 1.7])
         assert np.all(m[:, :, 1, :] == 0.0)
 
     @pytest.mark.parametrize(
         "times", [[0.0, -0.1], [0.0, math.nan], [[0.1]], [math.inf]]
     )
     def test_rejects_bad_times(self, times):
-        with pytest.raises(ValidationError):
-            branch_wahba(P34, times)
+        for policy in POLICIES:
+            with pytest.raises(ValidationError, match="latencies"):
+                extraction_curve(P34, times, policy, "family")
 
     def test_rejects_times_whose_phase_overflows(self):
         # 2st overflowed to inf and the entries came back nan
         p = ModelParams(h=1e30, k=1.0)
         with pytest.raises(ValidationError, match="4\\*s\\*t finite"):
-            branch_wahba(p, [1e300])
-        assert np.all(np.isfinite(branch_wahba(p, [0.0, 1e270])))
+            extraction_curve(p, [1e300], "optimize", "full")
+        for mode in ("family", "full", "shared"):
+            curve = extraction_curve(p, [0.0, 1e270], "optimize", mode)
+            assert np.all(np.isfinite(curve))
+
+    def test_checks_policy_then_mode_then_times(self):
+        with pytest.raises(ValidationError, match="policy"):
+            extraction_curve(P34, [-1.0], "guess", "annealing")
+        with pytest.raises(ValidationError, match="mode"):
+            extraction_curve(P34, [-1.0], "optimize", "annealing")
 
 
 def amplitude_form_wahba(h, k, t):
     """Branch 0's M(t) in mpmath from the ground amplitudes (a, b).
 
     The amplitude form: c+- = (b +- a)/2, frequencies 2s +- 2k and 4k.
-    Independent of the two-angle form in `branch_wahba`; the caller sets
+    Independent of the two-angle form in `_branch0_entries`; the caller sets
     a working precision that covers its cancellations.  Rows of mpf.
     """
     h, k, t = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(t)
@@ -397,7 +421,7 @@ class TestWahbaAcrossTheDomain:
             exact = np.array(
                 [amplitude_form_wahba(h, k, t) for t in times], dtype=float
             )
-        closed = branch_wahba(p, times)[:, 0]
+        closed = closed_branch0(p, times)
         # both forms agree to a few ulps of the largest entry per radian
         bound = 4.0 * np.finfo(float).eps * max(h, 2.0 * k) * (1.0 + w_max * times)
         assert np.all(np.abs(closed - exact).max(axis=(1, 2)) <= bound)
