@@ -21,7 +21,7 @@ from .audit import (
 )
 from .errors import NumericError, ProtocolError, QetError, ValidationError
 from .kernel import Spectrum, evolve_operator, expectation, hermitian_eig, kron, su2
-from .locc import ChannelMessage, ProtocolTrace, run_once, sweep_latency, wire_mode
+from .locc import ProtocolTrace, run_once, sweep_latency, wire_mode
 from .model import (
     GroundState,
     HamiltonianSet,

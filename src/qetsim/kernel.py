@@ -32,17 +32,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances used across the package, fixed in one place.
-
-    structural: hermiticity, unitarity, norms, phase canonicalisation.
-    """
-
-    structural: float = 1e-12
-
-
-TOL = Tolerances()
+# Structural tolerance: hermiticity, unitarity, norms, phase canonicalisation.
+TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -132,7 +123,7 @@ def hermitian_eig(m) -> Spectrum:
     """
     m = require_finite(m, "eigensolver input")
     _require_square(m, "eigensolver input")
-    if _hermiticity_defect(m) > TOL.structural:
+    if _hermiticity_defect(m) > TOL:
         raise ValidationError("eigensolver input is not Hermitian within 1e-12")
 
     try:
@@ -171,7 +162,7 @@ def expectation(state, op) -> float | np.ndarray:
         )
     with np.errstate(all="ignore"):  # an overflow is reported below
         values = (psi.conj()[..., None, :] @ (a @ psi[..., None]))[..., 0, 0]
-    tol = TOL.structural * max(1.0, float(np.max(np.abs(a))))
+    tol = TOL * max(1.0, float(np.max(np.abs(a))))
     bad = ~np.isfinite(values) | (np.abs(values.imag) > tol)
     if np.any(bad):
         first = complex(values[bad][0])
@@ -196,7 +187,7 @@ def su2(theta: float, axis) -> np.ndarray:
         raise ValidationError(f"su2 axis must be a real 3-vector: {exc}") from exc
     if ax.shape != (3,) or not np.all(np.isfinite(ax)):
         raise ValidationError("su2 axis must be a finite real 3-vector")
-    if abs(float(np.linalg.norm(ax)) - 1.0) > TOL.structural:
+    if abs(float(np.linalg.norm(ax)) - 1.0) > TOL:
         raise ValidationError("su2 axis must have unit norm within 1e-12")
     n_dot_sigma = ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
     return math.cos(theta) * ID2 + 1j * math.sin(theta) * n_dot_sigma

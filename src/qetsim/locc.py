@@ -15,7 +15,6 @@ import hashlib
 import json
 import socket
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
@@ -24,8 +23,6 @@ from .model import ModelParams, e_a_closed
 from .protocol import POLICIES, extraction_curve
 
 __all__ = [
-    "ChannelMessage",
-    "TraceEvent",
     "ProtocolTrace",
     "TRACE_CSV_HEADER",
     "run_once",
@@ -40,50 +37,12 @@ __all__ = [
 WIRE_TIMEOUT = 30.0  # seconds of wall time before a socket read gives up
 
 
-@dataclass(frozen=True)
-class ChannelMessage:
-    """One classical-channel record: outcome mu sent at model time sent_at."""
-
-    kind: str
-    mu: int
-    sent_at: float
-    deliver_at: float
-
-    def __post_init__(self):
-        if self.kind != "outcome":
-            raise ValidationError("channel message kind must be 'outcome'")
-        if self.mu not in (0, 1):
-            raise ValidationError("outcome label must be 0 or 1")
-        if self.deliver_at < self.sent_at:
-            raise ValidationError("deliver_at must be >= sent_at (latency >= 0)")
-
-    def frame(self) -> bytes:
-        """Newline-delimited UTF-8 frame with fixed field order."""
-        payload = {
-            "kind": self.kind,
-            "mu": self.mu,
-            "sent_at": self.sent_at,
-            "deliver_at": self.deliver_at,
-        }
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
-
-
-class TraceEvent(NamedTuple):
-    time: float
-    actor: str
-    action: str
-
-
-# Alice's part of every round's event log: she measures and sends at t = 0.
-_ALICE_EVENTS = (TraceEvent(0.0, "alice", "measure"), TraceEvent(0.0, "alice", "send"))
-
-
 @dataclass(frozen=True, init=False)
 class ProtocolTrace:
     """End-to-end record of one protocol round.
 
-    Only the independent quantities are stored; the product, the verdict
-    and the event log follow from them.
+    Only the independent quantities are stored; the product and the
+    verdict follow from them.
     """
 
     params: ModelParams
@@ -116,27 +75,29 @@ class ProtocolTrace:
     def verdict(self) -> str:
         return verdict_for(self.uncertainty_product)
 
-    @property
-    def events(self) -> tuple[TraceEvent, ...]:
-        """Alice measures and sends at t = 0; Bob receives and extracts at t_c."""
-        return _ALICE_EVENTS + (
-            TraceEvent(self.latency, "bob", "deliver"),
-            TraceEvent(self.latency, "bob", "extract"),
-        )
-
     def digest(self) -> str:
-        """SHA-256 over the canonical 12-significant-digit serialisation."""
+        """SHA-256 over the canonical 12-significant-digit serialisation.
+
+        The events rows record the round's fixed schedule: Alice measures
+        and sends at t = 0, Bob receives and extracts at t_c.
+        """
+        t_c = fmt(self.latency)
         payload = {
             "h": fmt(self.params.h),
             "k": fmt(self.params.k),
-            "t_c": fmt(self.latency),
+            "t_c": t_c,
             "policy": self.policy,
             "mode": self.mode,
             "e_a": fmt(self.e_a),
             "e_b": fmt(self.e_b_extracted),
             "product": fmt(self.uncertainty_product),
             "verdict": self.verdict,
-            "events": [[fmt(t), actor, action] for t, actor, action in self.events],
+            "events": [
+                ["0", "alice", "measure"],
+                ["0", "alice", "send"],
+                [t_c, "bob", "deliver"],
+                [t_c, "bob", "extract"],
+            ],
         }
         blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -157,14 +118,6 @@ class ProtocolTrace:
 
 
 TRACE_CSV_HEADER = "h,k,t_c,e_a,e_b,product,verdict"
-
-
-def channel_messages(t_c: float) -> tuple[ChannelMessage, ChannelMessage]:
-    """Both enumerated outcome records for one round (sent at t = 0)."""
-    return tuple(
-        ChannelMessage(kind="outcome", mu=mu, sent_at=0.0, deliver_at=t_c)
-        for mu in (0, 1)
-    )
 
 
 def run_once(
@@ -199,10 +152,10 @@ def sweep_latency(
     grid = list(grid)
     if not grid:
         raise ValidationError("latency grid must be a non-empty list of numbers")
-    for a, b in zip(grid, grid[1:]):
-        if not b > a:  # also false where either is NaN
-            raise ValidationError("latency grid must be strictly ascending")
     e_b = extraction_curve(p, grid, policy, mode)
+    for a, b in zip(grid, grid[1:]):  # real and finite: checked above
+        if not b > a:
+            raise ValidationError("latency grid must be strictly ascending")
     e_a = e_a_closed(p)
     return [
         ProtocolTrace(p, t_c, e_a, e, policy, mode)
@@ -218,12 +171,26 @@ def traces_to_csv(traces) -> str:
 
 # --- wire mode -------------------------------------------------------------
 
-def _hello_frame(p: ModelParams, t_c: float) -> bytes:
-    payload = {"kind": "hello", "h": p.h, "k": p.k, "t_c": t_c}
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+def _frames(p: ModelParams, t_c: float) -> list[dict]:
+    """The round's three frames in wire order: hello, then outcomes mu = 0, 1.
+
+    Both ends build this same list, send their share of it and require
+    each frame they read to equal its entry.
+    """
+    hello = {"kind": "hello", "h": p.h, "k": p.k, "t_c": t_c}
+    return [hello] + [
+        {"kind": "outcome", "mu": mu, "sent_at": 0.0, "deliver_at": t_c}
+        for mu in (0, 1)
+    ]
 
 
-def _read_frame(stream) -> dict:
+def _write_frame(stream, frame: dict) -> None:
+    """One newline-delimited UTF-8 JSON line, fields in the dict's order."""
+    stream.write(json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n")
+
+
+def _read_frame(stream, expected: dict) -> None:
+    """Read one frame and reject it unless it equals `expected`."""
     line = stream.readline()
     if not line:
         raise ProtocolError("connection closed mid-protocol")
@@ -233,31 +200,9 @@ def _read_frame(stream) -> dict:
         raise ProtocolError(f"malformed frame: {exc}") from exc
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ProtocolError("malformed frame: missing kind")
-    return payload
-
-
-def _check_hello(payload: dict, p: ModelParams, t_c: float) -> None:
-    if payload.get("kind") != "hello":
-        raise ProtocolError(f"expected hello frame, got {payload.get('kind')!r}")
-    if set(payload) != {"kind", "h", "k", "t_c"}:
-        raise ProtocolError(f"hello frame has wrong fields: {sorted(payload)}")
-    theirs = (payload["h"], payload["k"], payload["t_c"])
-    ours = (p.h, p.k, t_c)
-    if theirs != ours:
-        raise ProtocolError(
-            f"handshake rejected: peer parameters {theirs} != local {ours}"
-        )
-
-
-def _check_outcome(payload: dict, mu: int, t_c: float) -> None:
-    expected = {"kind": "outcome", "mu": mu, "sent_at": 0.0, "deliver_at": t_c}
-    if set(payload) != set(expected):
-        raise ProtocolError(f"outcome frame has wrong fields: {sorted(payload)}")
-    for key, want in expected.items():
-        if payload[key] != want:
-            raise ProtocolError(
-                f"outcome frame field {key}={payload[key]!r}, expected {want!r}"
-            )
+    if payload != expected:
+        what = "handshake" if expected["kind"] == "hello" else "outcome frame"
+        raise ProtocolError(f"{what} rejected: peer sent {payload}, want {expected}")
 
 
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
@@ -304,14 +249,14 @@ def wire_alice(
     awaited.
     """
     trace = run_once(p, t_c, policy=policy, mode=mode)
+    frames = _frames(p, t_c)
     with _socket_errors("alice wire failure"):
         conn, _addr = listener.accept()
         conn.settimeout(WIRE_TIMEOUT)
         with conn, conn.makefile("rwb") as stream:
-            _check_hello(_read_frame(stream), p, t_c)
-            stream.write(_hello_frame(p, t_c))
-            for message in channel_messages(t_c):
-                stream.write(message.frame())
+            _read_frame(stream, frames[0])
+            for frame in frames:
+                _write_frame(stream, frame)
             stream.flush()
     return trace
 
@@ -328,17 +273,17 @@ def wire_bob(
     The round is computed first, so bad inputs fail before any connection.
     """
     trace = run_once(p, t_c, policy=policy, mode=mode)
+    frames = _frames(p, t_c)
     host, port = _parse_endpoint(endpoint)
     with (
         _socket_errors("bob wire failure"),
         socket.create_connection((host, port), timeout=WIRE_TIMEOUT) as conn,
         conn.makefile("rwb") as stream,
     ):
-        stream.write(_hello_frame(p, t_c))
+        _write_frame(stream, frames[0])
         stream.flush()
-        _check_hello(_read_frame(stream), p, t_c)
-        for mu in (0, 1):
-            _check_outcome(_read_frame(stream), mu, t_c)
+        for frame in frames:
+            _read_frame(stream, frame)
     return trace
 
 

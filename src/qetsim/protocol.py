@@ -25,6 +25,7 @@ state-level API (`optimize_bob`) and the tests' oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,7 @@ def measure_alice(g: GroundState) -> tuple[OutcomeBranch, OutcomeBranch]:
         state.flags.writeable = False
         branches.append(OutcomeBranch(mu=mu, probability=prob, state=state))
     total = branches[0].probability + branches[1].probability
-    if abs(total - 1.0) > kernel.TOL.structural:
+    if abs(total - 1.0) > kernel.TOL:
         raise NumericError(f"branch probabilities sum to {total}, not 1")
     return branches[0], branches[1]
 
@@ -278,9 +279,10 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
     """E_B at every latency of `times`, in closed form, shape (len(times),).
 
     Checks policy, mode and times, in that order.  Times must be a flat
-    list of numbers >= 0 with 4*s*t finite: E_B <= 4s, so the bound keeps
-    the phases 2st, 2kt and the product E_B*t finite; a NaN fails both
-    comparisons.
+    list of real numbers (bool, int, float, numpy's, or any numbers.Real;
+    no str, bytes or complex) >= 0 with 4*s*t finite: E_B <= 4s, so the
+    bound keeps the phases 2st, 2kt and the product E_B*t finite; a NaN
+    fails both comparisons.
 
     The energy is read off branch 0's M entries (`_branch0_entries`).
     Both branches give up the same energy: branch 1's sign flips leave the
@@ -300,9 +302,15 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
         raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1:
-        raise ValidationError("latencies must be a flat list of numbers")
+    try:
+        t = np.asarray(times)
+        if t.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in t.flat):
+            t = t.astype(float)  # ints beyond int64, Fractions
+    except (ValueError, OverflowError) as exc:  # ragged nesting, an int past float
+        raise ValidationError("latencies must be a flat list of real numbers") from exc
+    if t.ndim != 1 or t.dtype.kind not in "biuf":  # no str, bytes or complex
+        raise ValidationError("latencies must be a flat list of real numbers")
+    t = t.astype(float, copy=False)
     if t.size and not (
         t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))
     ):

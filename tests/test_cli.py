@@ -304,9 +304,19 @@ class TestRunCommand:
                 "malformed frame",
             ),
             (lambda hello: b"\xff\xfe\xfd\n", "malformed frame"),
+            (
+                lambda hello: hello
+                + b'{"kind":"outcome","mu":1,"sent_at":0.0,"deliver_at":0.5}\n',
+                "outcome frame",
+            ),
+            (
+                lambda hello: hello
+                + b'{"kind":"outcome","mu":0,"sent_at":0.0,"deliver_at":0.25}\n',
+                "outcome frame",
+            ),
         ],
         ids=["early-close", "truncated-hello", "string-field", "truncated-outcome",
-             "non-utf8"],
+             "non-utf8", "outcome-out-of-order", "outcome-wrong-latency"],
     )
     def test_wire_bad_peer_exit_2(self, reply, message, capsys):
         # a scripted peer reads Bob's hello, answers with `reply` and closes

@@ -3,7 +3,9 @@ import math
 import socket
 import sys
 import threading
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from qetsim.errors import ProtocolError, ValidationError
 from qetsim.locc import (
     POLICIES,
     TRACE_CSV_HEADER,
-    ChannelMessage,
     open_listener,
     run_once,
     sweep_latency,
@@ -61,13 +62,30 @@ class TestRunOnce:
         assert trace.uncertainty_product == 0.0
         assert trace.verdict == "unobservable"
 
-    def test_event_order(self):
-        trace = run_once(P34, 0.5)
-        actions = [e.action for e in trace.events]
-        assert actions == ["measure", "send", "deliver", "extract"]
-        times = [e.time for e in trace.events]
-        assert times == [0.0, 0.0, 0.5, 0.5]
-        assert times == sorted(times)
+    @pytest.mark.parametrize(
+        ("p", "t_c", "digest"),
+        [
+            (
+                ModelParams(3, 4),
+                0.5,
+                "d502d8e20422ad4704fe455bc891ab0f6b6f2187f30c26b1d2c468ce99371336",
+            ),
+            (
+                ModelParams(3.0, 4.0),
+                0.0,
+                "3587ef27cb3f1162ddc93820e5cbfdb17aa8b83c6ca84606389ba4b865de2a01",
+            ),
+            (
+                ModelParams.from_alpha(2),
+                0.25,
+                "aa3d7cbe22668e54c6b64e7cc9f1f5dfb71d89f79c3fbd9fb5fe3c1f6b9310ba",
+            ),
+        ],
+        ids=["h3-k4-t0.5", "h3.0-k4.0-t0", "alpha2-t0.25"],
+    )
+    def test_digest_bytes(self, p, t_c, digest):
+        # pins the serialisation, the fixed events rows included
+        assert run_once(p, t_c).digest() == digest
 
     def test_product_recomputable(self):
         for t_c in (0.0, 0.2, 0.7):
@@ -168,6 +186,34 @@ class TestSweep:
     def test_grid_checked_once_at_the_boundary(self, grid):
         with pytest.raises(ValidationError):
             sweep_latency(P34, grid)
+
+    @pytest.mark.parametrize("bad", ["a", "0.5", b"1", 1j, None, [0.1]])
+    def test_rejects_non_real_latency(self, bad):
+        # a str or bytes latency once came back on the trace, whose product,
+        # verdict and digest then raised TypeError
+        for grid in ([bad], [0.0, bad]):
+            with pytest.raises(ValidationError):
+                sweep_latency(P34, grid)
+        with pytest.raises(ValidationError):
+            run_once(P34, bad)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [0, 1],
+            [False, True],
+            [np.float32(0.0), np.int64(1)],
+            np.array([0.0, 0.5]),
+            [0, 10**30],
+            [Fraction(0), Fraction(1, 2)],
+        ],
+    )
+    def test_accepts_real_latency(self, grid):
+        rows = sweep_latency(P21, grid)
+        for row, t_c in zip(rows, grid):
+            assert row.latency == t_c
+            assert row.e_b_extracted == run_once(P21, float(t_c)).e_b_extracted
+            assert len(row.digest()) == 64
 
     def test_rejects_latency_whose_phase_overflows(self):
         # 4*s*t_c overflows: the phases 2st and the product E_B*t_c with it
@@ -323,11 +369,32 @@ class TestCsv:
 
 
 class TestWire:
-    def test_outcome_frame_bytes(self):
-        message = ChannelMessage(kind="outcome", mu=1, sent_at=0.0, deliver_at=0.5)
-        assert message.frame() == (
-            b'{"kind":"outcome","mu":1,"sent_at":0.0,"deliver_at":0.5}\n'
-        )
+    def test_alice_frame_bytes(self):
+        # a scripted Bob sends the hello and reads the three lines Alice sends
+        listener = open_listener("127.0.0.1:0")
+        port = listener.getsockname()[1]
+        box = {}
+
+        def serve():
+            box["alice"] = wire_alice(listener, ModelParams(3, 4), 0.5)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        with (
+            socket.create_connection(("127.0.0.1", port), timeout=10) as conn,
+            conn.makefile("rwb") as stream,
+        ):
+            stream.write(b'{"kind":"hello","h":3.0,"k":4.0,"t_c":0.5}\n')
+            stream.flush()
+            lines = stream.readlines()
+        thread.join(timeout=30)
+        listener.close()
+        assert lines == [
+            b'{"kind":"hello","h":3,"k":4,"t_c":0.5}\n',
+            b'{"kind":"outcome","mu":0,"sent_at":0.0,"deliver_at":0.5}\n',
+            b'{"kind":"outcome","mu":1,"sent_at":0.0,"deliver_at":0.5}\n',
+        ]
+        assert box["alice"] == run_once(ModelParams(3, 4), 0.5)
 
     def run_pair(self, p_alice, p_bob, t_c_alice, t_c_bob):
         listener = open_listener("127.0.0.1:0")
