@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_real
 from .formatting import fmt, fnum
 from .model import ModelParams, _f_curve, e_b_closed
 
@@ -60,8 +61,9 @@ def f_alpha(alpha: float) -> float:
     without cancellation by the same helper as `e_b_closed`, so it equals
     e_b_closed(alpha*k, k)/k for every k.
     """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
+    if not isinstance(alpha, (int, float)):  # _f_curve would also take an array
         raise ValidationError("alpha must be finite and > 0")
+    require_real(alpha, "alpha", gt=0.0)
     return float(_f_curve(alpha))
 
 
@@ -85,9 +87,9 @@ def scan_alpha(
     alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
     The audit-grade default covers (0.01, 20] with 10,000 points.
     """
-    if not (0.0 < alpha_min < alpha_max) or not math.isfinite(alpha_max):
-        raise ValidationError("need 0 < alpha_min < alpha_max, both finite")
-    if not 2 <= points <= MAX_SCAN_POINTS:
+    require_real(alpha_min, "alpha_min", gt=0.0)
+    require_real(alpha_max, "alpha_max", gt=alpha_min)
+    if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     grid = np.linspace(alpha_min, alpha_max, points)
     values = _f_curve(grid)
@@ -101,10 +103,8 @@ def scan_alpha(
 
 def uncertainty_product(e: float, t: float) -> float:
     """Energy-time product e*t in hbar = 1 units."""
-    if not (math.isfinite(e) and e >= 0):
-        raise ValidationError("energy must be finite and >= 0")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError("time must be finite and >= 0")
+    require_real(e, "energy", ge=0.0)
+    require_real(t, "time", ge=0.0)
     return e * t
 
 
@@ -135,8 +135,7 @@ def audit_minimal(p: ModelParams, t: float) -> AuditReport:
     The extraction never exceeds f(alpha)*k < 0.15*k, so inside the
     teleportation regime t <= 1/k the product stays below 1.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValidationError("audit time must be finite and > 0")
+    require_real(t, "audit time", gt=0.0)
     energy = e_b_closed(p)
     product = uncertainty_product(energy, t)
     notes = (
@@ -171,14 +170,12 @@ class IonParams:
     phi: float = math.pi / 4.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_n) and 0.0 < self.gamma_n <= 1.0):
+        require_real(self.gamma_n, "gamma_n", gt=0.0)
+        if self.gamma_n > 1.0:
             raise ValidationError("gamma_n must lie in (0, 1]")
-        if not (math.isfinite(self.zeta_n) and self.zeta_n > 0.0):
-            raise ValidationError("zeta_n must be finite and > 0")
-        if not (math.isfinite(self.nu) and self.nu > 0.0):
-            raise ValidationError("nu must be finite and > 0")
-        if not math.isfinite(self.phi):
-            raise ValidationError("phi must be finite")
+        require_real(self.zeta_n, "zeta_n", gt=0.0)
+        require_real(self.nu, "nu", gt=0.0)
+        require_real(self.phi, "phi")
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,7 @@ class IonMaximum:
 
 def ion_output(ip: IonParams, e_in: float) -> float:
     """Trapped-ion teleported energy gamma*e_in*exp(-zeta*e_in/nu)*sin^2(2*phi)."""
-    if not (math.isfinite(e_in) and e_in >= 0):
-        raise ValidationError("input energy must be finite and >= 0")
+    require_real(e_in, "input energy", ge=0.0)
     return (
         ip.gamma_n
         * e_in
@@ -230,8 +226,7 @@ def audit_ion(ip: IonParams, t: float) -> AuditReport:
     nu/zeta exceeds the phonon energy and that bound chain does not apply;
     such regimes are flagged in the notes instead of being asserted away.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValidationError("audit time must be finite and > 0")
+    require_real(t, "audit time", gt=0.0)
     maximum = ion_maximize(ip)
     energy = maximum.phonon_scale_output
     product = uncertainty_product(energy, t)

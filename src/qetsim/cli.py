@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import kernel
+from . import kernel, locc
 from .audit import (
     IonParams,
     audit_ion,
@@ -26,7 +26,7 @@ from .audit import (
 )
 from .errors import NumericError, ValidationError
 from .formatting import fmt, fnum
-from .locc import run_once, sweep_latency, traces_to_csv, wire_mode
+from .locc import run_once, sweep_latency, traces_to_csv
 from .model import (
     ModelParams,
     build_hamiltonians,
@@ -34,7 +34,7 @@ from .model import (
     e_a_closed,
     e_b_closed,
     ground_state_closed_form,
-    ground_state_numeric,
+    hb_expected,
     spectrum_closed_form,
 )
 from .protocol import (
@@ -109,16 +109,15 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     """Cross-checked rows (quantity, closed, numeric, residual, tolerance)."""
     hams = build_hamiltonians(p)
     closed = ground_state_closed_form(p)
-    numeric = ground_state_numeric(hams)
     spectrum_c = spectrum_closed_form(p)
-    spectrum_n = kernel.hermitian_eig(hams.h_tot).eigenvalues
+    numeric = kernel.hermitian_eig(hams.h_tot)  # ground state and spectrum
 
     # Phase-align the numeric ground vector to the closed form for
     # amplitude-by-amplitude residuals (global phase is not physical).
-    overlap = complex(np.vdot(numeric.state, closed.state))
+    overlap = complex(np.vdot(numeric.ground_vector, closed.state))
     if overlap == 0.0:
         raise NumericError("numeric ground vector is orthogonal to the closed form")
-    aligned = numeric.state * (overlap / abs(overlap))
+    aligned = numeric.ground_vector * (overlap / abs(overlap))
     fidelity = abs(overlap) ** 2
 
     branches = measure_alice(closed)
@@ -138,9 +137,9 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
             resid /= max(abs(closed_v), 1e-300)
         rows.append((name, fmt(closed_v), fmt(numeric_v), resid, tol))
 
-    row("ground energy", 0.0, numeric.energy, 1e-10)
+    row("ground energy", 0.0, numeric.ground_energy, 1e-10)
     for i in range(4):
-        row(f"spectrum[{i}]", spectrum_c[i], float(spectrum_n[i]), 1e-9)
+        row(f"spectrum[{i}]", spectrum_c[i], float(numeric.eigenvalues[i]), 1e-9)
     basis = ("|++>", "|+->", "|-+>", "|-->")
     for i in range(4):
         row(
@@ -152,7 +151,7 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     row("ground fidelity", 1.0, fidelity, 1e-12)
     row("e_a", e_a_closed(p), e_a_sim, 1e-10, relative=True)
     row("e_b", e_b_closed(p), extraction.extracted_energy, 1e-6, relative=True)
-    row("hb peak", e_a_closed(p), hb_sim, 1e-9)
+    row("hb peak", hb_expected(p, peak_time), hb_sim, 1e-9)
     worst = max(r[3] / r[4] for r in rows)
     return rows, worst
 
@@ -223,18 +222,16 @@ def cmd_scan_alpha(args) -> int:
 
 
 def cmd_run(args) -> int:
-    p = _resolve_params(args)
-    if args.wire:
-        endpoint = args.listen if args.wire == "alice" else args.connect
-        if not endpoint:
-            raise ValidationError(
-                "wire mode needs --listen (alice) or --connect (bob)"
-            )
-        trace = wire_mode(
-            args.wire, endpoint, p, args.latency, policy=args.policy, mode=args.mode
-        )
+    round_args = (_resolve_params(args), args.latency, args.policy, args.mode)
+    if args.wire == "alice" and args.listen:
+        with locc.open_listener(args.listen) as listener:
+            trace = locc.wire_alice(listener, *round_args)
+    elif args.wire == "bob" and args.connect:
+        trace = locc.wire_bob(args.connect, *round_args)
+    elif args.wire:
+        raise ValidationError("wire mode needs --listen (alice) or --connect (bob)")
     else:
-        trace = run_once(p, args.latency, policy=args.policy, mode=args.mode)
+        trace = run_once(*round_args)
     _emit(traces_to_csv([trace]), args.output)
     return 0
 

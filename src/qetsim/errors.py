@@ -1,7 +1,9 @@
-"""Exception taxonomy shared by all qetsim modules.
+"""Exception taxonomy shared by all qetsim modules, and the one scalar check.
 
 Exit-code mapping used by the CLI: ValidationError -> 2, NumericError -> 3.
 """
+
+import math
 
 
 class QetError(Exception):
@@ -25,3 +27,19 @@ class NumericError(QetError):
 
 class ProtocolError(ValidationError):
     """Wire-protocol failure: handshake mismatch or malformed frame."""
+
+
+def require_real(value, what: str, *, gt=None, ge=None) -> None:
+    """Raise ValidationError unless `value` is a finite real, > gt and >= ge.
+
+    A str, None, a complex or an int past the float range fails like NaN.
+    """
+    try:
+        if math.isfinite(value) and (gt is None or value > gt):
+            if ge is None or value >= ge:
+                return
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if gt is None else f" and > {float(gt):g}"
+    bound += "" if ge is None else f" and >= {float(ge):g}"
+    raise ValidationError(f"{what} must be finite{bound}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_real
 
 __all__ = [
     "TOL",
@@ -135,8 +135,7 @@ def hermitian_eig(m) -> Spectrum:
 
 def evolve_operator(h_tot, t: float) -> np.ndarray:
     """Unitary exp(-i*H*t) built from the eigendecomposition of Hermitian H."""
-    if not math.isfinite(t):
-        raise ValidationError("evolution time must be finite")
+    require_real(t, "evolution time")
     spec = hermitian_eig(h_tot)
     phases = np.exp(-1j * spec.eigenvalues * t)
     v = spec.eigenvectors
@@ -179,8 +178,7 @@ def su2(theta: float, axis) -> np.ndarray:
 
     ``axis`` must be a real unit 3-vector (within 1e-12).
     """
-    if not math.isfinite(theta):
-        raise ValidationError("su2 angle must be finite")
+    require_real(theta, "su2 angle")
     try:
         ax = np.asarray(axis, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -20,7 +20,7 @@ from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
 from .formatting import fmt
 from .model import ModelParams, e_a_closed
-from .protocol import POLICIES, extraction_curve
+from .protocol import extraction_curve
 
 __all__ = [
     "ProtocolTrace",
@@ -28,7 +28,6 @@ __all__ = [
     "run_once",
     "sweep_latency",
     "traces_to_csv",
-    "wire_mode",
     "open_listener",
     "wire_alice",
     "wire_bob",
@@ -286,22 +285,3 @@ def wire_bob(
             _read_frame(stream, frame)
     return trace
 
-
-def wire_mode(
-    role: str,
-    endpoint: str,
-    p: ModelParams,
-    t_c: float,
-    policy: str = "optimize",
-    mode: str = "family",
-) -> ProtocolTrace:
-    """Run one wire-mode round as either party; both emit identical traces."""
-    if role == "alice":
-        listener = open_listener(endpoint)
-        try:
-            return wire_alice(listener, p, t_c, policy=policy, mode=mode)
-        finally:
-            listener.close()
-    if role == "bob":
-        return wire_bob(endpoint, p, t_c, policy=policy, mode=mode)
-    raise ValidationError(f"unknown wire role {role!r}, expected alice or bob")

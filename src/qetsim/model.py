@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Z, kron
 
 __all__ = [
@@ -60,10 +60,9 @@ class ModelParams:
 
     def __post_init__(self):
         for name, value in (("h", self.h), ("k", self.k)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not isinstance(value, (int, float)):  # the wire hello JSON-encodes it
                 raise ValidationError(f"{name} must be a finite number")
-            if value <= 0:
-                raise ValidationError(f"{name} must be strictly positive")
+            require_real(value, name)
             if not PARAM_MIN <= value <= PARAM_MAX:
                 raise ValidationError(
                     f"{name}={value!r} is outside the stated domain "
@@ -73,6 +72,8 @@ class ModelParams:
     @classmethod
     def from_alpha(cls, alpha: float, k: float = 1.0) -> "ModelParams":
         """Reparametrised point h = alpha*k, energies in units of k."""
+        require_real(alpha, "alpha")
+        require_real(k, "k")
         return cls(h=alpha * k, k=k)
 
     @property
@@ -165,8 +166,7 @@ def hb_expected(p: ModelParams, t: float) -> float:
 
     (h^2 / 2s) * (1 - cos(4kt)); period pi/(2k), peak h^2/s.
     """
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError("diffusion time must be finite and >= 0")
+    require_real(t, "diffusion time", ge=0.0)
     return e_a_closed(p) / 2.0 * (1.0 - math.cos(4.0 * p.k * t))
 
 

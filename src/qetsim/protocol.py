@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
 from .model import GroundState, HamiltonianSet, ModelParams, optimal_rotation_angle
 
@@ -82,8 +82,7 @@ class BobControl:
 
     @classmethod
     def family(cls, theta: float) -> "BobControl":
-        if not math.isfinite(theta):
-            raise ValidationError("family angle must be finite")
+        require_real(theta, "family angle")
         return cls(mode="family", theta=theta)
 
     @classmethod
@@ -151,8 +150,7 @@ def infused_energy(branches, hams: HamiltonianSet) -> float:
 
 def evolve_branches(branches, hams: HamiltonianSet, t: float):
     """Evolve every branch state under exp(-i*H_tot*t); probabilities unchanged."""
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError("evolution time must be finite and >= 0")
+    require_real(t, "evolution time", ge=0.0)
     u = kernel.evolve_operator(hams.h_tot, t)
     out = []
     for b in branches:
@@ -446,7 +444,7 @@ def optimize_bob(
     (`extraction_curve`), with no SVD.
     """
     if mode not in MODES:
-        raise ValidationError(f"unknown optimiser mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
     states, probs = _stacked(branches)
     m = _rotation_costs(states, hams.h_tot)  # (2, 3, 3)
     if mode == "full":

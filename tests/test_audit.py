@@ -74,6 +74,12 @@ class TestFAlpha:
         with pytest.raises(ValidationError):
             f_alpha(-1.0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-60.0, 60.0))
+    def test_bounded_across_the_domain(self, log_alpha):
+        # alpha log-uniform over [1e-60, 1e60], the range of h/k
+        assert 0.0 < f_alpha(10.0**log_alpha) < 0.15
+
 
 class TestScan:
     def test_below_one_everywhere(self):

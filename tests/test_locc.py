@@ -14,7 +14,6 @@ from qetsim import kernel, model, protocol
 from qetsim.audit import verdict_for
 from qetsim.errors import ProtocolError, ValidationError
 from qetsim.locc import (
-    POLICIES,
     TRACE_CSV_HEADER,
     open_listener,
     run_once,
@@ -22,7 +21,6 @@ from qetsim.locc import (
     traces_to_csv,
     wire_alice,
     wire_bob,
-    wire_mode,
 )
 from qetsim.model import (
     ModelParams,
@@ -35,6 +33,7 @@ from qetsim.model import (
 )
 from qetsim.protocol import (
     MODES,
+    POLICIES,
     BobControl,
     apply_bob,
     evolve_branches,
@@ -453,7 +452,3 @@ class TestWire:
         thread.join(timeout=30)
         listener.close()
         assert isinstance(box.get("error"), ProtocolError)
-
-    def test_wire_mode_role_validation(self):
-        with pytest.raises(ValidationError):
-            wire_mode("carol", "127.0.0.1:1", P34, 0.0)

@@ -77,6 +77,14 @@ class TestMeasurement:
         for b in branches:
             assert abs(np.linalg.norm(b.state) - 1.0) <= 1e-12
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
+    def test_probabilities_sum_to_one_across_the_domain(self, log_h, log_k):
+        # h and k log-uniform over the whole stated domain
+        p = ModelParams(h=10.0**log_h, k=10.0**log_k)
+        branches = measure_alice(ground_state_closed_form(p))
+        assert abs(branches[0].probability + branches[1].probability - 1.0) <= 1e-12
+
 
 class TestInfusedEnergy:
     def test_matches_closed_form(self):
