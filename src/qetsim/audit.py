@@ -61,9 +61,7 @@ def f_alpha(alpha: float) -> float:
     without cancellation by the same helper as `e_b_closed`, so it equals
     e_b_closed(alpha*k, k)/k for every k.
     """
-    if not isinstance(alpha, (int, float)):  # _f_curve would also take an array
-        raise ValidationError("alpha must be finite and > 0")
-    require_real(alpha, "alpha", gt=0.0)
+    alpha = require_real(alpha, "alpha", gt=0.0)
     return float(_f_curve(alpha))
 
 
@@ -87,8 +85,8 @@ def scan_alpha(
     alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
     The audit-grade default covers (0.01, 20] with 10,000 points.
     """
-    require_real(alpha_min, "alpha_min", gt=0.0)
-    require_real(alpha_max, "alpha_max", gt=alpha_min)
+    alpha_min = require_real(alpha_min, "alpha_min", gt=0.0)
+    alpha_max = require_real(alpha_max, "alpha_max", gt=alpha_min)
     if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     grid = np.linspace(alpha_min, alpha_max, points)
@@ -103,8 +101,8 @@ def scan_alpha(
 
 def uncertainty_product(e: float, t: float) -> float:
     """Energy-time product e*t in hbar = 1 units."""
-    require_real(e, "energy", ge=0.0)
-    require_real(t, "time", ge=0.0)
+    e = require_real(e, "energy", ge=0.0)
+    t = require_real(t, "time", ge=0.0)
     return e * t
 
 
@@ -135,7 +133,7 @@ def audit_minimal(p: ModelParams, t: float) -> AuditReport:
     The extraction never exceeds f(alpha)*k < 0.15*k, so inside the
     teleportation regime t <= 1/k the product stays below 1.
     """
-    require_real(t, "audit time", gt=0.0)
+    t = require_real(t, "audit time", gt=0.0)
     energy = e_b_closed(p)
     product = uncertainty_product(energy, t)
     notes = (
@@ -170,12 +168,13 @@ class IonParams:
     phi: float = math.pi / 4.0
 
     def __post_init__(self):
-        require_real(self.gamma_n, "gamma_n", gt=0.0)
+        set_field = object.__setattr__  # frozen: store the admitted floats
+        set_field(self, "gamma_n", require_real(self.gamma_n, "gamma_n", gt=0.0))
         if self.gamma_n > 1.0:
             raise ValidationError("gamma_n must lie in (0, 1]")
-        require_real(self.zeta_n, "zeta_n", gt=0.0)
-        require_real(self.nu, "nu", gt=0.0)
-        require_real(self.phi, "phi")
+        set_field(self, "zeta_n", require_real(self.zeta_n, "zeta_n", gt=0.0))
+        set_field(self, "nu", require_real(self.nu, "nu", gt=0.0))
+        set_field(self, "phi", require_real(self.phi, "phi"))
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ class IonMaximum:
 
 def ion_output(ip: IonParams, e_in: float) -> float:
     """Trapped-ion teleported energy gamma*e_in*exp(-zeta*e_in/nu)*sin^2(2*phi)."""
-    require_real(e_in, "input energy", ge=0.0)
+    e_in = require_real(e_in, "input energy", ge=0.0)
     return (
         ip.gamma_n
         * e_in
@@ -226,7 +225,7 @@ def audit_ion(ip: IonParams, t: float) -> AuditReport:
     nu/zeta exceeds the phonon energy and that bound chain does not apply;
     such regimes are flagged in the notes instead of being asserted away.
     """
-    require_real(t, "audit time", gt=0.0)
+    t = require_real(t, "audit time", gt=0.0)
     maximum = ion_maximize(ip)
     energy = maximum.phonon_scale_output
     product = uncertainty_product(energy, t)

@@ -82,7 +82,11 @@ MAX_LATENCY_POINTS = 1_000_000
 
 
 def _parse_latencies(spec: str) -> list[float]:
-    """Grid spec: `start:stop:step` (inclusive) or comma-separated values."""
+    """Grid spec: `start:stop:step` or comma-separated values.
+
+    A range holds every start + i*step up to stop plus a rounding slack of
+    1e-9*step: stop is in when whole steps reach it, and never overshot.
+    """
     try:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
@@ -92,7 +96,7 @@ def _parse_latencies(spec: str) -> list[float]:
             if step <= 0 or stop < start:
                 raise ValidationError(f"bad latency range {spec!r}")
             span = (stop - start) / step  # inf when the division overflows
-            count = int(round(span)) + 1 if math.isfinite(span) else math.inf
+            count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
             if count > MAX_LATENCY_POINTS:
                 raise ValidationError(
                     f"latency range {spec!r} exceeds {MAX_LATENCY_POINTS} points"

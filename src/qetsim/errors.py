@@ -29,17 +29,18 @@ class ProtocolError(ValidationError):
     """Wire-protocol failure: handshake mismatch or malformed frame."""
 
 
-def require_real(value, what: str, *, gt=None, ge=None) -> None:
-    """Raise ValidationError unless `value` is a finite real, > gt and >= ge.
+def require_real(value, what: str, *, gt=None, ge=None) -> float:
+    """`value` as a float if it is a finite real, > gt and >= ge.
 
-    A str, None, a complex or an int past the float range fails like NaN.
+    Anything `math.isfinite` takes counts (a Decimal, a Fraction, a big int);
+    a str, None, a complex or an int past the float range fails like NaN.
     """
     try:
-        if math.isfinite(value) and (gt is None or value > gt):
-            if ge is None or value >= ge:
-                return
+        x = float(value) if math.isfinite(value) else math.nan
     except (TypeError, ValueError, OverflowError):
-        pass
+        x = math.nan
+    if math.isfinite(x) and (gt is None or x > gt) and (ge is None or x >= ge):
+        return x
     bound = "" if gt is None else f" and > {float(gt):g}"
     bound += "" if ge is None else f" and >= {float(ge):g}"
     raise ValidationError(f"{what} must be finite{bound}")

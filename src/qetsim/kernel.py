@@ -3,7 +3,7 @@
 Everything here is a pure function of its inputs; returned arrays are marked
 read-only so callers can share them without copying.  The eigensolver
 wraps LAPACK's Hermitian routine (``numpy.linalg.eigh``) with input
-validation and a canonical eigenvector phase.
+validation; eigenvectors keep the arbitrary phase LAPACK gives them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-# Structural tolerance: hermiticity, unitarity, norms, phase canonicalisation.
+# Structural tolerance: hermiticity, axis norms, imaginary residues, probabilities.
 TOL = 1e-12
 
 
@@ -97,26 +97,13 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real-positive.
-
-    A zero column is left as it is.  np.hypot gives the magnitude abs()
-    gives for one complex number bit for bit; np.abs on an array need not.
-    """
-    mags = np.hypot(v.real, v.imag)
-    rows, cols = np.argmax(mags, axis=0), np.arange(v.shape[1])
-    z, mag = v[rows, cols], mags[rows, cols]
-    phase = np.divide(np.conj(z), mag, out=np.ones_like(z), where=mag > 0.0)
-    return v * phase
-
-
 def hermitian_eig(m) -> Spectrum:
     """Eigendecompose a Hermitian matrix of dimension 2 or 4.
 
     LAPACK's Hermitian eigensolver via ``numpy.linalg.eigh``, applied to the
     exactly symmetrised input.  Eigenvalues ascend; eigenvectors are
-    orthonormal, and each is phase-canonicalised (largest-magnitude
-    component real-positive).
+    orthonormal, each with the arbitrary phase LAPACK returns: compare
+    them through |<a|b>|^2 or projectors, not entry by entry.
 
     Raises ValidationError for non-finite, misshapen or non-Hermitian input
     and NumericError if LAPACK reports that it did not converge.
@@ -130,12 +117,12 @@ def hermitian_eig(m) -> Spectrum:
         w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
-    return Spectrum(eigenvalues=_frozen(w), eigenvectors=_frozen(_canonical_phase(v)))
+    return Spectrum(eigenvalues=_frozen(w), eigenvectors=_frozen(v))
 
 
 def evolve_operator(h_tot, t: float) -> np.ndarray:
     """Unitary exp(-i*H*t) built from the eigendecomposition of Hermitian H."""
-    require_real(t, "evolution time")
+    t = require_real(t, "evolution time")
     spec = hermitian_eig(h_tot)
     phases = np.exp(-1j * spec.eigenvalues * t)
     v = spec.eigenvectors
@@ -178,7 +165,7 @@ def su2(theta: float, axis) -> np.ndarray:
 
     ``axis`` must be a real unit 3-vector (within 1e-12).
     """
-    require_real(theta, "su2 angle")
+    theta = require_real(theta, "su2 angle")
     try:
         ax = np.asarray(axis, dtype=float)
     except (TypeError, ValueError) as exc:

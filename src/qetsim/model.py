@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
 from .errors import ValidationError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Z, kron
 
@@ -29,7 +28,6 @@ __all__ = [
     "GroundState",
     "build_hamiltonians",
     "ground_state_closed_form",
-    "ground_state_numeric",
     "spectrum_closed_form",
     "e_a_closed",
     "hb_expected",
@@ -72,8 +70,8 @@ class ModelParams:
     @classmethod
     def from_alpha(cls, alpha: float, k: float = 1.0) -> "ModelParams":
         """Reparametrised point h = alpha*k, energies in units of k."""
-        require_real(alpha, "alpha")
-        require_real(k, "k")
+        alpha = require_real(alpha, "alpha")
+        k = require_real(k, "k")
         return cls(h=alpha * k, k=k)
 
     @property
@@ -98,10 +96,9 @@ class HamiltonianSet:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Normalised ground state and its energy (zero in this normalisation)."""
+    """Normalised ground state; its energy is zero in this normalisation."""
 
     state: np.ndarray
-    energy: float
 
 
 def build_hamiltonians(p: ModelParams) -> HamiltonianSet:
@@ -135,15 +132,7 @@ def ground_state_closed_form(p: ModelParams) -> GroundState:
     amp_mm = -math.sqrt((1.0 + p.h / s) / 2.0)
     state = np.array([amp_pp, 0.0, 0.0, amp_mm], dtype=complex)
     state.flags.writeable = False
-    return GroundState(state=state, energy=0.0)
-
-
-def ground_state_numeric(hams: HamiltonianSet) -> GroundState:
-    """Ground state via the LAPACK eigensolver (oracle for the closed form)."""
-    spec = kernel.hermitian_eig(hams.h_tot)
-    state = spec.ground_vector.copy()
-    state.flags.writeable = False
-    return GroundState(state=state, energy=spec.ground_energy)
+    return GroundState(state=state)
 
 
 def spectrum_closed_form(p: ModelParams) -> tuple[float, float, float, float]:
@@ -166,7 +155,7 @@ def hb_expected(p: ModelParams, t: float) -> float:
 
     (h^2 / 2s) * (1 - cos(4kt)); period pi/(2k), peak h^2/s.
     """
-    require_real(t, "diffusion time", ge=0.0)
+    t = require_real(t, "diffusion time", ge=0.0)
     return e_a_closed(p) / 2.0 * (1.0 - math.cos(4.0 * p.k * t))
 
 

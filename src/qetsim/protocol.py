@@ -70,34 +70,28 @@ class OutcomeBranch:
 
 @dataclass(frozen=True)
 class BobControl:
-    """Parametrisation of the outcome-conditioned local unitary on site B.
+    """Outcome-conditioned local unitary on site B: U_B(mu) = su2(*params[mu]).
 
-    mode "family": U_B(mu) = cos(theta)*I + i*(-1)^mu*sin(theta)*sigma_y.
-    mode "full": independent (theta, axis) SU(2) parameters per outcome.
+    `family(theta)`: U_B(mu) = cos(theta)*I + i*(-1)^mu*sin(theta)*sigma_y.
+    `full`: an independent (theta, axis) pair per outcome mu = 0, 1.
     """
 
-    mode: str
-    theta: float = 0.0
-    full_params: tuple[tuple[float, tuple[float, float, float]], ...] | None = None
+    params: tuple[tuple[float, tuple[float, float, float]], ...]
 
     @classmethod
     def family(cls, theta: float) -> "BobControl":
-        require_real(theta, "family angle")
-        return cls(mode="family", theta=theta)
+        theta = require_real(theta, "family angle")
+        return cls(params=((theta, Y_AXIS), (-theta, Y_AXIS)))
 
     @classmethod
     def full(cls, params_mu0, params_mu1) -> "BobControl":
-        return cls(mode="full", full_params=(tuple(params_mu0), tuple(params_mu1)))
+        return cls(params=(tuple(params_mu0), tuple(params_mu1)))
 
     def angle_axis(self, mu: int) -> tuple[float, tuple[float, float, float]]:
         """(theta, axis) of U_B(mu) = su2(theta, axis)."""
         if mu not in (0, 1):
             raise ValidationError("outcome label must be 0 or 1")
-        if self.mode == "family":
-            return (self.theta if mu == 0 else -self.theta), Y_AXIS
-        if self.mode == "full":
-            return self.full_params[mu]
-        raise ValidationError(f"unknown control mode {self.mode!r}")
+        return self.params[mu]
 
     def unitary(self, mu: int) -> np.ndarray:
         return su2(*self.angle_axis(mu))
@@ -150,7 +144,7 @@ def infused_energy(branches, hams: HamiltonianSet) -> float:
 
 def evolve_branches(branches, hams: HamiltonianSet, t: float):
     """Evolve every branch state under exp(-i*H_tot*t); probabilities unchanged."""
-    require_real(t, "evolution time", ge=0.0)
+    t = require_real(t, "evolution time", ge=0.0)
     u = kernel.evolve_operator(hams.h_tot, t)
     out = []
     for b in branches:

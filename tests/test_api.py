@@ -1,19 +1,24 @@
-"""The public boundary: every exported name resolves, and bad scalars are
-rejected with ValidationError.
+"""The public boundary: every exported name resolves, bad scalars are
+rejected with ValidationError, and any other real computes like its float.
 
 Benchmarks and tracers look these names up by module and attribute, so a
 rename or removal shows up here rather than as a failed traced run.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qetsim import audit, kernel, locc, model, protocol
 from qetsim.audit import (
     IonParams,
+    audit_ion,
     audit_minimal,
     f_alpha,
     ion_output,
@@ -22,8 +27,13 @@ from qetsim.audit import (
 )
 from qetsim.errors import ValidationError
 from qetsim.kernel import ID4, evolve_operator, su2
-from qetsim.model import ModelParams, hb_expected
-from qetsim.protocol import BobControl
+from qetsim.model import (
+    ModelParams,
+    build_hamiltonians,
+    ground_state_closed_form,
+    hb_expected,
+)
+from qetsim.protocol import BobControl, evolve_branches, measure_alice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -75,3 +85,46 @@ ION = IonParams(0.5, 2.0, 1.0)
 def test_scalar_that_is_not_a_finite_real_is_rejected(call):
     with pytest.raises(ValidationError):
         call()
+
+
+HAMS = build_hamiltonians(P)
+BRANCHES = measure_alice(ground_state_closed_form(P))
+
+
+def plain(result):
+    """Dataclasses, and tuples of them, as nested tuples for assert_equal."""
+    if dataclasses.is_dataclass(result):
+        return dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        return tuple(map(plain, result))
+    return result
+
+
+# Each raised TypeError, or ValidationError for a type test, before the
+# scalar check returned the float it admitted.
+TWINS = {
+    "from_alpha-Decimal": (lambda v: ModelParams.from_alpha(v, 2.0), Decimal("0.5")),
+    "from_alpha-float32": (ModelParams.from_alpha, np.float32(0.5)),
+    "from_alpha-k-Fraction": (lambda v: ModelParams.from_alpha(0.5, v), Fraction(1, 2)),
+    "hb_expected-Decimal": (lambda v: hb_expected(P, v), Decimal("0.5")),
+    "f_alpha-Fraction": (f_alpha, Fraction(1, 2)),
+    "f_alpha-Decimal": (f_alpha, Decimal("2")),
+    "f_alpha-int64": (f_alpha, np.int64(2)),
+    "scan_alpha-min-Fraction": (lambda v: scan_alpha(v, 1e3, 5), Fraction(1, 2)),
+    "scan_alpha-max-bigint": (lambda v: scan_alpha(0.01, v, 5), 2**70),
+    "scan_alpha-max-Decimal": (lambda v: scan_alpha(0.01, v, 5), Decimal("2")),
+    "product-e-Decimal": (lambda v: uncertainty_product(v, 1.5), Decimal("0.5")),
+    "product-t-Decimal": (lambda v: uncertainty_product(1.5, v), Decimal("0.5")),
+    "audit_minimal-Decimal": (lambda v: audit_minimal(P, v), Decimal("0.5")),
+    "IonParams-Decimal": (lambda v: ion_output(IonParams(1, v, 1), 1), Decimal("2")),
+    "ion_output-Decimal": (lambda v: ion_output(ION, v), Decimal("0.5")),
+    "audit_ion-Decimal": (lambda v: audit_ion(ION, v), Decimal("0.5")),
+    "evolve_operator-Fraction": (lambda v: evolve_operator(ID4, v), Fraction(1, 2)),
+    "branches-Fraction": (lambda v: evolve_branches(BRANCHES, HAMS, v), Fraction(1, 2)),
+    "branches-Decimal": (lambda v: evolve_branches(BRANCHES, HAMS, v), Decimal("0.5")),
+}
+
+
+@pytest.mark.parametrize("call, value", TWINS.values(), ids=TWINS)
+def test_real_of_another_type_computes_like_its_float(call, value):
+    np.testing.assert_equal(plain(call(value)), plain(call(float(value))))

@@ -96,6 +96,22 @@ class TestImports:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_loads_only_the_runtime_dependency(self):
+        # pyproject.toml lists numpy as the one runtime dependency
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        # modules the interpreter loaded at start-up (site hooks) are not counted
+        code = (
+            "import sys; before = set(sys.modules); import qetsim.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+            "- set(sys.stdlib_module_names)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "['numpy', 'qetsim']"
+
 
 class TestGolden:
     def test_model_h3_k4(self, tmp_path):
@@ -395,6 +411,26 @@ class TestSweepCommand:
         assert len(cli._parse_latencies("0:1:0.1")) == 11
         with pytest.raises(ValidationError):
             cli._parse_latencies("0:1.1:0.1")
+
+    @pytest.mark.parametrize(
+        "spec, rows",
+        [
+            ("0:1:0.6", 2),
+            ("0:2.4999:0.00025", 10_000),
+            ("0:1:0.1", 11),
+            ("0:0.3:0.1", 4),
+            ("0:2.5:0.025", 101),
+            ("0:249.99:0.00025", 999_961),
+        ],
+    )
+    def test_range_never_passes_its_stop(self, spec, rows):
+        from qetsim import cli
+
+        start, stop, step = map(float, spec.split(":"))
+        grid = cli._parse_latencies(spec)
+        assert len(grid) == rows
+        # nothing passes stop by more than the slack, and one more step would
+        assert max(grid) <= stop + 1e-9 * step < grid[-1] + step
 
 
 class TestAuditCommand:

@@ -4,7 +4,6 @@ import pytest
 from qetsim.cli import main
 from qetsim.errors import NumericError, ValidationError
 from qetsim.kernel import (
-    _canonical_phase,
     ID2,
     ID4,
     SIGMA_X,
@@ -104,11 +103,6 @@ class TestHermitianEig:
             spec = hermitian_eig(hm)
             self.check_spectrum(hm, spec)
             assert np.allclose(spec.eigenvalues, sorted(diag), atol=1e-12)
-            for i in range(4):
-                v = spec.eigenvectors[:, i]
-                top = v[int(np.argmax(np.abs(v)))]
-                assert top.real > 0
-                assert abs(top.imag) <= 1e-12
 
     def test_solver_failure_is_numeric_error(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -130,33 +124,6 @@ class TestHermitianEig:
             hm = random_hermitian(rng, 4)
             spec = hermitian_eig(hm)
             assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(hm), atol=1e-12)
-
-    def test_canonical_phase(self):
-        rng = np.random.default_rng(99)
-        hm = random_hermitian(rng, 4)
-        spec = hermitian_eig(hm)
-        for i in range(4):
-            v = spec.eigenvectors[:, i]
-            top = v[int(np.argmax(np.abs(v)))]
-            assert top.real > 0
-            assert abs(top.imag) <= 1e-12
-
-    def test_canonical_phase_matches_column_loop(self):
-        def per_column(v):
-            out = v.copy()
-            for i in range(out.shape[1]):
-                col = out[:, i]
-                z = col[int(np.argmax(np.abs(col)))]
-                if abs(z) > 0.0:
-                    out[:, i] = col * (np.conj(z) / abs(z))
-            return out
-
-        rng = np.random.default_rng(17)
-        for n in (2, 4) * 250:
-            v = np.linalg.eigh(random_hermitian(rng, n))[1]
-            assert np.array_equal(_canonical_phase(v), per_column(v))
-        v[:, 1] = 0.0  # a zero column is left as it is, without a warning
-        assert np.array_equal(_canonical_phase(v), per_column(v))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

@@ -22,6 +22,7 @@ from qetsim.model import (
     optimal_rotation_angle,
 )
 from qetsim.protocol import (
+    MODES,
     POLICIES,
     BobControl,
     _branch0_entries,
@@ -217,7 +218,7 @@ class TestExtraction:
     def test_optimizer_angle_matches_analytic(self):
         hams, branches = setup_round(P34)
         result = optimize_bob(branches, hams, mode="family")
-        assert result.control.theta == pytest.approx(
+        assert result.control.angle_axis(0)[0] == pytest.approx(
             optimal_rotation_angle(P34), abs=1e-7
         )
 
@@ -488,3 +489,32 @@ class TestRank2AcrossTheDomain:
             assert full >= family - 32.0 * eps * family - slack
             assert full >= shared - 32.0 * eps * shared - slack
         assert rows["shared"][0] == 0.0  # no classical bit at t = 0
+
+
+class TestClosedFormEqualsSimulation:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(-30.0, 30.0),
+        st.floats(-30.0, 30.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    def test_across_the_domain(self, log_h, log_k, fraction):
+        # h and k log-uniform over the stated domain, t = 0 or up to five
+        # periods of 2s + 2k; the 4x4 simulation is the state-level path
+        p = ModelParams(h=10.0**log_h, k=10.0**log_k)
+        width = 4.0 * p.energy_scale  # spectral width of H_tot
+        t = fraction * 5.0 * 2.0 * math.pi / (2.0 * p.energy_scale + 2.0 * p.k)
+        hams = build_hamiltonians(p)
+        evolved = evolve_branches(
+            measure_alice(ground_state_closed_form(p)), hams, t
+        )
+        # absolute: the oracle rounds at the scale of the spectral width,
+        # far above E_B where E_B << eps*s (alpha = 1e-8, say)
+        bound = 8.0 * np.finfo(float).eps * width * (1.0 + width * t)
+        for mode in MODES:
+            closed = extraction_curve(p, [t], "optimize", mode)[0]
+            simulated = optimize_bob(evolved, hams, mode).extracted_energy
+            assert abs(closed - simulated) <= bound
+        closed = extraction_curve(p, [t], "closed-form-theta", "family")[0]
+        after = apply_bob(evolved, BobControl.family(optimal_rotation_angle(p)))
+        assert abs(closed - extracted_energy(evolved, after, hams)) <= bound
