@@ -13,12 +13,14 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NumericError, ValidationError, require_real
 from .formatting import fmt, fnum
-from .model import ModelParams, _f_curve, e_b_closed
+from .model import PARAM_MAX, PARAM_MIN, ModelParams, _f_curve, e_b_closed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "THRESHOLD",
@@ -49,9 +51,22 @@ CLAIMED_F_MAX = 0.13
 # Largest scan grid; more points would allocate gigabytes before failing.
 MAX_SCAN_POINTS = 1_000_000
 
+# Largest alpha = h/k of the stated domain.  Up to it every intermediate of
+# `_f_curve` is a normal float and f(alpha) ~ 1/(2 alpha); past about 1.2e77
+# (a^2+2)^2 overflows, and f would read 0, then nan.
+_ALPHA_MAX = PARAM_MAX / PARAM_MIN
+
 # With x = alpha^2, f'(alpha) = 0 reduces to x^2 - 3x - 1 = 0.  Its one positive
 # root is f's only stationary point, and f -> 0 at both ends: the global maximum.
 _ALPHA_STAR = math.sqrt((3.0 + math.sqrt(13.0)) / 2.0)
+
+
+def _require_alpha(alpha, what: str, gt: float) -> float:
+    """`alpha` as a float in (gt, _ALPHA_MAX], else ValidationError."""
+    alpha = require_real(alpha, what, gt=gt)
+    if alpha > _ALPHA_MAX:
+        raise ValidationError(f"{what} must be <= {_ALPHA_MAX:g}, the largest h/k")
+    return alpha
 
 
 def f_alpha(alpha: float) -> float:
@@ -59,10 +74,10 @@ def f_alpha(alpha: float) -> float:
 
     ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + a^2/(a^2+2)^2) - 1), evaluated
     without cancellation by the same helper as `e_b_closed`, so it equals
-    e_b_closed(alpha*k, k)/k for every k.
+    e_b_closed(alpha*k, k)/k for every k.  alpha lies in (0, 1e60], the
+    range of h/k over the stated domain.
     """
-    alpha = require_real(alpha, "alpha", gt=0.0)
-    return float(_f_curve(alpha))
+    return _f_curve(_require_alpha(alpha, "alpha", gt=0.0))
 
 
 @dataclass(frozen=True)
@@ -79,18 +94,21 @@ class AlphaScanResult:
 def scan_alpha(
     alpha_min: float = 0.01, alpha_max: float = 20.0, points: int = 10_000
 ) -> AlphaScanResult:
-    """Tabulate f over a linear grid of 2 to MAX_SCAN_POINTS points.
+    """Tabulate f over a linear grid of 2 to MAX_SCAN_POINTS points, with
+    0 < alpha_min < alpha_max <= 1e60.
 
     The maximum is exact: f is unimodal, so its maximiser on the range is
     alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
     The audit-grade default covers (0.01, 20] with 10,000 points.
     """
+    import numpy as np
+
     alpha_min = require_real(alpha_min, "alpha_min", gt=0.0)
-    alpha_max = require_real(alpha_max, "alpha_max", gt=alpha_min)
+    alpha_max = _require_alpha(alpha_max, "alpha_max", gt=alpha_min)
     if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     grid = np.linspace(alpha_min, alpha_max, points)
-    values = _f_curve(grid)
+    values = _f_curve(grid, np.sqrt)
     best = float(min(max(_ALPHA_STAR, alpha_min), alpha_max))
     grid.flags.writeable = False
     values.flags.writeable = False

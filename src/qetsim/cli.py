@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 Every numeric printed is recomputed from module operations and formatted
 at 12 significant digits; identical invocations produce byte-identical
 output files.
+
+Each command imports what it computes with: `audit` needs only the scalar
+closed forms, so it starts without numpy; `model`, `scan-alpha`, `run` and
+`sweep` load it when they run.
 """
 
 from __future__ import annotations
@@ -13,9 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import kernel, locc
 from .audit import (
     IonParams,
     audit_ion,
@@ -26,8 +27,8 @@ from .audit import (
 )
 from .errors import NumericError, ValidationError
 from .formatting import fmt, fnum
-from .locc import run_once, sweep_latency, traces_to_csv
 from .model import (
+    POLICIES,
     ModelParams,
     build_hamiltonians,
     diffusion_period,
@@ -36,13 +37,6 @@ from .model import (
     ground_state_closed_form,
     hb_expected,
     spectrum_closed_form,
-)
-from .protocol import (
-    POLICIES,
-    evolve_branches,
-    infused_energy,
-    measure_alice,
-    optimize_bob,
 )
 
 __all__ = ["main", "entry"]
@@ -111,6 +105,11 @@ def _parse_latencies(spec: str) -> list[float]:
 
 def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]], float]:
     """Cross-checked rows (quantity, closed, numeric, residual, tolerance)."""
+    import numpy as np
+
+    from . import kernel
+    from .protocol import evolve_branches, infused_energy, measure_alice, optimize_bob
+
     hams = build_hamiltonians(p)
     closed = ground_state_closed_form(p)
     spectrum_c = spectrum_closed_form(p)
@@ -226,6 +225,8 @@ def cmd_scan_alpha(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import locc
+
     round_args = (_resolve_params(args), args.latency, args.policy, args.mode)
     if args.wire == "alice" and args.listen:
         with locc.open_listener(args.listen) as listener:
@@ -235,16 +236,18 @@ def cmd_run(args) -> int:
     elif args.wire:
         raise ValidationError("wire mode needs --listen (alice) or --connect (bob)")
     else:
-        trace = run_once(*round_args)
-    _emit(traces_to_csv([trace]), args.output)
+        trace = locc.run_once(*round_args)
+    _emit(locc.traces_to_csv([trace]), args.output)
     return 0
 
 
 def cmd_sweep(args) -> int:
+    from . import locc
+
     p = _resolve_params(args)
     grid = _parse_latencies(args.latencies)
-    traces = sweep_latency(p, grid, policy=args.policy, mode=args.mode)
-    _emit(traces_to_csv(traces), args.output)
+    traces = locc.sweep_latency(p, grid, policy=args.policy, mode=args.mode)
+    _emit(locc.traces_to_csv(traces), args.output)
     return 0
 
 

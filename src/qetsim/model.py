@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError, require_real
-from .kernel import ID2, ID4, SIGMA_X, SIGMA_Z, kron
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PARAM_MIN",
     "PARAM_MAX",
+    "POLICIES",
     "ModelParams",
     "HamiltonianSet",
     "GroundState",
@@ -45,6 +47,11 @@ __all__ = [
 PARAM_MIN = 1e-30
 PARAM_MAX = 1e30
 
+# A round's two ways of choosing Bob's control, described at
+# `protocol.extraction_curve`; kept here so the CLI offers them without
+# loading numpy.
+POLICIES = ("optimize", "closed-form-theta")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -59,7 +66,9 @@ class ModelParams:
     def __post_init__(self):
         for name, value in (("h", self.h), ("k", self.k)):
             if not isinstance(value, (int, float)):  # the wire hello JSON-encodes it
-                raise ValidationError(f"{name} must be a finite number")
+                raise ValidationError(
+                    f"{name} must be an int or a float, not {type(value).__name__}"
+                )
             require_real(value, name)
             if not PARAM_MIN <= value <= PARAM_MAX:
                 raise ValidationError(
@@ -108,6 +117,8 @@ def build_hamiltonians(p: ModelParams) -> HamiltonianSet:
     V = 2k*sigma_x^A sigma_x^B + 2k^2/s with s = sqrt(h^2+k^2);
     the offsets cancel the raw ground energy -2s exactly.
     """
+    from .kernel import ID2, ID4, SIGMA_X, SIGMA_Z, kron
+
     h, k = p.h, p.k
     s = p.energy_scale
     h_a = h * kron(SIGMA_Z, ID2) + (h * h / s) * ID4
@@ -127,6 +138,8 @@ def ground_state_closed_form(p: ModelParams) -> GroundState:
     amp(|++>) is computed as k/sqrt(2s(s+h)), which does not cancel when
     h >> k.
     """
+    import numpy as np
+
     s = p.energy_scale
     amp_pp = p.k / math.sqrt(2.0 * s * (s + p.h))
     amp_mm = -math.sqrt((1.0 + p.h / s) / 2.0)
@@ -159,15 +172,17 @@ def hb_expected(p: ModelParams, t: float) -> float:
     return e_a_closed(p) / 2.0 * (1.0 - math.cos(4.0 * p.k * t))
 
 
-def _f_curve(alpha):
-    """E_B/k at h = alpha*k for a scalar or an array of alphas, unvalidated.
+def _f_curve(alpha, sqrt=math.sqrt):
+    """E_B/k at h = alpha*k, unvalidated: a float, or with `sqrt=np.sqrt`
+    an array of alphas (both square roots are correctly rounded).
 
     ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + x) - 1) with x = a^2/(a^2+2)^2, the
     bracket taken as x/(sqrt(1 + x) + 1) so it does not cancel for small x.
     """
     a2 = alpha * alpha
-    x = a2 / (a2 + 2.0) ** 2
-    return (a2 + 2.0) / np.sqrt(a2 + 1.0) * (x / (np.sqrt(1.0 + x) + 1.0))
+    d = a2 + 2.0
+    x = a2 / (d * d)  # not d ** 2: a float's ** is libm pow, not correctly rounded
+    return d / sqrt(a2 + 1.0) * (x / (sqrt(1.0 + x) + 1.0))
 
 
 def e_b_closed(p: ModelParams) -> float:
@@ -177,7 +192,7 @@ def e_b_closed(p: ModelParams) -> float:
     ((h^2+2k^2)/s) * (sqrt(1 + h^2 k^2/(h^2+2k^2)^2) - 1) and to
     sqrt(h^2+4k^2) - (h^2+2k^2)/s.
     """
-    return p.k * float(_f_curve(p.alpha))
+    return p.k * _f_curve(p.alpha)
 
 
 def diffusion_period(p: ModelParams) -> float:

@@ -33,7 +33,13 @@ import numpy as np
 from . import kernel
 from .errors import NumericError, ValidationError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import GroundState, HamiltonianSet, ModelParams, optimal_rotation_angle
+from .model import (
+    POLICIES,
+    GroundState,
+    HamiltonianSet,
+    ModelParams,
+    optimal_rotation_angle,
+)
 
 __all__ = [
     "MODES",
@@ -53,10 +59,9 @@ __all__ = [
 
 Y_AXIS = (0.0, 1.0, 0.0)
 
-# Bob's control sets, described at `optimize_bob`, and a round's two ways
-# of choosing his control, described at `extraction_curve`.
+# Bob's control sets, described at `optimize_bob`; `POLICIES`, re-exported
+# from `model`, are a round's two ways of choosing his control.
 MODES = ("family", "full", "shared")
-POLICIES = ("optimize", "closed-form-theta")
 
 
 @dataclass(frozen=True)

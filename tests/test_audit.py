@@ -22,7 +22,7 @@ from qetsim.audit import (
     verdict_for,
 )
 from qetsim.errors import NumericError, ValidationError
-from qetsim.model import ModelParams, e_b_closed
+from qetsim.model import ModelParams, _f_curve, e_b_closed
 
 # stationary point of the extraction curve: alpha*^2 = (3 + sqrt(13)) / 2
 ALPHA_STAR = 1.8173540210239707
@@ -80,6 +80,27 @@ class TestFAlpha:
         # alpha log-uniform over [1e-60, 1e60], the range of h/k
         assert 0.0 < f_alpha(10.0**log_alpha) < 0.15
 
+    def test_largest_alpha_of_the_domain(self):
+        # f(alpha) = 1/(2 alpha) + O(alpha^-3)
+        assert f_alpha(1e60) == pytest.approx(0.5e-60, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0000000000000002e60, 1e100, 1e200, 1e308])
+    def test_rejects_alpha_past_the_domain(self, alpha):
+        # (a^2+2)^2 overflows past alpha = 1.2e77, and a^2 past 1.3e154
+        with pytest.raises(ValidationError, match="alpha must be <= 1e\\+60"):
+            f_alpha(alpha)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-60.0, 60.0))
+    def test_scalar_and_array_square_roots_agree(self, log_alpha):
+        # the audit JSON (math.sqrt) and the scan CSV (np.sqrt) share one
+        # formula; both square roots are correctly rounded and both paths
+        # square by multiplying, so they agree bit for bit
+        alpha = 10.0**log_alpha
+        scalar = _f_curve(alpha)
+        assert type(scalar) is float
+        assert scalar == _f_curve(np.array([alpha]), np.sqrt)[0]
+
 
 class TestScan:
     def test_below_one_everywhere(self):
@@ -126,6 +147,16 @@ class TestScan:
             scan_alpha(alpha_min=0.0)
         with pytest.raises(ValidationError):
             scan_alpha(points=1)
+
+    @pytest.mark.parametrize("alpha_min", [1e100, 1e200])
+    def test_rejects_alpha_past_the_domain(self, alpha_min):
+        with pytest.raises(ValidationError, match="alpha_max must be <= 1e\\+60"):
+            scan_alpha(alpha_min, 10.0 * alpha_min, 2)
+
+    def test_largest_alpha_of_the_domain(self):
+        result = scan_alpha(1e59, 1e60, 2)
+        assert result.values[-1] == f_alpha(1e60)
+        assert result.argmax_alpha == 1e59
 
     def test_maximum_is_exact(self):
         result = scan_alpha(points=100)

@@ -56,24 +56,24 @@ class TestUsage:
         assert "h=" in captured.err and "stated domain" in captured.err
 
     def test_numeric_failure_exit_3(self, monkeypatch, capsys):
-        from qetsim import cli
+        from qetsim import cli, locc
         from qetsim.errors import NumericError
 
         def boom(*args, **kwargs):
             raise NumericError("synthetic")
 
-        monkeypatch.setattr(cli, "run_once", boom)
+        monkeypatch.setattr(locc, "run_once", boom)
         assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
     def test_numeric_failure_shows_the_best_value(self, monkeypatch, capsys):
-        from qetsim import cli
+        from qetsim import cli, locc
         from qetsim.errors import NumericError
 
         def boom(*args, **kwargs):
             raise NumericError("synthetic", best=0.125)
 
-        monkeypatch.setattr(cli, "run_once", boom)
+        monkeypatch.setattr(locc, "run_once", boom)
         assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -96,21 +96,69 @@ class TestImports:
         )
         assert out.stdout.strip() == "[]"
 
-    def test_cli_import_loads_only_the_runtime_dependency(self):
-        # pyproject.toml lists numpy as the one runtime dependency
+    @staticmethod
+    def third_party_modules(code):
+        """Top-level third-party modules (qetsim aside) that `code` loads in a
+        fresh interpreter; those loaded at start-up (site hooks) don't count."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        # modules the interpreter loaded at start-up (site hooks) are not counted
-        code = (
-            "import sys; before = set(sys.modules); import qetsim.cli; "
-            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
-            "- set(sys.stdlib_module_names)))"
+        script = (
+            "import sys; before = set(sys.modules); assert 'numpy' not in before\n"
+            f"{code}\n"
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'qetsim'}))"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "['numpy', 'qetsim']"
+        return out.stdout.strip()
+
+    def test_cli_import_adds_no_third_party_module(self):
+        assert self.third_party_modules("import qetsim.cli") == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            pytest.param(
+                ["audit", "minimal", "--alpha", "2", "--time", "0.25"], "[]",
+                id="audit-minimal",
+            ),
+            pytest.param(
+                ["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu", "1",
+                 "--time", "1"], "[]",
+                id="audit-ion",
+            ),
+            pytest.param(
+                ["run", "--alpha", "2", "--latency", "0.1"], "['numpy']", id="run"
+            ),
+            pytest.param(
+                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5"], "['numpy']",
+                id="sweep",
+            ),
+            pytest.param(["model", "--h", "3", "--k", "4"], "['numpy']", id="model"),
+            pytest.param(
+                ["scan-alpha", "--points", "10"], "['numpy']", id="scan-alpha"
+            ),
+        ],
+    )
+    def test_command_loads_numpy_only_for_linear_algebra(self, argv, loaded):
+        # numpy is the one runtime dependency (pyproject.toml); audits are
+        # scalar closed forms and start without it
+        code = (
+            "import contextlib, io; from qetsim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0"
+        )
+        assert self.third_party_modules(code) == loaded
+
+    def test_policy_choices_are_the_protocol_policies(self):
+        from qetsim import cli, protocol
+
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for name in ("run", "sweep"):
+            (policy,) = [a for a in commands[name]._actions if a.dest == "policy"]
+            assert policy.choices is protocol.POLICIES
 
 
 class TestGolden:
@@ -213,6 +261,17 @@ class TestScanCommand:
         # rejected before the grid is allocated
         assert main(["scan-alpha", "--points", points]) == 2
         assert "grid points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("low", ["1e100", "1e200"])
+    def test_alpha_past_the_domain_exit_2(self, low, capsys):
+        # (a^2+2)^2 overflows past alpha = 1.2e77, and a^2 past 1.3e154
+        argv = ["scan-alpha", "--points", "2", "--min-alpha", low]
+        assert main([*argv, "--max-alpha", f"{10 * float(low):g}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qetsim: error: alpha_max must be <= 1e+60, the largest h/k\n"
+        )
 
 
 class TestRunCommand:

@@ -38,8 +38,16 @@ class TestParams:
             ModelParams(h=h, k=k)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            ModelParams(h=float("nan"), k=1.0)
+        for h in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="^h must be finite"):
+                ModelParams(h=h, k=1.0)
+
+    def test_rejects_another_real_type_by_name(self):
+        # the wire hello JSON-encodes h, so only int and float are admitted;
+        # the message names the type, not finiteness, which it has
+        message = "^h must be an int or a float, not float32$"
+        with pytest.raises(ValidationError, match=message):
+            ModelParams(np.float32(0.5), 1.0)
 
     @pytest.mark.parametrize(
         "h,k,name",
