@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .errors import NumericError, ValidationError, require_real
@@ -118,10 +118,12 @@ def scan_alpha(
 
 
 def uncertainty_product(e: float, t: float) -> float:
-    """Energy-time product e*t in hbar = 1 units."""
-    e = require_real(e, "energy", ge=0.0)
-    t = require_real(t, "time", ge=0.0)
-    return e * t
+    """Energy-time product e*t in hbar = 1 units; ValidationError unless
+    it is finite, so a report never prints an Infinity JSON forbids."""
+    product = require_real(e, "energy", ge=0.0) * require_real(t, "time", ge=0.0)
+    if not math.isfinite(product):
+        raise ValidationError("energy*time must be finite")
+    return product
 
 
 def verdict_for(product: float) -> str:
@@ -145,6 +147,14 @@ class AuditReport:
         return "flagged" in self.notes
 
 
+def _report(protocol: str, energy: float, t: float, notes: str) -> AuditReport:
+    """The report of `energy` held for time `t`, with its product and verdict."""
+    product = uncertainty_product(energy, t)
+    return AuditReport(
+        protocol, energy, t, product, THRESHOLD, verdict_for(product), notes
+    )
+
+
 def audit_minimal(p: ModelParams, t: float) -> AuditReport:
     """Audit the minimal protocol: zero-delay extraction against time t.
 
@@ -152,23 +162,13 @@ def audit_minimal(p: ModelParams, t: float) -> AuditReport:
     teleportation regime t <= 1/k the product stays below 1.
     """
     t = require_real(t, "audit time", gt=0.0)
-    energy = e_b_closed(p)
-    product = uncertainty_product(energy, t)
     notes = (
         f"zero-delay optimal extraction f(alpha)*k at alpha={fmt(p.alpha)}; "
         f"teleportation regime requires t well below 1/k={fmt(1.0 / p.k)}; "
         "normalization: site-A field term acts on site A and identity "
         "offsets set the ground energy to zero"
     )
-    return AuditReport(
-        protocol="minimal",
-        energy=energy,
-        time=t,
-        product=product,
-        threshold=THRESHOLD,
-        verdict=verdict_for(product),
-        notes=notes,
-    )
+    return _report("minimal", e_b_closed(p), t, notes)
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,6 @@ def audit_ion(ip: IonParams, t: float) -> AuditReport:
     t = require_real(t, "audit time", gt=0.0)
     maximum = ion_maximize(ip)
     energy = maximum.phonon_scale_output
-    product = uncertainty_product(energy, t)
     parts = [
         f"phonon-scale output gamma*nu*exp(-zeta)={fmt(energy)} at e_in=nu "
         "with sin^2(2*phi)=1",
@@ -262,15 +261,7 @@ def audit_ion(ip: IonParams, t: float) -> AuditReport:
             f"(unconstrained product at t={fmt(t)} would be "
             f"{fmt(maximum.e_out_max * t)})"
         )
-    return AuditReport(
-        protocol="trapped-ion",
-        energy=energy,
-        time=t,
-        product=product,
-        threshold=THRESHOLD,
-        verdict=verdict_for(product),
-        notes="; ".join(parts),
-    )
+    return _report("trapped-ion", energy, t, "; ".join(parts))
 
 
 def scan_to_csv(result: AlphaScanResult) -> str:
@@ -287,14 +278,10 @@ def scan_to_csv(result: AlphaScanResult) -> str:
 
 
 def report_to_json(report: AuditReport) -> str:
-    """One JSON object with exactly the report fields, 12 significant digits."""
-    payload = {
-        "protocol": report.protocol,
-        "energy": fnum(report.energy),
-        "time": fnum(report.time),
-        "product": fnum(report.product),
-        "threshold": fnum(report.threshold),
-        "verdict": report.verdict,
-        "notes": report.notes,
-    }
+    """One JSON object with exactly the report fields in declaration order,
+    floats at 12 significant digits."""
+    payload = {}
+    for field in fields(report):
+        value = getattr(report, field.name)
+        payload[field.name] = fnum(value) if field.type == "float" else value
     return json.dumps(payload)

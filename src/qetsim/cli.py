@@ -162,15 +162,13 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
 def cmd_model(args) -> int:
     p = _resolve_params(args)
     rows, worst = _model_rows(p)
-    period = diffusion_period(p)
     status = "ok" if worst <= 1.0 else "residual-failure"
+    period = diffusion_period(p)
+    head = (("h", p.h), ("k", p.k), ("alpha", p.alpha), ("diffusion period", period))
 
     if args.format == "table":
         lines = ["minimal-model cross-check report"]
-        lines.append(f"{'h':24}{fmt(p.h)}")
-        lines.append(f"{'k':24}{fmt(p.k)}")
-        lines.append(f"{'alpha':24}{fmt(p.alpha)}")
-        lines.append(f"{'diffusion period':24}{fmt(period)}")
+        lines += [f"{name:24}{fmt(value)}" for name, value in head]
         lines.append(
             f"{'quantity':24}{'closed-form':20}{'numeric':20}{'residual':12}tolerance"
         )
@@ -182,32 +180,24 @@ def cmd_model(args) -> int:
         text = "\n".join(lines) + "\n"
     elif args.format == "csv":
         lines = ["quantity,closed,numeric,residual,tolerance"]
-        lines.append(f"h,{fmt(p.h)},,,")
-        lines.append(f"k,{fmt(p.k)},,,")
-        lines.append(f"alpha,{fmt(p.alpha)},,,")
-        lines.append(f"diffusion period,{fmt(period)},,,")
+        lines += [f"{name},{fmt(value)},,," for name, value in head]
         for name, closed_v, numeric_v, resid, tol in rows:
             lines.append(f"{name},{closed_v},{numeric_v},{fmt(resid)},{tol:.0e}")
         lines.append(f"status,{status},,,")
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "h": fnum(p.h),
-            "k": fnum(p.k),
-            "alpha": fnum(p.alpha),
-            "diffusion_period": fnum(period),
-            "checks": [
-                {
-                    "quantity": name,
-                    "closed": float(closed_v),
-                    "numeric": float(numeric_v),
-                    "residual": fnum(resid),
-                    "tolerance": tol,
-                }
-                for name, closed_v, numeric_v, resid, tol in rows
-            ],
-            "status": status,
-        }
+        payload = {name.replace(" ", "_"): fnum(value) for name, value in head}
+        payload["checks"] = [
+            {
+                "quantity": name,
+                "closed": float(closed_v),
+                "numeric": float(numeric_v),
+                "residual": fnum(resid),
+                "tolerance": tol,
+            }
+            for name, closed_v, numeric_v, resid, tol in rows
+        ]
+        payload["status"] = status
         text = json.dumps(payload, indent=2) + "\n"
 
     _emit(text, args.output)

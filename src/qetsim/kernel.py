@@ -121,9 +121,12 @@ def hermitian_eig(m) -> Spectrum:
 
 
 def evolve_operator(h_tot, t: float) -> np.ndarray:
-    """Unitary exp(-i*H*t) built from the eigendecomposition of Hermitian H."""
+    """Unitary exp(-i*H*t) built from the eigendecomposition of Hermitian H;
+    ValidationError unless every phase max|eigenvalue|*t is finite."""
     t = require_real(t, "evolution time")
     spec = hermitian_eig(h_tot)
+    if not math.isfinite(float(np.max(np.abs(spec.eigenvalues))) * t):
+        raise ValidationError("evolution time must keep max|eigenvalue|*t finite")
     phases = np.exp(-1j * spec.eigenvalues * t)
     v = spec.eigenvectors
     return (v * phases) @ v.conj().T

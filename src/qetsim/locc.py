@@ -35,6 +35,10 @@ __all__ = [
 
 WIRE_TIMEOUT = 30.0  # seconds of wall time before a socket read gives up
 
+# A trace's printed values: the CSV columns, and the digest's keys.
+_FIELDS = ("h", "k", "t_c", "e_a", "e_b", "product", "verdict")
+TRACE_CSV_HEADER = ",".join(_FIELDS)
+
 
 @dataclass(frozen=True, init=False)
 class ProtocolTrace:
@@ -67,56 +71,43 @@ class ProtocolTrace:
     def uncertainty_product(self) -> float:
         # Kept recomputable as e_b * t_c even when a fixed-angle policy
         # injects energy (negative extraction); the audit op's e >= 0
-        # contract is not used here.
-        return self.e_b_extracted * self.latency
+        # contract is not used here.  A latency of another real type
+        # (np.float32, Decimal) counts as its float.
+        return self.e_b_extracted * float(self.latency)
 
     @property
     def verdict(self) -> str:
         return verdict_for(self.uncertainty_product)
 
+    def _cells(self) -> list[str]:
+        """The printed values, in `_FIELDS` order."""
+        p, product = self.params, self.uncertainty_product
+        values = (p.h, p.k, self.latency, self.e_a, self.e_b_extracted, product)
+        return [*map(fmt, values), verdict_for(product)]
+
     def digest(self) -> str:
         """SHA-256 over the canonical 12-significant-digit serialisation.
 
-        The events rows record the round's fixed schedule: Alice measures
-        and sends at t = 0, Bob receives and extracts at t_c.
+        The payload holds the CSV cells with policy and mode after t_c.  The
+        events rows record the round's fixed schedule: Alice measures and
+        sends at t = 0, Bob receives and extracts at t_c.
         """
-        t_c = fmt(self.latency)
-        payload = {
-            "h": fmt(self.params.h),
-            "k": fmt(self.params.k),
-            "t_c": t_c,
-            "policy": self.policy,
-            "mode": self.mode,
-            "e_a": fmt(self.e_a),
-            "e_b": fmt(self.e_b_extracted),
-            "product": fmt(self.uncertainty_product),
-            "verdict": self.verdict,
-            "events": [
-                ["0", "alice", "measure"],
-                ["0", "alice", "send"],
-                [t_c, "bob", "deliver"],
-                [t_c, "bob", "extract"],
-            ],
-        }
+        cells = self._cells()
+        t_c = cells[2]
+        payload = dict(zip(_FIELDS[:3], cells[:3]))
+        payload.update(policy=self.policy, mode=self.mode)
+        payload.update(zip(_FIELDS[3:], cells[3:]))
+        payload["events"] = [
+            ["0", "alice", "measure"],
+            ["0", "alice", "send"],
+            [t_c, "bob", "deliver"],
+            [t_c, "bob", "extract"],
+        ]
         blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
     def csv_row(self) -> str:
-        p = self.params
-        return ",".join(
-            [
-                fmt(p.h),
-                fmt(p.k),
-                fmt(self.latency),
-                fmt(self.e_a),
-                fmt(self.e_b_extracted),
-                fmt(self.uncertainty_product),
-                self.verdict,
-            ]
-        )
-
-
-TRACE_CSV_HEADER = "h,k,t_c,e_a,e_b,product,verdict"
+        return ",".join(self._cells())
 
 
 def run_once(
@@ -148,7 +139,10 @@ def sweep_latency(
     latencies), with no 4x4 model, measurement, eigendecomposition or SVD.
     E_A is the closed form h^2/s.
     """
-    grid = list(grid)
+    try:
+        grid = list(grid)
+    except TypeError:  # not iterable: None, a bare number
+        grid = []
     if not grid:
         raise ValidationError("latency grid must be a non-empty list of numbers")
     e_b = extraction_curve(p, grid, policy, mode)

@@ -169,7 +169,10 @@ def hb_expected(p: ModelParams, t: float) -> float:
     (h^2 / 2s) * (1 - cos(4kt)); period pi/(2k), peak h^2/s.
     """
     t = require_real(t, "diffusion time", ge=0.0)
-    return e_a_closed(p) / 2.0 * (1.0 - math.cos(4.0 * p.k * t))
+    phase = 4.0 * p.k * t
+    if not math.isfinite(phase):
+        raise ValidationError("diffusion time must keep the phase 4*k*t finite")
+    return e_a_closed(p) / 2.0 * (1.0 - math.cos(phase))
 
 
 def _f_curve(alpha, sqrt=math.sqrt):

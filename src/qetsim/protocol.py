@@ -25,7 +25,6 @@ state-level API (`optimize_bob`) and the tests' oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,10 +275,10 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
     """E_B at every latency of `times`, in closed form, shape (len(times),).
 
     Checks policy, mode and times, in that order.  Times must be a flat
-    list of real numbers (bool, int, float, numpy's, or any numbers.Real;
-    no str, bytes or complex) >= 0 with 4*s*t finite: E_B <= 4s, so the
-    bound keeps the phases 2st, 2kt and the product E_B*t finite; a NaN
-    fails both comparisons.
+    list of real numbers (bool, int, float, numpy's, or any value
+    `errors.require_real` admits; no str, bytes or complex) >= 0 with
+    4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st, 2kt and
+    the product E_B*t finite; a NaN fails both comparisons.
 
     The energy is read off branch 0's M entries (`_branch0_entries`).
     Both branches give up the same energy: branch 1's sign flips leave the
@@ -301,10 +300,10 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
     try:
         t = np.asarray(times)
-        if t.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in t.flat):
-            t = t.astype(float)  # ints beyond int64, Fractions
-    except (ValueError, OverflowError) as exc:  # ragged nesting, an int past float
+    except ValueError as exc:  # ragged nesting
         raise ValidationError("latencies must be a flat list of real numbers") from exc
+    if t.dtype.kind == "O":  # ints beyond int64, Fractions, Decimals
+        t = np.array([require_real(x, "latency") for x in t.flat]).reshape(t.shape)
     if t.ndim != 1 or t.dtype.kind not in "biuf":  # no str, bytes or complex
         raise ValidationError("latencies must be a flat list of real numbers")
     t = t.astype(float, copy=False)

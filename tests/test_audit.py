@@ -213,6 +213,15 @@ class TestUncertainty:
         with pytest.raises(ValidationError):
             uncertainty_product(0.1, -1.0)
 
+    def test_rejects_product_that_overflows(self):
+        # e*t = inf once reached the report, whose JSON then read Infinity
+        with pytest.raises(ValidationError, match="energy\\*time must be finite"):
+            uncertainty_product(1e200, 1e200)
+        with pytest.raises(ValidationError):
+            audit_minimal(ModelParams(1e30, 1e30), 1e300)
+        with pytest.raises(ValidationError):
+            audit_ion(IonParams(gamma_n=1.0, zeta_n=0.5, nu=1e300), 1e300)
+
     def test_verdict_monotone(self):
         assert verdict_for(0.999999) == "unobservable"
         assert verdict_for(1.0) == "observable"

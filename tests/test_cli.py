@@ -167,6 +167,13 @@ class TestGolden:
         assert code == 0
         assert got == (GOLDEN / "model_h3_k4.txt").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_model_h3_k4_formats(self, fmt, tmp_path):
+        argv = ["model", "--h", "3", "--k", "4", "--format", fmt]
+        code, got = run_cli(argv, tmp_path)
+        assert code == 0
+        assert got == (GOLDEN / f"model_h3_k4.{fmt}").read_bytes()
+
     def test_scan_alpha_100(self, tmp_path):
         code, got = run_cli(["scan-alpha", "--points", "100"], tmp_path)
         assert code == 0
@@ -538,6 +545,20 @@ class TestAuditCommand:
         argv = ["audit", "ion", "--gamma", "1", "--zeta", "1e-10", "--nu", "1e300"]
         assert main([*argv, "--time", "1e-300"]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimal", "--h", "1e30", "--k", "1e30"],
+            ["ion", "--gamma", "1", "--zeta", "0.5", "--nu", "1e300"],
+        ],
+    )
+    def test_product_overflow_exit_2(self, argv, capsys):
+        # exit 0 with "product": Infinity, which is not JSON
+        assert main(["audit", *argv, "--time", "1e300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "energy*time must be finite" in err
 
     def test_exit_zero_either_verdict(self, tmp_path):
         code_a, _ = run_cli(

@@ -166,6 +166,11 @@ class TestEvolveOperator:
         with pytest.raises(ValidationError):
             evolve_operator(SIGMA_Z, np.inf)
 
+    def test_rejects_time_whose_phase_overflows(self):
+        # max|lambda|*t = inf gave an all-NaN "unitary" and a RuntimeWarning
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_operator(1e30 * SIGMA_Z, 1e300)
+
 
 class TestExpectation:
     def test_plus_plus_sigma_z(self):

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import math
 import socket
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from qetsim import kernel, model, protocol
 from qetsim.audit import verdict_for
+from qetsim.cli import _parse_latencies
 from qetsim.errors import ProtocolError, ValidationError
 from qetsim.locc import (
     TRACE_CSV_HEADER,
@@ -180,6 +183,8 @@ class TestSweep:
             [0.0, 1.0, math.inf],
             [-math.inf, 0.0],
             [[0.1]],
+            0.5,  # not iterable: list(grid) leaked TypeError
+            None,
         ],
     )
     def test_grid_checked_once_at_the_boundary(self, grid):
@@ -213,6 +218,19 @@ class TestSweep:
             assert row.latency == t_c
             assert row.e_b_extracted == run_once(P21, float(t_c)).e_b_extracted
             assert len(row.digest()) == 64
+
+    @pytest.mark.parametrize(
+        "latency",
+        [np.float32(0.3), np.int64(2), Fraction(1, 3), 10**20, Decimal("0.5")],
+    )
+    def test_latency_counts_as_its_float(self, latency):
+        # an np.float32 latency gave an np.float32 product, whose CSV cell
+        # and digest differed from its float twin's; a Decimal was rejected
+        row, twin = run_once(P34, latency), run_once(P34, float(latency))
+        assert type(row.uncertainty_product) is float
+        assert row.uncertainty_product == twin.uncertainty_product
+        assert row.csv_row() == twin.csv_row()
+        assert row.digest() == twin.digest()
 
     def test_rejects_latency_whose_phase_overflows(self):
         # 4*s*t_c overflows: the phases 2st and the product E_B*t_c with it
@@ -355,6 +373,32 @@ def test_sweep_rows_match_per_point_rounds(alpha, k, fractions):
             assert abs(row.e_a - infused) <= 1e-12 * row.e_a
             assert abs(row.e_b_extracted - oracle_e_b(p, t_c, policy, mode)) <= tol
             assert row.uncertainty_product == row.e_b_extracted * t_c
+
+
+class TestDriftGrid:
+    # The drift grid pins every printed digit of 4,444 trace rows: latencies
+    # 0:2.5:0.025 at k = 1, alpha-major, four (policy, mode) configurations.
+    ALPHAS = (1e-8, 1e-4, 0.1, 0.5, 1, 1.817, 2, 3, 10, 1e4, 1e8)
+    CONFIGS = (
+        ("optimize", "family"),
+        ("optimize", "full"),
+        ("optimize", "shared"),
+        ("closed-form-theta", "family"),
+    )
+    HASH = "642d60d4467cddbddb5474b19e13fab167a5eaa2d175f0cb992cab77af93a4a7"
+
+    def test_digest_hash(self):
+        grid = [0.025 * i for i in range(101)]
+        assert grid == _parse_latencies("0:2.5:0.025")
+        sha, rows = hashlib.sha256(), 0
+        for alpha in self.ALPHAS:
+            p = ModelParams.from_alpha(alpha)
+            for policy, mode in self.CONFIGS:
+                for row in sweep_latency(p, grid, policy=policy, mode=mode):
+                    sha.update(row.digest().encode())
+                    rows += 1
+        assert rows == 4444
+        assert sha.hexdigest() == self.HASH
 
 
 class TestCsv:

@@ -177,6 +177,11 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             hb_expected(P34, -0.1)
 
+    def test_hb_rejects_time_whose_phase_overflows(self):
+        # 4kt = inf: math.cos leaked "ValueError: math domain error"
+        with pytest.raises(ValidationError, match="4\\*k\\*t finite"):
+            hb_expected(ModelParams(1.0, 1e30), 1e300)
+
     def test_e_b_at_3_4(self):
         assert e_b_closed(P34) == pytest.approx(E_B_34, rel=1e-14, abs=0.0)
 

@@ -136,6 +136,12 @@ class TestEvolution:
         with pytest.raises(ValidationError):
             evolve_branches(branches, hams, -0.5)
 
+    def test_rejects_time_whose_phase_overflows(self):
+        # the branches came back all NaN, with only a RuntimeWarning
+        hams, branches = setup_round(ModelParams(1.0, 1e30))
+        with pytest.raises(ValidationError):
+            evolve_branches(branches, hams, 1e300)
+
 
 class TestBobControl:
     def test_zero_angle_is_identity(self):
