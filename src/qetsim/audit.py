@@ -13,14 +13,10 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 from .errors import NumericError, ValidationError, require_real
 from .formatting import fmt, fnum
 from .model import PARAM_MAX, PARAM_MIN, ModelParams, _f_curve, e_b_closed
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "THRESHOLD",
@@ -84,8 +80,8 @@ def f_alpha(alpha: float) -> float:
 class AlphaScanResult:
     """Tabulated f(alpha) with the exact maximum on the range and the claim."""
 
-    grid: np.ndarray
-    values: np.ndarray
+    grid: tuple[float, ...]
+    values: tuple[float, ...]
     argmax_alpha: float
     max_value: float
     claimed_max: float = CLAIMED_F_MAX
@@ -97,21 +93,21 @@ def scan_alpha(
     """Tabulate f over a linear grid of 2 to MAX_SCAN_POINTS points, with
     0 < alpha_min < alpha_max <= 1e60.
 
+    Point i is i*step + alpha_min with step = (alpha_max - alpha_min)/(points - 1),
+    and the last is alpha_max itself: numpy's `linspace`, in plain floats.
+
     The maximum is exact: f is unimodal, so its maximiser on the range is
     alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
     The audit-grade default covers (0.01, 20] with 10,000 points.
     """
-    import numpy as np
-
     alpha_min = require_real(alpha_min, "alpha_min", gt=0.0)
     alpha_max = _require_alpha(alpha_max, "alpha_max", gt=alpha_min)
     if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
-    grid = np.linspace(alpha_min, alpha_max, points)
-    values = _f_curve(grid, np.sqrt)
-    best = float(min(max(_ALPHA_STAR, alpha_min), alpha_max))
-    grid.flags.writeable = False
-    values.flags.writeable = False
+    step = (alpha_max - alpha_min) / (points - 1)
+    grid = tuple([i * step + alpha_min for i in range(points - 1)] + [alpha_max])
+    values = tuple(map(_f_curve, grid))
+    best = min(max(_ALPHA_STAR, alpha_min), alpha_max)
     return AlphaScanResult(
         grid=grid, values=values, argmax_alpha=best, max_value=f_alpha(best)
     )
@@ -254,12 +250,17 @@ def audit_ion(ip: IonParams, t: float) -> AuditReport:
         f"phonon timescale 1/nu={fmt(1.0 / ip.nu)}",
     ]
     if ip.zeta_n < 1.0:
+        unconstrained = maximum.e_out_max * t
+        outcome = (
+            f"be {fmt(unconstrained)}"
+            if math.isfinite(unconstrained)
+            else "exceed the float range"
+        )
         parts.append(
             f"flagged regime: zeta_n={fmt(ip.zeta_n)} < 1, the unconstrained "
             "maximizer exceeds the phonon energy and the "
             "e_out < nu*exp(-zeta_n) bound chain does not apply "
-            f"(unconstrained product at t={fmt(t)} would be "
-            f"{fmt(maximum.e_out_max * t)})"
+            f"(unconstrained product at t={fmt(t)} would {outcome})"
         )
     return _report("trapped-ion", energy, t, "; ".join(parts))
 

@@ -5,9 +5,9 @@ Every numeric printed is recomputed from module operations and formatted
 at 12 significant digits; identical invocations produce byte-identical
 output files.
 
-Each command imports what it computes with: `audit` needs only the scalar
-closed forms, so it starts without numpy; `model`, `scan-alpha`, `run` and
-`sweep` load it when they run.
+Each command imports what it computes with: `audit` and `scan-alpha` need
+only the scalar closed forms, so they start without numpy; `model`, `run`
+and `sweep` load it when they run.
 """
 
 from __future__ import annotations
@@ -108,7 +108,13 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     import numpy as np
 
     from . import kernel
-    from .protocol import evolve_branches, infused_energy, measure_alice, optimize_bob
+    from .protocol import (
+        branch_average,
+        evolve_branches,
+        infused_energy,
+        measure_alice,
+        optimize_bob,
+    )
 
     hams = build_hamiltonians(p)
     closed = ground_state_closed_form(p)
@@ -117,7 +123,7 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
 
     # Phase-align the numeric ground vector to the closed form for
     # amplitude-by-amplitude residuals (global phase is not physical).
-    overlap = complex(np.vdot(numeric.ground_vector, closed.state))
+    overlap = complex(np.vdot(numeric.ground_vector, closed))
     if overlap == 0.0:
         raise NumericError("numeric ground vector is orthogonal to the closed form")
     aligned = numeric.ground_vector * (overlap / abs(overlap))
@@ -126,10 +132,7 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     branches = measure_alice(closed)
     e_a_sim = infused_energy(branches, hams)
     peak_time = math.pi / (4.0 * p.k)
-    evolved = evolve_branches(branches, hams, peak_time)
-    hb_sim = sum(
-        b.probability * kernel.expectation(b.state, hams.h_b) for b in evolved
-    )
+    hb_sim = branch_average(evolve_branches(branches, hams, peak_time), hams.h_b)
     extraction = optimize_bob(branches, hams, mode="family")
 
     rows = []
@@ -147,7 +150,7 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     for i in range(4):
         row(
             f"amplitude {basis[i]}",
-            float(closed.state[i].real),
+            float(closed[i].real),
             float(aligned[i].real),
             1e-10,
         )

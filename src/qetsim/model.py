@@ -27,7 +27,6 @@ __all__ = [
     "POLICIES",
     "ModelParams",
     "HamiltonianSet",
-    "GroundState",
     "build_hamiltonians",
     "ground_state_closed_form",
     "spectrum_closed_form",
@@ -103,13 +102,6 @@ class HamiltonianSet:
     h_tot: np.ndarray
 
 
-@dataclass(frozen=True)
-class GroundState:
-    """Normalised ground state; its energy is zero in this normalisation."""
-
-    state: np.ndarray
-
-
 def build_hamiltonians(p: ModelParams) -> HamiltonianSet:
     """Assemble the two site Hamiltonians and the coupling.
 
@@ -130,8 +122,9 @@ def build_hamiltonians(p: ModelParams) -> HamiltonianSet:
     return HamiltonianSet(h_a=h_a, h_b=h_b, v=v, h_tot=h_tot)
 
 
-def ground_state_closed_form(p: ModelParams) -> GroundState:
-    """Entangled ground state: amplitudes on |++> and |--> only.
+def ground_state_closed_form(p: ModelParams) -> np.ndarray:
+    """Entangled ground state, a read-only (4,) complex array: amplitudes
+    on |++> and |--> only, energy zero in this normalisation.
 
     amp(|++>) = sqrt((1 - h/s)/2), amp(|-->) = -sqrt((1 + h/s)/2);
     normalised identically and an exact eigenvector with eigenvalue 0.
@@ -145,7 +138,7 @@ def ground_state_closed_form(p: ModelParams) -> GroundState:
     amp_mm = -math.sqrt((1.0 + p.h / s) / 2.0)
     state = np.array([amp_pp, 0.0, 0.0, amp_mm], dtype=complex)
     state.flags.writeable = False
-    return GroundState(state=state)
+    return state
 
 
 def spectrum_closed_form(p: ModelParams) -> tuple[float, float, float, float]:
@@ -175,9 +168,8 @@ def hb_expected(p: ModelParams, t: float) -> float:
     return e_a_closed(p) / 2.0 * (1.0 - math.cos(phase))
 
 
-def _f_curve(alpha, sqrt=math.sqrt):
-    """E_B/k at h = alpha*k, unvalidated: a float, or with `sqrt=np.sqrt`
-    an array of alphas (both square roots are correctly rounded).
+def _f_curve(alpha: float) -> float:
+    """E_B/k at h = alpha*k, unvalidated.
 
     ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + x) - 1) with x = a^2/(a^2+2)^2, the
     bracket taken as x/(sqrt(1 + x) + 1) so it does not cancel for small x.
@@ -185,7 +177,7 @@ def _f_curve(alpha, sqrt=math.sqrt):
     a2 = alpha * alpha
     d = a2 + 2.0
     x = a2 / (d * d)  # not d ** 2: a float's ** is libm pow, not correctly rounded
-    return d / sqrt(a2 + 1.0) * (x / (sqrt(1.0 + x) + 1.0))
+    return d / math.sqrt(a2 + 1.0) * (x / (math.sqrt(1.0 + x) + 1.0))
 
 
 def e_b_closed(p: ModelParams) -> float:

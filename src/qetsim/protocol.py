@@ -2,8 +2,8 @@
 extraction, and exact maximisation of the extracted energy.
 
 Measurement is handled by exhaustive branch enumeration (both outcomes with
-their exact probabilities), never by sampling, so every quantity downstream
-is deterministic.  Bob's optimum has a closed form in every mode, with no
+their exact probabilities, held as one pair of arrays, `Branches`), never
+by sampling, so every quantity downstream is deterministic.  Bob's optimum has a closed form in every mode, with no
 numerical search: a branch's energy is const + tr(R^T M) in the site-B
 rotation R, with one 3x3 Wahba matrix M per branch.  The sigma_y family is a
 sinusoid in 2*theta with coefficients read off M.  M's y row is zero, so
@@ -32,20 +32,15 @@ import numpy as np
 from . import kernel
 from .errors import NumericError, ValidationError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import (
-    POLICIES,
-    GroundState,
-    HamiltonianSet,
-    ModelParams,
-    optimal_rotation_angle,
-)
+from .model import POLICIES, HamiltonianSet, ModelParams, optimal_rotation_angle
 
 __all__ = [
     "MODES",
-    "OutcomeBranch",
+    "Branches",
     "BobControl",
     "ExtractionResult",
     "measure_alice",
+    "branch_average",
     "infused_energy",
     "evolve_branches",
     "apply_bob",
@@ -64,12 +59,18 @@ MODES = ("family", "full", "shared")
 
 
 @dataclass(frozen=True)
-class OutcomeBranch:
-    """One measurement outcome with its probability and post-measurement state."""
+class Branches:
+    """Both measurement outcomes of a round; row mu is outcome mu.
 
-    mu: int
-    probability: float
-    state: np.ndarray  # (4,) complex, unit norm
+    Both arrays are made read-only here.
+    """
+
+    probabilities: np.ndarray  # (2,) float
+    states: np.ndarray  # (2, 4) complex, unit rows
+
+    def __post_init__(self):
+        self.probabilities.flags.writeable = False
+        self.states.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -110,95 +111,75 @@ class ExtractionResult:
     per_branch_energy: tuple[float, float]
 
 
-def _projector(mu: int) -> np.ndarray:
-    """P_A(mu) = (1 + (-1)^mu sigma_x^A) / 2."""
-    sign = 1.0 if mu == 0 else -1.0
-    return (ID4 + sign * kron(SIGMA_X, ID2)) / 2.0
+# The sign (-1)^mu per branch.
+_MU_SIGNS = np.array([1.0, -1.0])
 
-
-def measure_alice(g: GroundState) -> tuple[OutcomeBranch, OutcomeBranch]:
-    """Project the ground state onto both sigma_x^A outcomes.
-
-    Branch mu has probability <g|P_A(mu)|g> and normalised state
-    P_A(mu)|g>/sqrt(p).  Probabilities sum to 1 within 1e-12.
-    """
-    psi = kernel.require_finite(g.state, "ground state")
-    branches = []
-    for mu in (0, 1):
-        proj = _projector(mu)
-        raw = proj @ psi
-        prob = expectation(psi, proj)
-        if prob < 1e-12:
-            raise NumericError(f"degenerate measurement branch mu={mu}")
-        state = raw / math.sqrt(prob)
-        state.flags.writeable = False
-        branches.append(OutcomeBranch(mu=mu, probability=prob, state=state))
-    total = branches[0].probability + branches[1].probability
-    if abs(total - 1.0) > kernel.TOL:
-        raise NumericError(f"branch probabilities sum to {total}, not 1")
-    return branches[0], branches[1]
-
-
-def infused_energy(branches, hams: HamiltonianSet) -> float:
-    """Average post-measurement energy above the (zero) ground energy."""
-    return sum(
-        b.probability * expectation(b.state, hams.h_tot) for b in branches
-    )
-
-
-def evolve_branches(branches, hams: HamiltonianSet, t: float):
-    """Evolve every branch state under exp(-i*H_tot*t); probabilities unchanged."""
-    t = require_real(t, "evolution time", ge=0.0)
-    u = kernel.evolve_operator(hams.h_tot, t)
-    out = []
-    for b in branches:
-        state = u @ b.state
-        state.flags.writeable = False
-        out.append(OutcomeBranch(mu=b.mu, probability=b.probability, state=state))
-    return tuple(out)
-
-
-def apply_bob(branches, control: BobControl):
-    """Apply the outcome-conditioned local unitary I_A (x) U_B(mu) per branch."""
-    out = []
-    for b in branches:
-        u4 = kron(ID2, control.unitary(b.mu))
-        state = u4 @ b.state
-        state.flags.writeable = False
-        out.append(OutcomeBranch(mu=b.mu, probability=b.probability, state=state))
-    return tuple(out)
-
-
-def extracted_energy(branches_before, branches_after, hams: HamiltonianSet) -> float:
-    """Probability-weighted energy drop sum_mu p(mu)*(<H>_before - <H>_after).
-
-    Positive values mean energy left the system at B: U_B commutes with H_A,
-    so the drop sits entirely in <H_B + V>.
-    """
-    total = 0.0
-    for before, after in zip(branches_before, branches_after):
-        if before.mu != after.mu:
-            raise ValidationError("branch lists must correspond outcome-by-outcome")
-        total += before.probability * (
-            expectation(before.state, hams.h_tot)
-            - expectation(after.state, hams.h_tot)
-        )
-    return total
-
-
-def _stacked(branches) -> tuple[np.ndarray, np.ndarray]:
-    """(states (2, 4), probabilities (2,)) of the outcomes mu = 0, 1."""
-    if [b.mu for b in branches] != [0, 1]:
-        raise ValidationError("branches must be the outcomes mu = 0, 1 in order")
-    return (
-        np.array([b.state for b in branches]),
-        np.array([b.probability for b in branches]),
-    )
+# P_A(mu) = (1 + (-1)^mu sigma_x^A) / 2, row mu.
+_PROJECTORS = (ID4 + _MU_SIGNS[:, None, None] * kron(SIGMA_X, ID2)) / 2.0
 
 
 def _weighted(per_branch, probs) -> np.ndarray:
     """p0*e0 + p1*e1 over the last axis, never as a fused multiply-add."""
     return (per_branch * probs).sum(axis=-1)
+
+
+def measure_alice(psi) -> Branches:
+    """Project the ground state psi, a (4,) array, onto both sigma_x^A outcomes.
+
+    Outcome mu has probability <psi|P_A(mu)|psi> and normalised state
+    P_A(mu)|psi>/sqrt(p).  Probabilities sum to 1 within 1e-12.
+    """
+    psi = kernel.require_finite(psi, "ground state")
+    probs = expectation(psi, _PROJECTORS)
+    if probs.min() < 1e-12:
+        raise NumericError(f"degenerate measurement branch mu={probs.argmin()}")
+    total = probs[0] + probs[1]
+    if abs(total - 1.0) > kernel.TOL:
+        raise NumericError(f"branch probabilities sum to {total}, not 1")
+    return Branches(probs, (_PROJECTORS @ psi) / np.sqrt(probs)[:, None])
+
+
+def branch_average(branches: Branches, op) -> float:
+    """Probability-weighted expectation p0*<op>_0 + p1*<op>_1."""
+    return float(_weighted(expectation(branches.states, op), branches.probabilities))
+
+
+def infused_energy(branches: Branches, hams: HamiltonianSet) -> float:
+    """Average post-measurement energy above the (zero) ground energy."""
+    return branch_average(branches, hams.h_tot)
+
+
+def _each_applied(u, states) -> np.ndarray:
+    """u @ state for each row of states; u is one (4, 4) or one per row.
+
+    Each row takes the matrix-vector product of a lone state, bit for bit;
+    states @ u.T is another BLAS product and moves the last digits.
+    """
+    return (u @ states[..., None])[..., 0]
+
+
+def evolve_branches(branches: Branches, hams: HamiltonianSet, t: float) -> Branches:
+    """Evolve both states under exp(-i*H_tot*t); probabilities unchanged."""
+    t = require_real(t, "evolution time", ge=0.0)
+    u = kernel.evolve_operator(hams.h_tot, t)
+    return Branches(branches.probabilities, _each_applied(u, branches.states))
+
+
+def apply_bob(branches: Branches, control: BobControl) -> Branches:
+    """Apply the outcome-conditioned local unitary I_A (x) U_B(mu) to row mu."""
+    u4 = np.array([kron(ID2, control.unitary(mu)) for mu in (0, 1)])
+    return Branches(branches.probabilities, _each_applied(u4, branches.states))
+
+
+def extracted_energy(before: Branches, after: Branches, hams: HamiltonianSet) -> float:
+    """Probability-weighted energy drop sum_mu p(mu)*(<H>_before - <H>_after).
+
+    Positive values mean energy left the system at B: U_B commutes with H_A,
+    so the drop sits entirely in <H_B + V>.
+    """
+    h_tot = hams.h_tot
+    drop = expectation(before.states, h_tot) - expectation(after.states, h_tot)
+    return float(_weighted(drop, before.probabilities))
 
 
 # _PAULI_PAIRS[a, j] = sigma_a (x) sigma_j, a over (I, x, y, z), j over (x, y, z).
@@ -219,9 +200,6 @@ def _rotation_costs(states, h_tot) -> np.ndarray:
     corr = expectation(states[..., None, None, :], _PAULI_PAIRS)
     return np.einsum("aj,...ak->...jk", c, corr)
 
-
-# The sign (-1)^mu per branch.
-_MU_SIGNS = np.array([1.0, -1.0])
 
 # (row, column) in M of each entry `_branch0_entries` returns.
 _ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))
@@ -418,7 +396,7 @@ def _su2_params(r) -> tuple[float, tuple[float, float, float]]:
 
 
 def optimize_bob(
-    branches, hams: HamiltonianSet, mode: str = "family"
+    branches: Branches, hams: HamiltonianSet, mode: str = "family"
 ) -> ExtractionResult:
     """Maximise the extracted energy over Bob's control, in closed form.
 
@@ -443,8 +421,8 @@ def optimize_bob(
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
-    states, probs = _stacked(branches)
-    m = _rotation_costs(states, hams.h_tot)  # (2, 3, 3)
+    probs = branches.probabilities
+    m = _rotation_costs(branches.states, hams.h_tot)  # (2, 3, 3)
     if mode == "full":
         control = BobControl.full(*(_su2_params(r) for r in minimize(m)))
         per_branch = _rank2_gain(*(m[:, row, col] for row, col in _ENTRY_INDEX))

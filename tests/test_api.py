@@ -33,7 +33,7 @@ from qetsim.model import (
     ground_state_closed_form,
     hb_expected,
 )
-from qetsim.protocol import BobControl, evolve_branches, measure_alice
+from qetsim.protocol import BobControl, apply_bob, evolve_branches, measure_alice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -89,6 +89,24 @@ def test_scalar_that_is_not_a_finite_real_is_rejected(call):
 
 HAMS = build_hamiltonians(P)
 BRANCHES = measure_alice(ground_state_closed_form(P))
+
+
+def test_returned_arrays_are_read_only():
+    # callers share the arrays a result holds without copying
+    evolved = evolve_branches(BRANCHES, HAMS, 0.3)
+    after = apply_bob(evolved, BobControl.family(0.2))
+    spectrum = kernel.hermitian_eig(HAMS.h_tot)
+    arrays = {
+        "ground state": ground_state_closed_form(P),
+        **{name: getattr(HAMS, name) for name in ("h_a", "h_b", "v", "h_tot")},
+        "eigenvalues": spectrum.eigenvalues,
+        "eigenvectors": spectrum.eigenvectors,
+    }
+    steps = (("measured", BRANCHES), ("evolved", evolved), ("applied", after))
+    for step, branches in steps:
+        arrays[f"{step} probabilities"] = branches.probabilities
+        arrays[f"{step} states"] = branches.states
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
 
 def plain(result):

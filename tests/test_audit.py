@@ -22,7 +22,7 @@ from qetsim.audit import (
     verdict_for,
 )
 from qetsim.errors import NumericError, ValidationError
-from qetsim.model import ModelParams, _f_curve, e_b_closed
+from qetsim.model import ModelParams, e_b_closed
 
 # stationary point of the extraction curve: alpha*^2 = (3 + sqrt(13)) / 2
 ALPHA_STAR = 1.8173540210239707
@@ -93,19 +93,19 @@ class TestFAlpha:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.floats(-60.0, 60.0))
     def test_scalar_and_array_square_roots_agree(self, log_alpha):
-        # the audit JSON (math.sqrt) and the scan CSV (np.sqrt) share one
-        # formula; both square roots are correctly rounded and both paths
-        # square by multiplying, so they agree bit for bit
+        # the audit JSON and the scan CSV read one scalar formula, so the
+        # scan's value at alpha (its last point, alpha_max itself) is
+        # f_alpha(alpha) bit for bit
         alpha = 10.0**log_alpha
-        scalar = _f_curve(alpha)
-        assert type(scalar) is float
-        assert scalar == _f_curve(np.array([alpha]), np.sqrt)[0]
+        value = scan_alpha(alpha / 2.0, alpha, 2).values[-1]
+        assert type(value) is float
+        assert value == f_alpha(alpha)
 
 
 class TestScan:
     def test_below_one_everywhere(self):
         result = scan_alpha(points=10_000)
-        assert np.all(result.values < 1.0)
+        assert np.all(np.asarray(result.values) < 1.0)
 
     def test_maximum_bracket_and_location(self):
         result = scan_alpha(points=10_000)
@@ -186,9 +186,9 @@ def test_scan_maximum_beats_every_grid_value(log_a, log_b, points):
     # f is evaluated to within a few ulp; on a range only ulps wide that
     # rounding can lift a grid value above the value at the exact
     # maximiser, by no more than this slack.
-    a2 = result.grid**2
+    a2 = np.asarray(result.grid) ** 2
     slack = 4.0 * np.finfo(float).eps * (a2 + 2.0) / np.sqrt(a2 + 1.0)
-    assert np.all(result.values <= result.max_value + slack)
+    assert np.all(np.asarray(result.values) <= result.max_value + slack)
     if ALPHA_STAR < lo:
         assert (result.argmax_alpha, result.max_value) == (lo, result.values[0])
     if ALPHA_STAR > hi:
@@ -382,6 +382,14 @@ class TestAuditIon:
         maximum = ion_maximize(ip)
         assert maximum.e_out_max * 1.0 == pytest.approx(10 * math.exp(-1), rel=1e-8)
         assert maximum.e_out_max > 1.0
+
+    def test_flagged_note_when_the_unconstrained_product_overflows(self):
+        # e_out_max*t = 3.7e308 overflows while the audited product 1e299
+        # does not; the note read "would be inf"
+        report = audit_ion(IonParams(gamma_n=1.0, zeta_n=1e-10, nu=1e290), 1e9)
+        assert report.flagged and math.isfinite(report.product)
+        assert report.notes.endswith("at t=1000000000 would exceed the float range)")
+        assert "inf" not in report.notes
 
     def test_unflagged_regime_has_no_flag(self):
         assert "flagged" not in audit_ion(ION_DEMO, 0.5).notes

@@ -137,14 +137,12 @@ class TestImports:
                 id="sweep",
             ),
             pytest.param(["model", "--h", "3", "--k", "4"], "['numpy']", id="model"),
-            pytest.param(
-                ["scan-alpha", "--points", "10"], "['numpy']", id="scan-alpha"
-            ),
+            pytest.param(["scan-alpha", "--points", "10"], "[]", id="scan-alpha"),
         ],
     )
     def test_command_loads_numpy_only_for_linear_algebra(self, argv, loaded):
-        # numpy is the one runtime dependency (pyproject.toml); audits are
-        # scalar closed forms and start without it
+        # numpy is the one runtime dependency (pyproject.toml); audits and
+        # the f(alpha) scan are scalar closed forms and start without it
         code = (
             "import contextlib, io; from qetsim.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -540,6 +538,13 @@ class TestAuditCommand:
         payload = json.loads(got)
         assert "flagged" in payload["notes"]
         assert payload["verdict"] == "unobservable"
+
+    def test_ion_flagged_note_names_an_overflow(self, capsys):
+        argv = ["audit", "ion", "--gamma", "1", "--zeta", "1e-10", "--nu", "1e290"]
+        assert main([*argv, "--time", "1e9"]) == 0
+        notes = json.loads(capsys.readouterr().out)["notes"]
+        assert "would exceed the float range" in notes
+        assert "inf" not in notes
 
     def test_ion_maximum_out_of_range_exit_3(self, capsys):
         argv = ["audit", "ion", "--gamma", "1", "--zeta", "1e-10", "--nu", "1e300"]

@@ -100,15 +100,17 @@ class TestFullModeOracle:
         hams, branches = evolved_round(ModelParams(h=h, k=k), t_c)
         full = optimize_bob(branches, hams, mode="full")
         rng = np.random.default_rng(2024)
-        for b, closed in zip(branches, full.per_branch_energy):
-            before = float(np.vdot(b.state, hams.h_tot @ b.state).real)
-            drawn = before - energies_under(random_su2(rng, 3000), b.state, hams.h_tot)
+        for mu, (state, closed) in enumerate(
+            zip(branches.states, full.per_branch_energy)
+        ):
+            before = float(np.vdot(state, hams.h_tot @ state).real)
+            drawn = before - energies_under(random_su2(rng, 3000), state, hams.h_tot)
             assert drawn.max() <= closed + 1e-12
             # small perturbations of the returned optimum lose energy too
-            theta, axis = full.control.angle_axis(b.mu)
+            theta, axis = full.control.angle_axis(mu)
             u_star = su2(theta, axis)
             jitter = su2_stack(rng.uniform(-1e-3, 1e-3, 500), random_axes(rng, 500))
-            near = before - energies_under(jitter @ u_star, b.state, hams.h_tot)
+            near = before - energies_under(jitter @ u_star, state, hams.h_tot)
             assert near.max() <= closed + 1e-12
             assert near.max() >= closed - 1e-5
 
@@ -117,12 +119,12 @@ class TestFullModeOracle:
         shared = optimize_bob(branches, hams, mode="shared")
         units = random_su2(np.random.default_rng(7), 3000)
         gain = sum(
-            b.probability
+            prob
             * (
-                float(np.vdot(b.state, hams.h_tot @ b.state).real)
-                - energies_under(units, b.state, hams.h_tot)
+                float(np.vdot(state, hams.h_tot @ state).real)
+                - energies_under(units, state, hams.h_tot)
             )
-            for b in branches
+            for prob, state in zip(branches.probabilities, branches.states)
         )
         assert gain.max() <= shared.extracted_energy + 1e-12
 
@@ -135,12 +137,13 @@ class TestFamilyOracle:
         thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, 2001)
         y_axes = np.tile([0.0, 1.0, 0.0], (len(thetas), 1))
         total = np.zeros_like(thetas)
-        for b in branches:
-            sign = 1.0 if b.mu == 0 else -1.0
-            before = float(np.vdot(b.state, hams.h_tot @ b.state).real)
+        for sign, prob, state in zip(
+            (1.0, -1.0), branches.probabilities, branches.states
+        ):
+            before = float(np.vdot(state, hams.h_tot @ state).real)
             units = su2_stack(sign * thetas, y_axes)
-            after = energies_under(units, b.state, hams.h_tot)
-            total += b.probability * (before - after)
+            after = energies_under(units, state, hams.h_tot)
+            total += prob * (before - after)
         closed = family.extracted_energy
         assert total.max() <= closed + 1e-12
         # a sinusoid in 2*theta: the nearest grid point loses at most
@@ -209,11 +212,10 @@ class TestSolver:
                     patched += 1
         assert patched >= 2  # at least kernel's own and protocol's binding
         hams, branches = evolved_round(ModelParams(h=1.0, k=0.5), 0.7)
-        states = np.array([b.state for b in branches])
-        probs = np.array([b.probability for b in branches])
+        probs = branches.probabilities
         for mode in MODES:
             result = optimize_bob(branches, hams, mode=mode)
-            m = _rotation_costs(states, hams.h_tot)
+            m = _rotation_costs(branches.states, hams.h_tot)
             energy, _ = _controlled_from_wahba(m, probs, result.control)
             assert float(energy) == pytest.approx(result.extracted_energy, rel=1e-12)
 
@@ -274,10 +276,8 @@ def test_controlled_extraction_matches_applied_control(
     t_c = fraction * 2.0 * diffusion_period(p)
     hams, branches = evolved_round(p, t_c)
     control = BobControl.full(params_mu0, params_mu1)
-    states = np.array([b.state for b in branches])
-    probs = np.array([b.probability for b in branches])
-    m = _rotation_costs(states, hams.h_tot)
-    energy, _ = _controlled_from_wahba(m, probs, control)
+    m = _rotation_costs(branches.states, hams.h_tot)
+    energy, _ = _controlled_from_wahba(m, branches.probabilities, control)
     applied = extracted_energy(branches, apply_bob(branches, control), hams)
     tol = 1e-12 * max(1.0, infused_energy(branches, hams))
     assert abs(float(energy) - applied) <= tol

@@ -114,20 +114,20 @@ class TestGroundState:
     def test_amplitudes_at_3_4(self):
         g = ground_state_closed_form(P34)
         expected = [math.sqrt(0.2), 0.0, 0.0, -math.sqrt(0.8)]
-        assert np.allclose(g.state, expected, atol=1e-15)
+        assert np.allclose(g, expected, atol=1e-15)
 
     def test_unit_norm_closed_form(self):
         rng = np.random.default_rng(1)
         for p in random_params(rng):
             g = ground_state_closed_form(p)
-            assert abs(np.linalg.norm(g.state) - 1.0) <= 1e-15
+            assert abs(np.linalg.norm(g) - 1.0) <= 1e-15
 
     def test_fidelity_against_numeric(self):
         rng = np.random.default_rng(2)
         for p in random_params(rng):
             closed = ground_state_closed_form(p)
             numeric = kernel.hermitian_eig(build_hamiltonians(p).h_tot)
-            fidelity = abs(np.vdot(closed.state, numeric.ground_vector)) ** 2
+            fidelity = abs(np.vdot(closed, numeric.ground_vector)) ** 2
             assert fidelity >= 1.0 - 1e-12
 
     def test_zero_expectation_of_every_term(self):
@@ -136,14 +136,14 @@ class TestGroundState:
             hams = build_hamiltonians(p)
             g = ground_state_closed_form(p)
             for m in (hams.h_a, hams.h_b, hams.v):
-                assert abs(kernel.expectation(g.state, m)) <= 1e-10
+                assert abs(kernel.expectation(g, m)) <= 1e-10
 
     def test_eigenvector_residual(self):
         rng = np.random.default_rng(4)
         for p in random_params(rng):
             hams = build_hamiltonians(p)
             g = ground_state_closed_form(p)
-            assert np.linalg.norm(hams.h_tot @ g.state) <= 1e-10
+            assert np.linalg.norm(hams.h_tot @ g) <= 1e-10
 
 
 class TestClosedForms:
