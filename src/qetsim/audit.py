@@ -52,14 +52,20 @@ MAX_SCAN_POINTS = 1_000_000
 # (a^2+2)^2 overflows, and f would read 0, then nan.
 _ALPHA_MAX = PARAM_MAX / PARAM_MIN
 
+# Smallest alpha of the stated domain, as the literal 1e-60: PARAM_MIN/PARAM_MAX
+# rounds one ulp above it.  Down to it f(alpha) ~ alpha^2/4 is a normal float;
+# below about 1e-154 it falls into subnormals and loses its digits.
+_ALPHA_MIN = 1e-60
+
 # With x = alpha^2, f'(alpha) = 0 reduces to x^2 - 3x - 1 = 0.  Its one positive
 # root is f's only stationary point, and f -> 0 at both ends: the global maximum.
 _ALPHA_STAR = math.sqrt((3.0 + math.sqrt(13.0)) / 2.0)
 
 
-def _require_alpha(alpha, what: str, gt: float) -> float:
-    """`alpha` as a float in (gt, _ALPHA_MAX], else ValidationError."""
-    alpha = require_real(alpha, what, gt=gt)
+def _require_alpha(alpha, what: str, gt: float | None = None) -> float:
+    """`alpha` as a float in [_ALPHA_MIN, _ALPHA_MAX] and > gt, else
+    ValidationError."""
+    alpha = require_real(alpha, what, gt=gt, ge=_ALPHA_MIN)
     if alpha > _ALPHA_MAX:
         raise ValidationError(f"{what} must be <= {_ALPHA_MAX:g}, the largest h/k")
     return alpha
@@ -70,28 +76,27 @@ def f_alpha(alpha: float) -> float:
 
     ((a^2+2)/sqrt(a^2+1)) * (sqrt(1 + a^2/(a^2+2)^2) - 1), evaluated
     without cancellation by the same helper as `e_b_closed`, so it equals
-    e_b_closed(alpha*k, k)/k for every k.  alpha lies in (0, 1e60], the
+    e_b_closed(alpha*k, k)/k for every k.  alpha lies in [1e-60, 1e60], the
     range of h/k over the stated domain.
     """
-    return _f_curve(_require_alpha(alpha, "alpha", gt=0.0))
+    return _f_curve(_require_alpha(alpha, "alpha"))
 
 
 @dataclass(frozen=True)
 class AlphaScanResult:
-    """Tabulated f(alpha) with the exact maximum on the range and the claim."""
+    """Tabulated f(alpha) with the exact maximum on the range."""
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
     argmax_alpha: float
     max_value: float
-    claimed_max: float = CLAIMED_F_MAX
 
 
 def scan_alpha(
     alpha_min: float = 0.01, alpha_max: float = 20.0, points: int = 10_000
 ) -> AlphaScanResult:
     """Tabulate f over a linear grid of 2 to MAX_SCAN_POINTS points, with
-    0 < alpha_min < alpha_max <= 1e60.
+    1e-60 <= alpha_min < alpha_max <= 1e60.
 
     Point i is i*step + alpha_min with step = (alpha_max - alpha_min)/(points - 1),
     and the last is alpha_max itself: numpy's `linspace`, in plain floats.
@@ -100,7 +105,7 @@ def scan_alpha(
     alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
     The audit-grade default covers (0.01, 20] with 10,000 points.
     """
-    alpha_min = require_real(alpha_min, "alpha_min", gt=0.0)
+    alpha_min = require_real(alpha_min, "alpha_min", ge=_ALPHA_MIN)
     alpha_max = _require_alpha(alpha_max, "alpha_max", gt=alpha_min)
     if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
@@ -273,7 +278,7 @@ def scan_to_csv(result: AlphaScanResult) -> str:
     lines.append(
         f"# argmax_alpha={fmt(result.argmax_alpha)},"
         f"max_value={fmt(result.max_value)},"
-        f"claimed_max={fmt(result.claimed_max)}"
+        f"claimed_max={fmt(CLAIMED_F_MAX)}"
     )
     return "\n".join(lines) + "\n"
 

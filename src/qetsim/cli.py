@@ -249,9 +249,7 @@ def cmd_audit(args) -> int:
         p = _resolve_params(args)
         report = audit_minimal(p, args.time)
     else:
-        ip = IonParams(
-            gamma_n=args.gamma, zeta_n=args.zeta, nu=args.nu, phi=args.phi
-        )
+        ip = IonParams(gamma_n=args.gamma, zeta_n=args.zeta, nu=args.nu)
         report = audit_ion(ip, args.time)
     _emit(report_to_json(report) + "\n", args.output)
     return 0
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     aip.add_argument("--gamma", type=float, required=True)
     aip.add_argument("--zeta", type=float, required=True)
     aip.add_argument("--nu", type=float, required=True)
-    aip.add_argument("--phi", type=float, default=math.pi / 4.0)
     aip.add_argument("--time", type=float, required=True)
     aip.set_defaults(func=cmd_audit)
     aip.add_argument("--output")

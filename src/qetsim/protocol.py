@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import kernel, model
 from .errors import NumericError, ValidationError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import POLICIES, HamiltonianSet, ModelParams, optimal_rotation_angle
+from .model import HamiltonianSet, ModelParams, optimal_rotation_angle
 
 __all__ = [
     "MODES",
@@ -47,14 +47,13 @@ __all__ = [
     "extracted_energy",
     "optimize_bob",
     "minimize",
-    "POLICIES",
     "extraction_curve",
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
 
-# Bob's control sets, described at `optimize_bob`; `POLICIES`, re-exported
-# from `model`, are a round's two ways of choosing his control.
+# Bob's control sets, described at `optimize_bob`; `model.POLICIES` are a
+# round's two ways of choosing his control.
 MODES = ("family", "full", "shared")
 
 
@@ -92,15 +91,6 @@ class BobControl:
     def full(cls, params_mu0, params_mu1) -> "BobControl":
         return cls(params=(tuple(params_mu0), tuple(params_mu1)))
 
-    def angle_axis(self, mu: int) -> tuple[float, tuple[float, float, float]]:
-        """(theta, axis) of U_B(mu) = su2(theta, axis)."""
-        if mu not in (0, 1):
-            raise ValidationError("outcome label must be 0 or 1")
-        return self.params[mu]
-
-    def unitary(self, mu: int) -> np.ndarray:
-        return su2(*self.angle_axis(mu))
-
 
 @dataclass(frozen=True)
 class ExtractionResult:
@@ -129,7 +119,6 @@ def measure_alice(psi) -> Branches:
     Outcome mu has probability <psi|P_A(mu)|psi> and normalised state
     P_A(mu)|psi>/sqrt(p).  Probabilities sum to 1 within 1e-12.
     """
-    psi = kernel.require_finite(psi, "ground state")
     probs = expectation(psi, _PROJECTORS)
     if probs.min() < 1e-12:
         raise NumericError(f"degenerate measurement branch mu={probs.argmin()}")
@@ -167,7 +156,7 @@ def evolve_branches(branches: Branches, hams: HamiltonianSet, t: float) -> Branc
 
 def apply_bob(branches: Branches, control: BobControl) -> Branches:
     """Apply the outcome-conditioned local unitary I_A (x) U_B(mu) to row mu."""
-    u4 = np.array([kron(ID2, control.unitary(mu)) for mu in (0, 1)])
+    u4 = np.array([kron(ID2, su2(*params)) for params in control.params])
     return Branches(branches.probabilities, _each_applied(u4, branches.states))
 
 
@@ -252,11 +241,12 @@ def _branch0_entries(p: ModelParams, t: np.ndarray):
 def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarray:
     """E_B at every latency of `times`, in closed form, shape (len(times),).
 
-    Checks policy, mode and times, in that order.  Times must be a flat
-    list of real numbers (bool, int, float, numpy's, or any value
-    `errors.require_real` admits; no str, bytes or complex) >= 0 with
+    Checks policy, mode and times, in that order.  Times must be a
+    non-empty flat list of real numbers (bool, int, float, numpy's, or any
+    value `errors.require_real` admits; no str, bytes or complex) >= 0 with
     4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st, 2kt and
-    the product E_B*t finite; a NaN fails both comparisons.
+    the product E_B*t finite; a NaN fails both comparisons.  As floats they
+    must ascend strictly, so no two rows share a latency.
 
     The energy is read off branch 0's M entries (`_branch0_entries`).
     Both branches give up the same energy: branch 1's sign flips leave the
@@ -272,8 +262,8 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
     xx = -2k^2/s < 0 and zz = -(h^2/s) c^2 <= 0, so a0 = tr M < 0 at every
     time and each peak is taken in its cancellation-free quotient form.
     """
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
+    if policy not in model.POLICIES:
+        raise ValidationError(f"unknown policy {policy!r}, expected {model.POLICIES}")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
     try:
@@ -284,11 +274,13 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
         t = np.array([require_real(x, "latency") for x in t.flat]).reshape(t.shape)
     if t.ndim != 1 or t.dtype.kind not in "biuf":  # no str, bytes or complex
         raise ValidationError("latencies must be a flat list of real numbers")
+    if not t.size:
+        raise ValidationError("latency grid must be a non-empty list of numbers")
     t = t.astype(float, copy=False)
-    if t.size and not (
-        t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))
-    ):
+    if not (t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))):
         raise ValidationError("latencies must be finite and >= 0, with 4*s*t finite")
+    if not np.all(t[1:] > t[:-1]):
+        raise ValidationError("latency grid must be strictly ascending")
     xx, xy, xz, zx, zy, zz = _branch0_entries(p, t)
     if policy == "closed-form-theta":
         theta = optimal_rotation_angle(p)
@@ -343,7 +335,7 @@ def _turn(theta: float, axis) -> np.ndarray:
 
 def _controlled_from_wahba(m, probs, control: BobControl):
     """(total, per branch) energy `control` extracts from branch M (..., 2, 3, 3)."""
-    turns = np.array([_turn(*control.angle_axis(mu)) for mu in (0, 1)])
+    turns = np.array([_turn(*params) for params in control.params])
     per_branch = np.einsum("...jk,...jk->...", turns, m)
     return _weighted(per_branch, probs), per_branch
 
@@ -351,11 +343,11 @@ def _controlled_from_wahba(m, probs, control: BobControl):
 def _family_peak(a0, a2):
     """Peak a0 + hypot(a0, a2) of a0 (1 - cos 2theta) + a2 sin 2theta.
 
-    Where a0 < 0 it is taken as a2^2/(hypot(a0, a2) - a0), equal in exact
-    arithmetic and free of the cancellation of a0 + hypot.
+    Taken as a2^2/(hypot(a0, a2) - a0), equal in exact arithmetic and free
+    of the cancellation of a0 + hypot, for a0 < 0: every caller passes
+    a0 = xx + zz with xx = -2k^2/s a normal negative float and zz <= 0.
     """
-    norm = np.hypot(a0, a2)
-    return np.divide(a2 * a2, norm - a0, out=a0 + norm, where=a0 < 0.0)
+    return a2 * a2 / (np.hypot(a0, a2) - a0)
 
 
 def minimize(m) -> np.ndarray:

@@ -151,12 +151,12 @@ class TestImports:
         assert self.third_party_modules(code) == loaded
 
     def test_policy_choices_are_the_protocol_policies(self):
-        from qetsim import cli, protocol
+        from qetsim import cli, model
 
         commands = cli.build_parser()._subparsers._group_actions[0].choices
         for name in ("run", "sweep"):
             (policy,) = [a for a in commands[name]._actions if a.dest == "policy"]
-            assert policy.choices is protocol.POLICIES
+            assert policy.choices is model.POLICIES
 
 
 class TestGolden:
@@ -348,6 +348,10 @@ class TestRunCommand:
         assert main([*argv, "--listen", "127.0.0.1:99999"]) == 2
         assert "port out of range" in capsys.readouterr().err
 
+    def test_wire_port_not_a_number_exit_2(self, capsys):
+        assert main([*self.WIRE_BOB, "--connect", "localhost:http"]) == 2
+        assert "bad port" in capsys.readouterr().err
+
     def test_wire_silent_peer_exit_2(self, monkeypatch, capsys):
         from qetsim import locc
 
@@ -528,6 +532,14 @@ class TestAuditCommand:
         payload = json.loads(got)
         assert payload["product"] == pytest.approx(0.0676676416183, rel=1e-11)
         assert payload["verdict"] == "unobservable"
+
+    def test_ion_has_no_phi_option(self, capsys):
+        # the audit bounds the output at sin^2(2*phi) = 1, so phi changed nothing
+        argv = ["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu", "1"]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--time", "1", "--phi", "1.3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --phi" in capsys.readouterr().err
 
     def test_ion_flagged_regime(self, tmp_path):
         _, got = run_cli(

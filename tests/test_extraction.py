@@ -107,7 +107,7 @@ class TestFullModeOracle:
             drawn = before - energies_under(random_su2(rng, 3000), state, hams.h_tot)
             assert drawn.max() <= closed + 1e-12
             # small perturbations of the returned optimum lose energy too
-            theta, axis = full.control.angle_axis(mu)
+            theta, axis = full.control.params[mu]
             u_star = su2(theta, axis)
             jitter = su2_stack(rng.uniform(-1e-3, 1e-3, 500), random_axes(rng, 500))
             near = before - energies_under(jitter @ u_star, state, hams.h_tot)
@@ -151,7 +151,7 @@ class TestFamilyOracle:
         step = thetas[1] - thetas[0]
         amplitude = (total.max() - total.min()) / 2.0
         assert total.max() >= closed - amplitude * step**2 - 1e-12
-        assert -math.pi / 2.0 < family.control.angle_axis(0)[0] <= math.pi / 2.0
+        assert -math.pi / 2.0 < family.control.params[0][0] <= math.pi / 2.0
 
 
 class TestSolver:

@@ -137,6 +137,10 @@ class TestHermitianEig:
         with pytest.raises(ValidationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match="expected a square matrix"):
+            hermitian_eig(np.zeros((4, 2)))
+
 
 class TestEvolveOperator:
     def test_zero_time_is_identity(self):
@@ -239,6 +243,10 @@ class TestSu2:
     def test_rejects_non_real_axis(self):
         with pytest.raises(ValidationError):
             su2(0.3, (1j, 0, 0))
+
+    def test_rejects_non_finite_axis(self):
+        with pytest.raises(ValidationError, match="finite real 3-vector"):
+            su2(0.3, (np.nan, 0.0, 0.0))
 
     def test_matches_pauli_exponential(self):
         # su2(theta, n) = exp(i*theta*n.sigma): check against the evolver

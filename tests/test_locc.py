@@ -26,6 +26,7 @@ from qetsim.locc import (
     wire_bob,
 )
 from qetsim.model import (
+    POLICIES,
     ModelParams,
     build_hamiltonians,
     diffusion_period,
@@ -36,7 +37,6 @@ from qetsim.model import (
 )
 from qetsim.protocol import (
     MODES,
-    POLICIES,
     BobControl,
     apply_bob,
     evolve_branches,
@@ -183,8 +183,10 @@ class TestSweep:
             [0.0, 1.0, math.inf],
             [-math.inf, 0.0],
             [[0.1]],
-            0.5,  # not iterable: list(grid) leaked TypeError
+            0.5,  # a bare number, not a list
             None,
+            # distinct Decimals that round to one float gave two rows at one t_c
+            [Decimal("0.1"), Decimal("0.1000000000000000000001")],
         ],
     )
     def test_grid_checked_once_at_the_boundary(self, grid):
@@ -468,6 +470,14 @@ class TestWire:
         # and identical to the in-process runner
         assert box["alice"].digest() == run_once(P34, 0.25).digest()
 
+    @pytest.mark.parametrize("t_c", [Decimal("0.5"), np.float32(0.5)], ids=repr)
+    def test_latency_of_another_real_type(self, t_c):
+        # the hello once carried t_c as given, and json could not encode it
+        box = self.run_pair(P34, P34, t_c, t_c)
+        assert "alice_error" not in box and "bob_error" not in box
+        twin = run_once(P34, float(t_c)).digest()
+        assert box["alice"].digest() == box["bob"].digest() == twin
+
     def test_handshake_rejects_mismatched_params(self):
         box = self.run_pair(P34, ModelParams(h=3.0, k=5.0), 0.25, 0.25)
         assert isinstance(box.get("bob_error") or box.get("alice_error"), ProtocolError)
@@ -496,3 +506,35 @@ class TestWire:
         thread.join(timeout=30)
         listener.close()
         assert isinstance(box.get("error"), ProtocolError)
+
+    @pytest.mark.parametrize(
+        ("endpoint", "message"),
+        [("7777", "host:port"), (":7777", "host:port"), ("localhost:http", "bad port")],
+    )
+    def test_rejects_malformed_endpoint(self, endpoint, message):
+        with pytest.raises(ValidationError, match=message):
+            open_listener(endpoint)
+        with pytest.raises(ValidationError, match=message):
+            wire_bob(endpoint, P34, 0.5)
+
+    @pytest.mark.parametrize(
+        "reply", [b"[1, 2]\n", b'{"h": 3}\n'], ids=["array", "no-kind"]
+    )
+    def test_frame_without_kind_rejected(self, reply):
+        # a scripted Alice reads Bob's hello and answers with `reply`
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            port = server.getsockname()[1]
+
+            def peer():
+                conn, _ = server.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    stream.readline()
+                    stream.write(reply)
+                    stream.flush()
+
+            thread = threading.Thread(target=peer)
+            thread.start()
+            with pytest.raises(ProtocolError, match="malformed frame: missing kind"):
+                wire_bob(f"127.0.0.1:{port}", P34, 0.5)
+            thread.join(timeout=30)
+        assert not thread.is_alive()

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetsim import kernel, protocol
-from qetsim.errors import ValidationError
+from qetsim.errors import NumericError, ValidationError
 from qetsim.locc import run_once, sweep_latency
 from qetsim.kernel import ID2, SIGMA_X, expectation, kron, su2
 from qetsim.model import (
     PARAM_MAX,
     PARAM_MIN,
+    POLICIES,
     ModelParams,
     build_hamiltonians,
     e_a_closed,
@@ -23,7 +24,6 @@ from qetsim.model import (
 )
 from qetsim.protocol import (
     MODES,
-    POLICIES,
     BobControl,
     _branch0_entries,
     _ENTRY_INDEX,
@@ -83,6 +83,18 @@ class TestMeasurement:
         p = ModelParams(h=10.0**log_h, k=10.0**log_k)
         p0, p1 = measure_alice(ground_state_closed_form(p)).probabilities
         assert abs(p0 + p1 - 1.0) <= 1e-12
+
+    def test_rejects_a_branch_of_probability_zero(self):
+        # |+>|0> is the sigma_x^A = +1 eigenstate: outcome mu = 1 never occurs
+        plus_zero = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
+        with pytest.raises(NumericError, match="degenerate measurement branch mu=1"):
+            measure_alice(plus_zero)
+
+    def test_rejects_a_state_that_is_not_normalised(self):
+        # twice the ground state: the probabilities sum to 4
+        doubled = 2.0 * ground_state_closed_form(P34)
+        with pytest.raises(NumericError, match="branch probabilities sum to"):
+            measure_alice(doubled)
 
 
 class TestInfusedEnergy:
@@ -144,7 +156,7 @@ class TestBobControl:
 
     def test_family_conjugate_sign(self):
         control = BobControl.family(0.37)
-        u0, u1 = control.unitary(0), control.unitary(1)
+        u0, u1 = (su2(*params) for params in control.params)
         assert np.allclose(u0, su2(0.37, (0, 1, 0)))
         assert np.allclose(u1, su2(-0.37, (0, 1, 0)))
         assert np.allclose(u0 @ u1, ID2, atol=1e-14)
@@ -156,13 +168,16 @@ class TestBobControl:
 
     def test_full_mode_unitary(self):
         control = BobControl.full((0.3, (1.0, 0.0, 0.0)), (-0.2, (0.0, 0.0, 1.0)))
-        assert np.allclose(control.unitary(0), su2(0.3, (1, 0, 0)))
-        assert np.allclose(control.unitary(1), su2(-0.2, (0, 0, 1)))
+        _, branches = setup_round(P34)
+        after = apply_bob(branches, control)
+        for mu, u in enumerate((su2(0.3, (1, 0, 0)), su2(-0.2, (0, 0, 1)))):
+            assert np.allclose(after.states[mu], kron(ID2, u) @ branches.states[mu])
 
     def test_rejects_bad_axis(self):
         control = BobControl.full((0.3, (2.0, 0.0, 0.0)), (0.0, (0.0, 0.0, 1.0)))
+        _, branches = setup_round(P34)
         with pytest.raises(ValidationError):
-            control.unitary(0)
+            apply_bob(branches, control)
 
 
 class TestExtraction:
@@ -223,7 +238,7 @@ class TestExtraction:
     def test_optimizer_angle_matches_analytic(self):
         hams, branches = setup_round(P34)
         result = optimize_bob(branches, hams, mode="family")
-        assert result.control.angle_axis(0)[0] == pytest.approx(
+        assert result.control.params[0][0] == pytest.approx(
             optimal_rotation_angle(P34), abs=1e-7
         )
 
