@@ -133,7 +133,7 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     e_a_sim = infused_energy(branches, hams)
     peak_time = math.pi / (4.0 * p.k)
     hb_sim = branch_average(evolve_branches(branches, hams, peak_time), hams.h_b)
-    extraction = optimize_bob(branches, hams, mode="family")
+    extraction = optimize_bob(branches, hams)
 
     rows = []
 
@@ -325,8 +325,7 @@ def main(argv=None) -> int:
         print(f"qetsim: error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        best = "" if exc.best is None else f" (best value found: {exc.best})"
-        print(f"qetsim: numeric failure: {exc}{best}", file=sys.stderr)
+        print(f"qetsim: numeric failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -15,14 +15,8 @@ class ValidationError(QetError):
 
 
 class NumericError(QetError):
-    """Numeric failure: non-convergence, lost hermiticity, exhausted budgets.
-
-    May carry the best value found so far in ``best``.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Numeric failure: a failed eigensolver, lost hermiticity, an overflow,
+    a degenerate measurement branch or a cross-check above tolerance."""
 
 
 class ProtocolError(ValidationError):

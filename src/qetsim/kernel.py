@@ -157,8 +157,7 @@ def expectation(state, op) -> float | np.ndarray:
         first = complex(values[bad][0])
         raise NumericError(
             f"expectation {first:.3e} is not finite and real "
-            "(operator not Hermitian?)",
-            best=first.real,
+            "(operator not Hermitian?)"
         )
     return values.real if values.ndim else float(values.real)
 

@@ -191,7 +191,10 @@ def _read_frame(stream, expected: dict) -> None:
 
 
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """(host, port) of "host:port"; an IPv6 host may be bracketed, "[::1]:7777"."""
     host, sep, port = endpoint.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise ValidationError(f"endpoint must be host:port, got {endpoint!r}")
     try:
@@ -213,10 +216,14 @@ def _socket_errors(what: str):
 
 
 def open_listener(endpoint: str) -> socket.socket:
-    """Bind and listen; use getsockname() to learn an ephemeral port."""
+    """Bind and listen; use getsockname() to learn an ephemeral port.
+
+    A host with a colon is an IPv6 address.
+    """
     host, port = _parse_endpoint(endpoint)
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
     with _socket_errors(f"cannot listen on {endpoint}"):
-        listener = socket.create_server((host, port))
+        listener = socket.create_server((host, port), family=family)
     listener.settimeout(WIRE_TIMEOUT)
     return listener
 

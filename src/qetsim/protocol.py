@@ -11,15 +11,16 @@ rank(M) <= 2 and the best rotation over all of SU(2) (full and shared
 modes) gives up tr M + sigma1 + sigma2, a closed form in M's entries
 (`_rank2_gain`).  A fixed control's energy is tr((I - R)^T M), with I - R
 built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
-(`minimize`) is used only where a rotation must be returned:
-`optimize_bob`'s full and shared controls.
+(`minimize`) gives the optimal rotation itself, an independent check of
+those closed forms.
 
 Extraction is fed by two sources of M.  Every latency sweep and round
 reads E_B off branch 0's six nonzero entries in closed form, straight
 from (h, k, t), with no 4x4 matrix, projector or eigendecomposition
 (`extraction_curve`, the checked entry point for a latency grid).
 `_rotation_costs` measures M on explicit branch states, the path of the
-state-level API (`optimize_bob`) and the tests' oracle.
+state-level API (`optimize_bob`, the family optimum the model report
+cross-checks) and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ __all__ = [
 
 Y_AXIS = (0.0, 1.0, 0.0)
 
-# Bob's control sets, described at `optimize_bob`; `model.POLICIES` are a
-# round's two ways of choosing his control.
+# Bob's control sets, described at `extraction_curve`; `model.POLICIES` are
+# a round's two ways of choosing his control.
 MODES = ("family", "full", "shared")
 
 
@@ -76,8 +77,8 @@ class Branches:
 class BobControl:
     """Outcome-conditioned local unitary on site B: U_B(mu) = su2(*params[mu]).
 
-    `family(theta)`: U_B(mu) = cos(theta)*I + i*(-1)^mu*sin(theta)*sigma_y.
-    `full`: an independent (theta, axis) pair per outcome mu = 0, 1.
+    Any (theta, axis) pair per outcome mu = 0, 1; `family(theta)` gives
+    U_B(mu) = cos(theta)*I + i*(-1)^mu*sin(theta)*sigma_y.
     """
 
     params: tuple[tuple[float, tuple[float, float, float]], ...]
@@ -86,10 +87,6 @@ class BobControl:
     def family(cls, theta: float) -> "BobControl":
         theta = require_real(theta, "family angle")
         return cls(params=((theta, Y_AXIS), (-theta, Y_AXIS)))
-
-    @classmethod
-    def full(cls, params_mu0, params_mu1) -> "BobControl":
-        return cls(params=(tuple(params_mu0), tuple(params_mu1)))
 
 
 @dataclass(frozen=True)
@@ -190,10 +187,6 @@ def _rotation_costs(states, h_tot) -> np.ndarray:
     return np.einsum("aj,...ak->...jk", c, corr)
 
 
-# (row, column) in M of each entry `_branch0_entries` returns.
-_ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))
-
-
 def _branch0_entries(p: ModelParams, t: np.ndarray):
     """Branch 0's six nonzero M entries (xx, xy, xz, zx, zy, zz) at times t.
 
@@ -256,9 +249,11 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarra
     (`optimal_rotation_angle`), which gives a0 (1 - cos 2theta) +
     a2 sin 2theta, with 1 - cos 2theta taken as 2 sin^2 theta so that a
     small angle keeps its digits.  Under "optimize" the result is Bob's
-    optimum in `mode`: the family peak, or
-    tr M + sigma1 + sigma2 (`_rank2_gain`) of M in full mode and of
-    (M_0 + M_1)/2, which keeps only xx, xy and zz, in shared mode.
+    optimum in `mode`: the peak over the sigma_y family (`_family_peak`);
+    over any SU(2) element per outcome (full), tr M + sigma1 + sigma2 of M
+    (`_rank2_gain`); over one element for both outcomes (shared, the
+    no-information baseline), the same of (M_0 + M_1)/2, which keeps only
+    xx, xy and zz.
     xx = -2k^2/s < 0 and zz = -(h^2/s) c^2 <= 0, so a0 = tr M < 0 at every
     time and each peak is taken in its cancellation-free quotient form.
     """
@@ -363,71 +358,25 @@ def minimize(m) -> np.ndarray:
     return u @ vt
 
 
-def _su2_params(r) -> tuple[float, tuple[float, float, float]]:
-    """(theta, axis) of su2(theta, axis) = U with U^H sigma_j U = sum_k r_jk sigma_k.
+def optimize_bob(branches: Branches, hams: HamiltonianSet) -> ExtractionResult:
+    """Bob's best sigma_y-family control and its extracted energy, in closed form.
 
-    U = q0*I + i*(q . sigma) for the unit quaternion q of the rotation r^T.
-    The matrix 4 q q^T is read off r, and q is taken from its column with
-    the largest diagonal entry (Shepperd 1978), so no component comes from
-    a small pivot; theta = atan2(|q|, q0) keeps full precision near pi/2,
-    where acos of the trace would not.
+    U_B(mu) = su2((-1)^mu theta, y) rotates site B about y by (-1)^mu 2theta,
+    so the extracted energy is a0 (1 - cos 2theta) + a2 sin 2theta, with a0
+    the weighted M_xx + M_zz and a2 the weighted (-1)^mu (M_xz - M_zx),
+    maximised at theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
+
+    Everything is read off one M per given branch (`_rotation_costs`), and
+    the energy is that of the returned control (`_controlled_from_wahba`);
+    no SU(2) matrix is built.  Sweeps and rounds, in every mode, read the
+    energy off the closed-form M instead (`extraction_curve`), with no SVD.
     """
-    a = np.asarray(r, dtype=float).T
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
-    qq = np.empty((4, 4))
-    qq[0, 0] = 1.0 + tr
-    qq[0, 1:] = qq[1:, 0] = (a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1])
-    qq[1:, 1:] = a + a.T + (1.0 - tr) * np.eye(3)
-    q = qq[:, int(np.argmax(np.diag(qq)))]
-    q = q / np.linalg.norm(q) * (1.0 if q[0] >= 0.0 else -1.0)
-    sin_theta = float(np.linalg.norm(q[1:]))
-    if sin_theta == 0.0:
-        return 0.0, Y_AXIS
-    axis = q[1:] / sin_theta
-    return math.atan2(sin_theta, float(q[0])), tuple(float(x) for x in axis)
-
-
-def optimize_bob(
-    branches: Branches, hams: HamiltonianSet, mode: str = "family"
-) -> ExtractionResult:
-    """Maximise the extracted energy over Bob's control, in closed form.
-
-    mode "family": U_B(mu) = su2((-1)^mu theta, y) rotates site B about y
-    by (-1)^mu 2theta, so the extracted energy is
-    a0 (1 - cos 2theta) + a2 sin 2theta, with a0 the weighted M_xx + M_zz
-    and a2 the weighted (-1)^mu (M_xz - M_zx), maximised at
-    theta* = atan2(a2, -a0)/2 in (-pi/2, pi/2].
-    mode "full": an independent SU(2) element per outcome.  Branch energy is
-    const + tr(R^T M) over rotations R of site B; each branch gives up
-    tr M + sigma1 + sigma2 (`_rank2_gain`), and the control is the rotation
-    the Kabsch SVD of M gives (`minimize`).  Never below the family value.
-    mode "shared": one unitary for both outcomes, from the Kabsch SVD of the
-    probability-weighted sum of the branch M -- the no-information
-    baseline, which cannot extract energy at zero delay.
-
-    Everything is read off one M per given branch (`_rotation_costs`).  The
-    family and shared energies are those of the returned control
-    (`_controlled_from_wahba`); no SU(2) matrix is built.  Sweeps and
-    rounds need only the energy and read it off the closed-form M instead
-    (`extraction_curve`), with no SVD.
-    """
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
     probs = branches.probabilities
     m = _rotation_costs(branches.states, hams.h_tot)  # (2, 3, 3)
-    if mode == "full":
-        control = BobControl.full(*(_su2_params(r) for r in minimize(m)))
-        per_branch = _rank2_gain(*(m[:, row, col] for row, col in _ENTRY_INDEX))
-        energy = _weighted(per_branch, probs)
-    else:
-        if mode == "family":
-            a0 = _weighted(m[:, 0, 0] + m[:, 2, 2], probs)
-            a2 = _weighted((m[:, 0, 2] - m[:, 2, 0]) * _MU_SIGNS, probs)
-            control = BobControl.family(math.atan2(a2, -a0) / 2.0)
-        else:
-            params = _su2_params(minimize(np.einsum("m,mjk->jk", probs, m)))
-            control = BobControl.full(params, params)
-        energy, per_branch = _controlled_from_wahba(m, probs, control)
+    a0 = _weighted(m[:, 0, 0] + m[:, 2, 2], probs)
+    a2 = _weighted((m[:, 0, 2] - m[:, 2, 0]) * _MU_SIGNS, probs)
+    control = BobControl.family(math.atan2(a2, -a0) / 2.0)
+    energy, per_branch = _controlled_from_wahba(m, probs, control)
     return ExtractionResult(
         extracted_energy=float(energy),
         control=control,

@@ -35,6 +35,7 @@ from qetsim.model import (
 from qetsim.protocol import (
     branch_average,
     evolve_branches,
+    extraction_curve,
     infused_energy,
     measure_alice,
     optimize_bob,
@@ -111,12 +112,12 @@ def test_criterion_4_extraction():
         p = ModelParams.from_alpha(alpha)
         hams = build_hamiltonians(p)
         branches = measure_alice(ground_state_closed_form(p))
-        family = optimize_bob(branches, hams, mode="family")
+        family = optimize_bob(branches, hams).extracted_energy
         target = e_b_closed(p)
-        assert abs(family.extracted_energy - target) <= 1e-6 * target
-        full = optimize_bob(branches, hams, mode="full")
-        assert full.extracted_energy >= family.extracted_energy - 1e-9
-        excess = full.extracted_energy - family.extracted_energy
+        assert abs(family - target) <= 1e-6 * target
+        full = extraction_curve(p, [0.0], "optimize", "full")[0]
+        assert full >= family - 1e-9
+        excess = full - family
         if excess > 1e-9:
             # reported, not failed
             print(
@@ -129,10 +130,7 @@ def test_criterion_4_extraction():
 def test_criterion_5_passivity():
     for alpha in (0.5, 1.0, 2.0):
         p = ModelParams.from_alpha(alpha)
-        hams = build_hamiltonians(p)
-        branches = measure_alice(ground_state_closed_form(p))
-        shared = optimize_bob(branches, hams, mode="shared")
-        assert shared.extracted_energy <= 1e-9
+        assert extraction_curve(p, [0.0], "optimize", "shared")[0] <= 1e-9
 
     p = ModelParams(3, 4)
     hams = build_hamiltonians(p)

@@ -64,38 +64,12 @@ class TestUsage:
 
         monkeypatch.setattr(locc, "run_once", boom)
         assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
-        assert "numeric failure" in capsys.readouterr().err
-
-    def test_numeric_failure_shows_the_best_value(self, monkeypatch, capsys):
-        from qetsim import cli, locc
-        from qetsim.errors import NumericError
-
-        def boom(*args, **kwargs):
-            raise NumericError("synthetic", best=0.125)
-
-        monkeypatch.setattr(locc, "run_once", boom)
-        assert cli.main(["run", "--h", "3", "--k", "4", "--latency", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "qetsim: numeric failure: synthetic (best value found: 0.125)\n"
-        )
+        assert captured.err == "qetsim: numeric failure: synthetic\n"
 
 
 class TestImports:
-    def test_cli_import_leaves_out_scipy(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = (
-            "import sys, qetsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "[]"
-
     @staticmethod
     def third_party_modules(code):
         """Top-level third-party modules (qetsim aside) that `code` loads in a
@@ -300,8 +274,9 @@ class TestRunCommand:
         assert code == 0
         assert len(got.decode().splitlines()) == 2
 
-    def test_wire_pair_identical_output(self, tmp_path):
-        listener = open_listener("127.0.0.1:0")
+    def wire_pair(self, tmp_path, host):
+        """Alice in a thread, Bob through the CLI, both ends over `host`."""
+        listener = open_listener(f"{host}:0")
         port = listener.getsockname()[1]
         out_alice = tmp_path / "alice.csv"
         out_bob = tmp_path / "bob.csv"
@@ -320,7 +295,7 @@ class TestRunCommand:
         thread.start()
         code = main(
             ["run", "--h", "3", "--k", "4", "--latency", "0.5",
-             "--wire", "bob", "--connect", f"127.0.0.1:{port}",
+             "--wire", "bob", "--connect", f"{host}:{port}",
              "--output", str(out_bob)]
         )
         thread.join(timeout=30)
@@ -328,6 +303,12 @@ class TestRunCommand:
         assert code == 0
         assert box.get("done")
         assert out_alice.read_bytes() == out_bob.read_bytes()
+
+    def test_wire_pair_identical_output(self, tmp_path):
+        self.wire_pair(tmp_path, "127.0.0.1")
+
+    def test_wire_pair_over_ipv6(self, tmp_path):
+        self.wire_pair(tmp_path, "[::1]")
 
     def test_wire_needs_endpoint(self):
         assert main(["run", "--h", "3", "--k", "4", "--latency", "0",

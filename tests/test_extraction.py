@@ -3,6 +3,8 @@
 The oracles evaluate Bob's energy for many explicit unitaries with plain
 numpy, independently of the Pauli-coefficient / SVD route in
 qetsim.protocol, so they check the closed forms rather than restate them.
+Full and shared modes are read from the product (`extraction_curve`) or
+from the Kabsch oracle on the branch states (`oracles.bob_optimum`).
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bob_optimum
 
 from qetsim.kernel import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
 from qetsim.model import (
@@ -22,15 +25,14 @@ from qetsim.model import (
     ground_state_closed_form,
 )
 from qetsim.protocol import (
-    MODES,
     BobControl,
     _controlled_from_wahba,
     _rotation_costs,
-    _su2_params,
     _turn,
     apply_bob,
     evolve_branches,
     extracted_energy,
+    extraction_curve,
     infused_energy,
     measure_alice,
     minimize,
@@ -51,6 +53,11 @@ def evolved_round(p, t_c):
     hams = build_hamiltonians(p)
     branches = measure_alice(ground_state_closed_form(p))
     return hams, evolve_branches(branches, hams, t_c)
+
+
+def product_e_b(p, t_c, mode):
+    """The product's E_B: Bob's optimum in `mode` at latency t_c."""
+    return float(extraction_curve(p, [t_c], "optimize", mode)[0])
 
 
 def energies_under(units, state, h_tot):
@@ -81,42 +88,40 @@ def random_su2(rng, n):
 class TestRegressionGrid:
     @pytest.mark.parametrize("h,k,t_c", GRID)
     def test_full_mode_returns_and_dominates_family(self, h, k, t_c):
-        hams, branches = evolved_round(ModelParams(h=h, k=k), t_c)
-        family = optimize_bob(branches, hams, mode="family")
-        full = optimize_bob(branches, hams, mode="full")
-        assert full.extracted_energy >= family.extracted_energy - 1e-12
+        p = ModelParams(h=h, k=k)
+        hams, branches = evolved_round(p, t_c)
+        family = optimize_bob(branches, hams).extracted_energy
+        full = product_e_b(p, t_c, "full")
+        assert full >= family - 1e-12
 
     def test_known_failing_point(self):
-        hams, branches = evolved_round(ModelParams(h=0.3, k=2.0), 0.05)
-        family = optimize_bob(branches, hams, mode="family")
-        full = optimize_bob(branches, hams, mode="full")
-        assert full.extracted_energy >= family.extracted_energy - 1e-12
-        assert full.extracted_energy > family.extracted_energy + 1e-4
+        p = ModelParams(h=0.3, k=2.0)
+        hams, branches = evolved_round(p, 0.05)
+        family = optimize_bob(branches, hams).extracted_energy
+        full = product_e_b(p, 0.05, "full")
+        assert full >= family - 1e-12
+        assert full > family + 1e-4
 
 
 class TestFullModeOracle:
     @pytest.mark.parametrize("h,k,t_c", GRID[::3] + [(0.3, 2.0, 0.05)])
     def test_no_random_unitary_beats_closed_form(self, h, k, t_c):
-        hams, branches = evolved_round(ModelParams(h=h, k=k), t_c)
-        full = optimize_bob(branches, hams, mode="full")
+        # both branches give up the same full-mode energy, the product's E_B
+        p = ModelParams(h=h, k=k)
+        hams, branches = evolved_round(p, t_c)
+        closed = product_e_b(p, t_c, "full")
         rng = np.random.default_rng(2024)
-        for mu, (state, closed) in enumerate(
-            zip(branches.states, full.per_branch_energy)
-        ):
+        for state in branches.states:
             before = float(np.vdot(state, hams.h_tot @ state).real)
             drawn = before - energies_under(random_su2(rng, 3000), state, hams.h_tot)
             assert drawn.max() <= closed + 1e-12
-            # small perturbations of the returned optimum lose energy too
-            theta, axis = full.control.params[mu]
-            u_star = su2(theta, axis)
-            jitter = su2_stack(rng.uniform(-1e-3, 1e-3, 500), random_axes(rng, 500))
-            near = before - energies_under(jitter @ u_star, state, hams.h_tot)
-            assert near.max() <= closed + 1e-12
-            assert near.max() >= closed - 1e-5
+        # and the Kabsch rotation of each branch attains it
+        assert abs(bob_optimum(branches, hams, "full") - closed) <= 1e-12
 
     def test_shared_beats_no_random_shared_unitary(self):
-        hams, branches = evolved_round(ModelParams(h=1.0, k=0.5), 0.7)
-        shared = optimize_bob(branches, hams, mode="shared")
+        p = ModelParams(h=1.0, k=0.5)
+        hams, branches = evolved_round(p, 0.7)
+        shared = product_e_b(p, 0.7, "shared")
         units = random_su2(np.random.default_rng(7), 3000)
         gain = sum(
             prob
@@ -126,14 +131,14 @@ class TestFullModeOracle:
             )
             for prob, state in zip(branches.probabilities, branches.states)
         )
-        assert gain.max() <= shared.extracted_energy + 1e-12
+        assert gain.max() <= shared + 1e-12
 
 
 class TestFamilyOracle:
     @pytest.mark.parametrize("h,k,t_c", GRID[::2])
     def test_dense_grid_never_beats_closed_form(self, h, k, t_c):
         hams, branches = evolved_round(ModelParams(h=h, k=k), t_c)
-        family = optimize_bob(branches, hams, mode="family")
+        family = optimize_bob(branches, hams)
         thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, 2001)
         y_axes = np.tile([0.0, 1.0, 0.0], (len(thetas), 1))
         total = np.zeros_like(thetas)
@@ -178,9 +183,8 @@ class TestSolver:
     @pytest.mark.parametrize(
         "theta", [0.0, 1e-9, 0.3, 1.2, math.pi / 2.0 - 1e-9, math.pi / 2.0]
     )
-    def test_su2_params_round_trip(self, theta):
-        # near theta = pi/2 (rotation angle pi) an acos of the trace would
-        # lose about 1e-8 of the angle
+    def test_turn_is_one_minus_the_rotation_of_su2(self, theta):
+        # I - R from (theta, axis) against R read off U^H sigma_j U
         sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
         axis = np.array([0.36, -0.48, 0.8])
         u = su2(theta, axis)
@@ -190,11 +194,7 @@ class TestSolver:
                 for sj in sigmas
             ]
         )
-        u_back = su2(*_su2_params(r))
-        # U and -U act identically on operators
-        assert min(np.abs(u_back - u).max(), np.abs(u_back + u).max()) <= 1e-14
-        # and I - R built from the returned (theta, axis) is I - r
-        assert np.abs(_turn(*_su2_params(r)) - (np.eye(3) - r)).max() <= 1e-15
+        assert np.abs(_turn(theta, axis) - (np.eye(3) - r)).max() <= 1e-15
 
     def test_never_builds_an_su2_matrix(self, monkeypatch):
         # the optimum's control and energies come from M and the closed-form
@@ -212,12 +212,10 @@ class TestSolver:
                     patched += 1
         assert patched >= 2  # at least kernel's own and protocol's binding
         hams, branches = evolved_round(ModelParams(h=1.0, k=0.5), 0.7)
-        probs = branches.probabilities
-        for mode in MODES:
-            result = optimize_bob(branches, hams, mode=mode)
-            m = _rotation_costs(branches.states, hams.h_tot)
-            energy, _ = _controlled_from_wahba(m, probs, result.control)
-            assert float(energy) == pytest.approx(result.extracted_energy, rel=1e-12)
+        result = optimize_bob(branches, hams)
+        m = _rotation_costs(branches.states, hams.h_tot)
+        energy, _ = _controlled_from_wahba(m, branches.probabilities, result.control)
+        assert float(energy) == pytest.approx(result.extracted_energy, rel=1e-12)
 
 
 alphas = st.floats(math.log(0.1), math.log(10.0)).map(math.exp)
@@ -231,9 +229,9 @@ def test_mode_ordering_over_domain(alpha, k, fraction):
     p = ModelParams.from_alpha(alpha, k)
     t_c = fraction * 2.0 * diffusion_period(p)
     hams, branches = evolved_round(p, t_c)
-    family = optimize_bob(branches, hams, mode="family").extracted_energy
-    full = optimize_bob(branches, hams, mode="full").extracted_energy
-    shared = optimize_bob(branches, hams, mode="shared").extracted_energy
+    family, full, shared = (
+        bob_optimum(branches, hams, mode) for mode in ("family", "full", "shared")
+    )
     assert full >= family - 1e-12
     assert shared <= full + 1e-12
 
@@ -243,9 +241,9 @@ def test_mode_ordering_over_domain(alpha, k, fraction):
 def test_zero_delay_identities_over_domain(alpha, k):
     p = ModelParams.from_alpha(alpha, k)
     hams, branches = evolved_round(p, 0.0)
-    family = optimize_bob(branches, hams, mode="family").extracted_energy
-    full = optimize_bob(branches, hams, mode="full").extracted_energy
-    shared = optimize_bob(branches, hams, mode="shared").extracted_energy
+    family, full, shared = (
+        bob_optimum(branches, hams, mode) for mode in ("family", "full", "shared")
+    )
     assert abs(full - family) <= 1e-9
     assert shared <= 1e-9
     assert abs(family - e_b_closed(p)) <= 1e-9 * e_b_closed(p)
@@ -275,7 +273,7 @@ def test_controlled_extraction_matches_applied_control(
     p = ModelParams.from_alpha(alpha, k)
     t_c = fraction * 2.0 * diffusion_period(p)
     hams, branches = evolved_round(p, t_c)
-    control = BobControl.full(params_mu0, params_mu1)
+    control = BobControl(params=(params_mu0, params_mu1))
     m = _rotation_costs(branches.states, hams.h_tot)
     energy, _ = _controlled_from_wahba(m, branches.probabilities, control)
     applied = extracted_energy(branches, apply_bob(branches, control), hams)

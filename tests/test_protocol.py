@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bob_optimum
 
 from qetsim import kernel, protocol
 from qetsim.errors import NumericError, ValidationError
@@ -26,7 +27,6 @@ from qetsim.protocol import (
     MODES,
     BobControl,
     _branch0_entries,
-    _ENTRY_INDEX,
     _PROJECTORS,
     _rotation_costs,
     apply_bob,
@@ -167,14 +167,14 @@ class TestBobControl:
         assert np.all(np.abs(np.linalg.norm(after.states, axis=1) - 1.0) <= 1e-12)
 
     def test_full_mode_unitary(self):
-        control = BobControl.full((0.3, (1.0, 0.0, 0.0)), (-0.2, (0.0, 0.0, 1.0)))
+        control = BobControl(params=((0.3, (1.0, 0.0, 0.0)), (-0.2, (0.0, 0.0, 1.0))))
         _, branches = setup_round(P34)
         after = apply_bob(branches, control)
         for mu, u in enumerate((su2(0.3, (1, 0, 0)), su2(-0.2, (0, 0, 1)))):
             assert np.allclose(after.states[mu], kron(ID2, u) @ branches.states[mu])
 
     def test_rejects_bad_axis(self):
-        control = BobControl.full((0.3, (2.0, 0.0, 0.0)), (0.0, (0.0, 0.0, 1.0)))
+        control = BobControl(params=((0.3, (2.0, 0.0, 0.0)), (0.0, (0.0, 0.0, 1.0))))
         _, branches = setup_round(P34)
         with pytest.raises(ValidationError):
             apply_bob(branches, control)
@@ -188,7 +188,7 @@ class TestExtraction:
 
     def test_result_is_probability_weighted_sum(self):
         hams, branches = setup_round(P34)
-        result = optimize_bob(branches, hams, mode="family")
+        result = optimize_bob(branches, hams)
         recombined = sum(
             p * pb for p, pb in zip(branches.probabilities, result.per_branch_energy)
         )
@@ -203,10 +203,9 @@ class TestExtraction:
             p0, p1 = branches.probabilities
             for t in (0.0, 0.3, 1.1):
                 evolved = evolve_branches(branches, hams, t)
-                for mode in ("family", "full", "shared"):
-                    result = optimize_bob(evolved, hams, mode=mode)
-                    e0, e1 = result.per_branch_energy
-                    assert result.extracted_energy == p0 * e0 + p1 * e1
+                result = optimize_bob(evolved, hams)
+                e0, e1 = result.per_branch_energy
+                assert result.extracted_energy == p0 * e0 + p1 * e1
                 e0, e1 = (expectation(s, hams.h_b) for s in evolved.states)
                 assert branch_average(evolved, hams.h_b) == p0 * e0 + p1 * e1
                 after = apply_bob(evolved, BobControl.family(0.4))
@@ -218,26 +217,26 @@ class TestExtraction:
 
     def test_family_optimum_matches_closed_form_at_3_4(self):
         hams, branches = setup_round(P34)
-        result = optimize_bob(branches, hams, mode="family")
+        result = optimize_bob(branches, hams)
         assert result.extracted_energy == pytest.approx(e_b_closed(P34), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_family_optimum_on_alpha_grid(self, alpha):
         p = ModelParams.from_alpha(alpha)
         hams, branches = setup_round(p)
-        result = optimize_bob(branches, hams, mode="family")
+        result = optimize_bob(branches, hams)
         assert result.extracted_energy == pytest.approx(e_b_closed(p), rel=1e-6)
 
     def test_alpha_one_frozen_value(self):
         # (3/sqrt(2)) * (sqrt(10/9) - 1)
         p = ModelParams.from_alpha(1.0)
         hams, branches = setup_round(p)
-        result = optimize_bob(branches, hams, mode="family")
+        result = optimize_bob(branches, hams)
         assert result.extracted_energy == pytest.approx(0.11474763394014725, rel=1e-9)
 
     def test_optimizer_angle_matches_analytic(self):
         hams, branches = setup_round(P34)
-        result = optimize_bob(branches, hams, mode="family")
+        result = optimize_bob(branches, hams)
         assert result.control.params[0][0] == pytest.approx(
             optimal_rotation_angle(P34), abs=1e-7
         )
@@ -246,24 +245,21 @@ class TestExtraction:
         rng = np.random.default_rng(13)
         for p in random_params(rng, n=5):
             hams, branches = setup_round(p)
-            family = optimize_bob(branches, hams, mode="family")
-            full = optimize_bob(branches, hams, mode="full")
-            assert full.extracted_energy >= family.extracted_energy - 1e-9
+            family = optimize_bob(branches, hams).extracted_energy
+            assert bob_optimum(branches, hams, "full") >= family - 1e-9
 
     def test_full_equals_family_at_zero_delay(self):
         # the conditioned rotation family already attains the per-branch
         # optimum at t = 0; any excess would flag a regression
         hams, branches = setup_round(P34)
-        family = optimize_bob(branches, hams, mode="family")
-        full = optimize_bob(branches, hams, mode="full")
-        assert abs(full.extracted_energy - family.extracted_energy) <= 1e-9
+        family = optimize_bob(branches, hams).extracted_energy
+        assert abs(bob_optimum(branches, hams, "full") - family) <= 1e-9
 
     def test_no_information_no_extraction(self):
         rng = np.random.default_rng(14)
         for p in random_params(rng, n=5):
             hams, branches = setup_round(p)
-            shared = optimize_bob(branches, hams, mode="shared")
-            assert shared.extracted_energy <= 1e-9
+            assert bob_optimum(branches, hams, "shared") <= 1e-9
 
     def test_ground_state_passivity(self):
         hams = build_hamiltonians(P34)
@@ -288,16 +284,11 @@ class TestExtraction:
 
     def test_optimizer_deterministic(self):
         hams, branches = setup_round(P34)
-        a = optimize_bob(branches, hams, mode="full")
-        b = optimize_bob(branches, hams, mode="full")
+        a = optimize_bob(branches, hams)
+        b = optimize_bob(branches, hams)
         assert a.extracted_energy == b.extracted_energy
         assert a.per_branch_energy == b.per_branch_energy
         assert a.control == b.control
-
-    def test_unknown_mode_rejected(self):
-        hams, branches = setup_round(P34)
-        with pytest.raises(ValidationError):
-            optimize_bob(branches, hams, mode="annealing")
 
     def test_optimize_bob_builds_the_branch_matrices_once(self, monkeypatch):
         calls = []
@@ -308,15 +299,19 @@ class TestExtraction:
 
         monkeypatch.setattr(protocol, "_rotation_costs", counted)
         hams, branches = setup_round(P34)
-        optimize_bob(branches, hams, mode="full")
+        optimize_bob(branches, hams)
         assert len(calls) == 1
+
+
+# (row, column) in M of each entry `_branch0_entries` returns.
+ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))
 
 
 def closed_branch0(p, times):
     """Branch 0's M at every time, shape (N, 3, 3), from `_branch0_entries`."""
     t = np.asarray(times, dtype=float)
     m = np.zeros((t.size, 3, 3))
-    for (row, col), entry in zip(_ENTRY_INDEX, _branch0_entries(p, t)):
+    for (row, col), entry in zip(ENTRY_INDEX, _branch0_entries(p, t)):
         m[:, row, col] = entry
     return m
 
@@ -507,7 +502,8 @@ class TestClosedFormEqualsSimulation:
     )
     def test_across_the_domain(self, log_h, log_k, fraction):
         # h and k log-uniform over the stated domain, t = 0 or up to five
-        # periods of 2s + 2k; the 4x4 simulation is the state-level path
+        # periods of 2s + 2k; the 4x4 simulation is the state-level path,
+        # with the Kabsch oracle in full and shared modes
         p = ModelParams(h=10.0**log_h, k=10.0**log_k)
         width = 4.0 * p.energy_scale  # spectral width of H_tot
         t = fraction * 5.0 * 2.0 * math.pi / (2.0 * p.energy_scale + 2.0 * p.k)
@@ -520,7 +516,7 @@ class TestClosedFormEqualsSimulation:
         bound = 8.0 * np.finfo(float).eps * width * (1.0 + width * t)
         for mode in MODES:
             closed = extraction_curve(p, [t], "optimize", mode)[0]
-            simulated = optimize_bob(evolved, hams, mode).extracted_energy
+            simulated = bob_optimum(evolved, hams, mode)
             assert abs(closed - simulated) <= bound
         closed = extraction_curve(p, [t], "closed-form-theta", "family")[0]
         after = apply_bob(evolved, BobControl.family(optimal_rotation_angle(p)))
