@@ -2,10 +2,12 @@
 
 Model time, not wall time, drives the physics: the channel latency t_c is
 the duration of unitary diffusion between Alice's measurement and Bob's
-conditioned operation.  A sweep is one closed-form pass over its latency
-grid (`protocol.extraction_curve`), and a round is a one-point sweep; wire
+conditioned operation.  Sweeps and rounds read Bob's energy off the
+closed forms in `extraction`: a sweep in one numpy pass over its latency
+grid (`extraction_curve`), a round in scalar `math` without numpy
+(`extraction_at`), bit-identical to its latency's row in any sweep.  Wire
 mode moves the outcome frames across a real byte stream while each side
-runs that same one-point round, so the two traces agree bit for bit.
+runs that same round, so the two traces agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
+from .extraction import extraction_at, extraction_curve
 from .formatting import fmt
 from .model import ModelParams, e_a_closed
-from .protocol import extraction_curve
 
 __all__ = [
     "ProtocolTrace",
@@ -122,8 +124,12 @@ def run_once(
     under H_tot for t_c; on delivery Bob applies his conditioned unitary:
     re-optimised for the evolved branches under the "optimize" policy, or
     the fixed zero-delay analytic angle under "closed-form-theta".
+
+    The round is a one-point sweep in scalar arithmetic (`extraction_at`,
+    with the sweep's checks): bit-identical to t_c's row in any sweep.
     """
-    return sweep_latency(p, [t_c], policy=policy, mode=mode)[0]
+    e_b = extraction_at(p, t_c, policy, mode)
+    return ProtocolTrace(p, t_c, e_a_closed(p), e_b, policy, mode)
 
 
 def sweep_latency(

@@ -47,8 +47,7 @@ PARAM_MIN = 1e-30
 PARAM_MAX = 1e30
 
 # A round's two ways of choosing Bob's control, described at
-# `protocol.extraction_curve`; kept here so the CLI offers them without
-# loading numpy.
+# `extraction.extraction_curve`.
 POLICIES = ("optimize", "closed-form-theta")
 
 
@@ -159,13 +158,15 @@ def e_a_closed(p: ModelParams) -> float:
 def hb_expected(p: ModelParams, t: float) -> float:
     """Average site-B energy a model-time t after the measurement.
 
-    (h^2 / 2s) * (1 - cos(4kt)); period pi/(2k), peak h^2/s.
+    (h^2 / 2s) * (1 - cos(4kt)), taken as (h^2/s) sin^2(2kt), which keeps
+    its digits at small t where 1 - cos(4kt) cancels; period pi/(2k), peak
+    h^2/s.
     """
     t = require_real(t, "diffusion time", ge=0.0)
-    phase = 4.0 * p.k * t
-    if not math.isfinite(phase):
+    if not math.isfinite(4.0 * p.k * t):
         raise ValidationError("diffusion time must keep the phase 4*k*t finite")
-    return e_a_closed(p) / 2.0 * (1.0 - math.cos(phase))
+    half = math.sin(2.0 * p.k * t)
+    return e_a_closed(p) * (half * half)
 
 
 def _f_curve(alpha: float) -> float:

@@ -1,26 +1,21 @@
-"""Full protocol round: projective measurement, diffusion, conditioned
-extraction, and exact maximisation of the extracted energy.
+"""The 4x4 reference path of a protocol round: projective measurement,
+diffusion, conditioned extraction, and Bob's exact family optimum.
 
 Measurement is handled by exhaustive branch enumeration (both outcomes with
 their exact probabilities, held as one pair of arrays, `Branches`), never
-by sampling, so every quantity downstream is deterministic.  Bob's optimum has a closed form in every mode, with no
-numerical search: a branch's energy is const + tr(R^T M) in the site-B
-rotation R, with one 3x3 Wahba matrix M per branch.  The sigma_y family is a
-sinusoid in 2*theta with coefficients read off M.  M's y row is zero, so
-rank(M) <= 2 and the best rotation over all of SU(2) (full and shared
-modes) gives up tr M + sigma1 + sigma2, a closed form in M's entries
-(`_rank2_gain`).  A fixed control's energy is tr((I - R)^T M), with I - R
-built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
-(`minimize`) gives the optimal rotation itself, an independent check of
-those closed forms.
+by sampling, so every quantity downstream is deterministic.  A branch's
+energy under a site-B rotation R is const + tr(R^T M), with one 3x3 Wahba
+matrix M per branch, measured on the explicit branch states
+(`_rotation_costs`).  The sigma_y family is a sinusoid in 2*theta with
+coefficients read off M (`optimize_bob`, the family optimum the model
+report cross-checks).  A fixed control's energy is tr((I - R)^T M), with
+I - R built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
+(`minimize`) gives the optimal rotation over all of SO(3), the tests'
+oracle for the full and shared optima.
 
-Extraction is fed by two sources of M.  Every latency sweep and round
-reads E_B off branch 0's six nonzero entries in closed form, straight
-from (h, k, t), with no 4x4 matrix, projector or eigendecomposition
-(`extraction_curve`, the checked entry point for a latency grid).
-`_rotation_costs` measures M on explicit branch states, the path of the
-state-level API (`optimize_bob`, the family optimum the model report
-cross-checks) and the tests' oracle.
+The product does not take this path: sweeps and rounds read E_B off the
+same M in closed form, straight from (h, k, t) (`qetsim.extraction`).
+This path is their independent check.
 """
 
 from __future__ import annotations
@@ -30,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel, model
-from .errors import NumericError, ValidationError, require_real
+from . import kernel
+from .errors import NumericError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import HamiltonianSet, ModelParams, optimal_rotation_angle
+from .model import HamiltonianSet
 
 __all__ = [
-    "MODES",
     "Branches",
     "BobControl",
     "ExtractionResult",
@@ -48,15 +42,9 @@ __all__ = [
     "extracted_energy",
     "optimize_bob",
     "minimize",
-    "extraction_curve",
 ]
 
 Y_AXIS = (0.0, 1.0, 0.0)
-
-# Bob's control sets, described at `extraction_curve`; `model.POLICIES` are
-# a round's two ways of choosing his control.
-MODES = ("family", "full", "shared")
-
 
 @dataclass(frozen=True)
 class Branches:
@@ -187,132 +175,6 @@ def _rotation_costs(states, h_tot) -> np.ndarray:
     return np.einsum("aj,...ak->...jk", c, corr)
 
 
-def _branch0_entries(p: ModelParams, t: np.ndarray):
-    """Branch 0's six nonzero M entries (xx, xy, xz, zx, zy, zz) at times t.
-
-    Closed form of branch 0 of `_rotation_costs` over `evolve_branches`
-    for the measured ground state.  Each outcome mu has probability
-    exactly 1/2, and with the ground amplitudes (a, b) on |00>, |11> the
-    branch state is
-    psi_mu(t) = (a|00> + b|11>)/sqrt2
-                + (-1)^mu [c+ e^(-i w+ t)|+> + c- e^(-i w- t)|->],
-    |+-> = (|01> +- |10>)/sqrt2, c+- = (b +- a)/2, w+- = 2s +- 2k; the
-    {|00>, |11>} part is the zero-energy eigenvector of its block.  On
-    site B, H_tot has only h I(x)sigma_z and 2k sigma_x(x)sigma_x, so
-    M_x. = 2k<sigma_x(x)sigma_.>, M_y. = 0 and M_z. = h<I(x)sigma_.>.
-
-    The identities ab = -k/2s, c+c- = h/4s, c+^2 = h^2/(4s(s+k)) and
-    c-^2 = (s+k)/4s put the six entries on two angles, with
-    C, S = cos, sin(2st) and c, d = cos, sin(2kt):
-        M_xx = -2k^2/s            M_xy = (2hk/s) c d    M_xz = -(2hk/s) C c
-        M_zx = -h S d - (hk/s) C c    M_zy = (h^2/s) C d    M_zz = -(h^2/s) c^2
-    Every coefficient comes straight from (h, k, s) as h*(h/s) and the
-    like, so none cancels or overflows at either end of the domain.
-    Branch 1's M differs in the signs of M_xz, M_zx and M_zy.
-
-    t must be a checked float array (`extraction_curve`); xx does not
-    depend on t and is a float.  Elementwise only (no BLAS product), so a
-    time's entries do not depend on the grid it is computed in.
-    """
-    h, k = p.h, p.k
-    s = p.energy_scale
-    hk_s = h * (k / s)
-    h2_s = h * (h / s)
-    angles = np.multiply.outer(t, (2.0 * s, 2.0 * k))
-    (big_c, c), (big_s, d) = np.cos(angles).T, np.sin(angles).T
-    cc = big_c * c
-    return (
-        -2.0 * (k * (k / s)),
-        (2.0 * hk_s) * (c * d),
-        (-2.0 * hk_s) * cc,
-        -h * (big_s * d) - hk_s * cc,
-        h2_s * (big_c * d),
-        -h2_s * (c * c),
-    )
-
-
-def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> np.ndarray:
-    """E_B at every latency of `times`, in closed form, shape (len(times),).
-
-    Checks policy, mode and times, in that order.  Times must be a
-    non-empty flat list of real numbers (bool, int, float, numpy's, or any
-    value `errors.require_real` admits; no str, bytes or complex) >= 0 with
-    4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st, 2kt and
-    the product E_B*t finite; a NaN fails both comparisons.  As floats they
-    must ascend strictly, so no two rows share a latency.
-
-    The energy is read off branch 0's M entries (`_branch0_entries`).
-    Both branches give up the same energy: branch 1's sign flips leave the
-    family's a0 and a2, tr M, |a_x|^2, |a_z|^2 and |a_x x a_z| unchanged,
-    and 0.5*g + 0.5*g is g exactly.  Under policy "closed-form-theta" Bob
-    applies the family control at the zero-delay angle theta
-    (`optimal_rotation_angle`), which gives a0 (1 - cos 2theta) +
-    a2 sin 2theta, with 1 - cos 2theta taken as 2 sin^2 theta so that a
-    small angle keeps its digits.  Under "optimize" the result is Bob's
-    optimum in `mode`: the peak over the sigma_y family (`_family_peak`);
-    over any SU(2) element per outcome (full), tr M + sigma1 + sigma2 of M
-    (`_rank2_gain`); over one element for both outcomes (shared, the
-    no-information baseline), the same of (M_0 + M_1)/2, which keeps only
-    xx, xy and zz.
-    xx = -2k^2/s < 0 and zz = -(h^2/s) c^2 <= 0, so a0 = tr M < 0 at every
-    time and each peak is taken in its cancellation-free quotient form.
-    """
-    if policy not in model.POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}, expected {model.POLICIES}")
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
-    try:
-        t = np.asarray(times)
-    except ValueError as exc:  # ragged nesting
-        raise ValidationError("latencies must be a flat list of real numbers") from exc
-    if t.dtype.kind == "O":  # ints beyond int64, Fractions, Decimals
-        t = np.array([require_real(x, "latency") for x in t.flat]).reshape(t.shape)
-    if t.ndim != 1 or t.dtype.kind not in "biuf":  # no str, bytes or complex
-        raise ValidationError("latencies must be a flat list of real numbers")
-    if not t.size:
-        raise ValidationError("latency grid must be a non-empty list of numbers")
-    t = t.astype(float, copy=False)
-    if not (t.min() >= 0.0 and math.isfinite(4.0 * p.energy_scale * float(t.max()))):
-        raise ValidationError("latencies must be finite and >= 0, with 4*s*t finite")
-    if not np.all(t[1:] > t[:-1]):
-        raise ValidationError("latency grid must be strictly ascending")
-    xx, xy, xz, zx, zy, zz = _branch0_entries(p, t)
-    if policy == "closed-form-theta":
-        theta = optimal_rotation_angle(p)
-        half = math.sin(theta)
-        return (xx + zz) * (2.0 * half * half) + (xz - zx) * math.sin(2.0 * theta)
-    if mode == "family":
-        return _family_peak(xx + zz, xz - zx)
-    if mode == "shared":
-        return _rank2_gain(xx, xy, 0.0, 0.0, 0.0, zz)
-    return _rank2_gain(xx, xy, xz, zx, zy, zz)
-
-
-def _rank2_gain(xx, xy, xz, zx, zy, zz):
-    """tr M + sigma1 + sigma2: the most a site-B rotation extracts from M.
-
-    M has rows a_x = (xx, xy, xz), a_z = (zx, zy, zz) and a zero y row, so
-    sigma3 = 0 and the minimum over SO(3) of tr(R^T M) is -(sigma1 + sigma2)
-    whatever the sign of det M; sigma1 sigma2 = |a_x x a_z| and
-    sigma1^2 + sigma2^2 = |M|^2.  For tr M = xx + zz < 0 (every branch
-    M(t)) the gain is n/((sigma1 + sigma2) - tr M), where
-        n = (sigma1 + sigma2)^2 - tr^2
-          = xy^2 + zy^2 + (xz - zx)^2 + 2(|a_x x a_z| - det),
-    det = xx zz - xz zx, is a sum of terms >= 0 (|a_x x a_z| >= |det|).
-    Where det > 0, |a_x x a_z| - det is taken as r^2/(|a_x x a_z| + det),
-    with r = hypot(cx, cz) over the cross product's other two components,
-    so nothing cancels; hypot keeps every square in range.
-    """
-    det = xx * zz - xz * zx
-    r = np.hypot(xy * zz - xz * zy, xx * zy - xy * zx)
-    cross = np.hypot(r, det)
-    excess = np.divide(r * r, cross + det, out=cross - det, where=det > 0.0)
-    off = np.hypot(np.hypot(xy, zy), xz - zx)  # sqrt(xy^2 + zy^2 + (xz - zx)^2)
-    n = off * off + 2.0 * excess
-    tr = xx + zz
-    return n / (np.hypot(tr, np.sqrt(n)) - tr)
-
-
 def _turn(theta: float, axis) -> np.ndarray:
     """I - R for the rotation R of U = su2(theta, axis) on site B.
 
@@ -333,16 +195,6 @@ def _controlled_from_wahba(m, probs, control: BobControl):
     turns = np.array([_turn(*params) for params in control.params])
     per_branch = np.einsum("...jk,...jk->...", turns, m)
     return _weighted(per_branch, probs), per_branch
-
-
-def _family_peak(a0, a2):
-    """Peak a0 + hypot(a0, a2) of a0 (1 - cos 2theta) + a2 sin 2theta.
-
-    Taken as a2^2/(hypot(a0, a2) - a0), equal in exact arithmetic and free
-    of the cancellation of a0 + hypot, for a0 < 0: every caller passes
-    a0 = xx + zz with xx = -2k^2/s a normal negative float and zz <= 0.
-    """
-    return a2 * a2 / (np.hypot(a0, a2) - a0)
 
 
 def minimize(m) -> np.ndarray:
@@ -369,7 +221,7 @@ def optimize_bob(branches: Branches, hams: HamiltonianSet) -> ExtractionResult:
     Everything is read off one M per given branch (`_rotation_costs`), and
     the energy is that of the returned control (`_controlled_from_wahba`);
     no SU(2) matrix is built.  Sweeps and rounds, in every mode, read the
-    energy off the closed-form M instead (`extraction_curve`), with no SVD.
+    energy off the closed-form M instead (`extraction`), with no SVD.
     """
     probs = branches.probabilities
     m = _rotation_costs(branches.states, hams.h_tot)  # (2, 3, 3)

@@ -1,7 +1,7 @@
 """Bob's optimum on explicit branch states, independent of the closed forms.
 
 The product reads E_B in every mode off the closed-form M entries
-(`protocol.extraction_curve`); this oracle measures M on the branch states
+(`extraction.extraction_curve`); this oracle measures M on the branch states
 (`protocol._rotation_costs`) and applies the rotation the Kabsch SVD
 returns (`protocol.minimize`), so it shares neither the entries nor the
 rank-2 peak formula with the product.

@@ -22,6 +22,7 @@ from qetsim.audit import (
     scan_alpha,
 )
 from qetsim.cli import main
+from qetsim.extraction import extraction_curve
 from qetsim.kernel import ID2, expectation, kron, su2
 from qetsim.locc import open_listener, run_once, wire_alice, wire_bob, sweep_latency
 from qetsim.model import (
@@ -35,7 +36,6 @@ from qetsim.model import (
 from qetsim.protocol import (
     branch_average,
     evolve_branches,
-    extraction_curve,
     infused_energy,
     measure_alice,
     optimize_bob,

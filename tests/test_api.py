@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qetsim import audit, kernel, locc, model, protocol
+from qetsim import audit, extraction, kernel, locc, model, protocol
 from qetsim.audit import (
     IonParams,
     audit_ion,
@@ -39,7 +39,9 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize(
-    "module", [kernel, model, protocol, locc, audit], ids=lambda m: m.__name__
+    "module",
+    [kernel, model, extraction, protocol, locc, audit],
+    ids=lambda m: m.__name__,
 )
 def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -91,6 +91,10 @@ class TestImports:
     def test_cli_import_adds_no_third_party_module(self):
         assert self.third_party_modules("import qetsim.cli") == "[]"
 
+    def test_locc_import_adds_no_third_party_module(self):
+        # a round's closed forms are scalar; numpy loads on a sweep's first call
+        assert self.third_party_modules("import qetsim.locc") == "[]"
+
     @pytest.mark.parametrize(
         "argv, loaded",
         [
@@ -103,8 +107,15 @@ class TestImports:
                  "--time", "1"], "[]",
                 id="audit-ion",
             ),
+            pytest.param(["run", "--alpha", "2", "--latency", "0.1"], "[]", id="run"),
             pytest.param(
-                ["run", "--alpha", "2", "--latency", "0.1"], "['numpy']", id="run"
+                ["run", "--alpha", "2", "--latency", "0.1", "--mode", "full"], "[]",
+                id="run-full",
+            ),
+            pytest.param(
+                ["run", "--alpha", "2", "--latency", "0.1",
+                 "--policy", "closed-form-theta"], "[]",
+                id="run-closed-form-theta",
             ),
             pytest.param(
                 ["sweep", "--alpha", "2", "--latencies", "0:1:0.5"], "['numpy']",
@@ -115,14 +126,37 @@ class TestImports:
         ],
     )
     def test_command_loads_numpy_only_for_linear_algebra(self, argv, loaded):
-        # numpy is the one runtime dependency (pyproject.toml); audits and
-        # the f(alpha) scan are scalar closed forms and start without it
+        # numpy is the one runtime dependency (pyproject.toml); audits, the
+        # f(alpha) scan and a round are scalar closed forms and start without it
         code = (
             "import contextlib, io; from qetsim.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0"
         )
         assert self.third_party_modules(code) == loaded
+
+    def test_wire_pair_loads_no_numpy(self):
+        # Alice in a thread and Bob through the CLI, in one interpreter
+        code = (
+            "import contextlib, io, threading\n"
+            "from qetsim import locc\n"
+            "from qetsim.cli import main\n"
+            "from qetsim.model import ModelParams\n"
+            "listener = locc.open_listener('127.0.0.1:0')\n"
+            "port = listener.getsockname()[1]\n"
+            "box = {}\n"
+            "alice = threading.Thread(target=lambda: box.update(\n"
+            "    trace=locc.wire_alice(listener, ModelParams(3, 4), 0.5)))\n"
+            "alice.start()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = main(['run', '--h', '3', '--k', '4', '--latency', '0.5',\n"
+            "                 '--wire', 'bob', '--connect', f'127.0.0.1:{port}'])\n"
+            "alice.join(timeout=30)\n"
+            "listener.close()\n"
+            "assert code == 0 and not alice.is_alive()\n"
+            "assert out.getvalue() == locc.traces_to_csv([box['trace']])"
+        )
+        assert self.third_party_modules(code) == "[]"
 
     def test_policy_choices_are_the_protocol_policies(self):
         from qetsim import cli, model
@@ -166,6 +200,27 @@ class TestGolden:
         )
         assert code == 0
         assert got == (GOLDEN / "audit_ion.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["run", "--h", "3", "--k", "4", "--latency", "0.5"],
+             "run_h3_k4_t0.5.csv"),
+            (["run", "--h", "3", "--k", "4", "--latency", "0.5", "--mode", "full"],
+             "run_h3_k4_t0.5_full.csv"),
+            (["run", "--h", "3", "--k", "4", "--latency", "0.5",
+              "--policy", "closed-form-theta"],
+             "run_h3_k4_t0.5_theta.csv"),
+            (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1"],
+             "sweep_h3_k4.csv"),
+        ],
+        ids=["run", "run-full", "run-closed-form-theta", "sweep"],
+    )
+    def test_round_and_sweep(self, argv, name, tmp_path):
+        # a round is scalar arithmetic and a sweep numpy's: both pinned
+        code, got = run_cli(argv, tmp_path)
+        assert code == 0
+        assert got == (GOLDEN / name).read_bytes()
 
     def test_repeat_invocations_byte_identical(self, tmp_path):
         _, first = run_cli(["model", "--h", "3", "--k", "4"], tmp_path, "a")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bob_optimum
 
+from qetsim.extraction import extraction_curve
 from qetsim.kernel import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
 from qetsim.model import (
     ModelParams,
@@ -32,7 +33,6 @@ from qetsim.protocol import (
     apply_bob,
     evolve_branches,
     extracted_energy,
-    extraction_curve,
     infused_energy,
     measure_alice,
     minimize,

@@ -1,3 +1,5 @@
+import array
+import collections
 import dataclasses
 import hashlib
 import math
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bob_optimum
 
-from qetsim import kernel, model, protocol
+from qetsim import extraction, kernel, model, protocol
 from qetsim.audit import verdict_for
 from qetsim.cli import _parse_latencies
 from qetsim.errors import ProtocolError, ValidationError
@@ -38,8 +40,8 @@ from qetsim.model import (
     ground_state_closed_form,
     optimal_rotation_angle,
 )
+from qetsim.extraction import MODES
 from qetsim.protocol import (
-    MODES,
     BobControl,
     apply_bob,
     evolve_branches,
@@ -51,6 +53,11 @@ from qetsim.protocol import (
 
 P34 = ModelParams(h=3.0, k=4.0)
 P21 = ModelParams(h=2.0, k=1.0)
+
+# Latencies of other real types, each counted as its float.
+REAL_LATENCIES = [np.float32(0.3), np.int64(2), Fraction(1, 3), 10**20, Decimal("0.5")]
+# Values that are not a real latency.
+NON_REAL_LATENCIES = ["a", "0.5", b"1", 1j, None, [0.1]]
 
 
 class TestRunOnce:
@@ -196,7 +203,7 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_latency(P34, grid)
 
-    @pytest.mark.parametrize("bad", ["a", "0.5", b"1", 1j, None, [0.1]])
+    @pytest.mark.parametrize("bad", NON_REAL_LATENCIES)
     def test_rejects_non_real_latency(self, bad):
         # a str or bytes latency once came back on the trace, whose product,
         # verdict and digest then raised TypeError
@@ -224,10 +231,7 @@ class TestSweep:
             assert row.e_b_extracted == run_once(P21, float(t_c)).e_b_extracted
             assert len(row.digest()) == 64
 
-    @pytest.mark.parametrize(
-        "latency",
-        [np.float32(0.3), np.int64(2), Fraction(1, 3), 10**20, Decimal("0.5")],
-    )
+    @pytest.mark.parametrize("latency", REAL_LATENCIES)
     def test_latency_counts_as_its_float(self, latency):
         # an np.float32 latency gave an np.float32 product, whose CSV cell
         # and digest differed from its float twin's; a Decimal was rejected
@@ -236,6 +240,38 @@ class TestSweep:
         assert row.uncertainty_product == twin.uncertainty_product
         assert row.csv_row() == twin.csv_row()
         assert row.digest() == twin.digest()
+
+    @pytest.mark.parametrize(
+        ("latency", "admitted"),
+        [(t, True) for t in REAL_LATENCIES]
+        + [
+            (t, True)
+            for t in (0, 1, False, True, np.float32(0.0), np.int64(1), 10**30,
+                      Fraction(0), Fraction(1, 2), 0.37, np.array(0.5),
+                      np.array(Decimal("0.5"), dtype=object))
+        ]
+        + [(t, False) for t in NON_REAL_LATENCIES]
+        + [
+            (t, False)
+            for t in (math.nan, math.inf, -1, -0.1, 1e308, Decimal("nan"),
+                      10**400, np.float64(-1.0), np.array([0.5]), bytearray(b"1"),
+                      range(1), collections.deque([0.5]), array.array("d", [0.5]))
+        ],
+        ids=repr,
+    )
+    def test_round_checks_as_a_one_point_sweep(self, latency, admitted):
+        # a round admits what a one-point sweep admits and rejects the rest
+        # with its message (1e308 has 4*s*t = inf)
+        def outcome(call):
+            try:
+                return call()
+            except ValidationError as exc:
+                return str(exc)
+
+        single = outcome(lambda: run_once(P34, latency))
+        swept = outcome(lambda: sweep_latency(P34, [latency])[0])
+        assert single == swept
+        assert isinstance(single, str) != admitted
 
     def test_rejects_latency_whose_phase_overflows(self):
         # 4*s*t_c overflows: the phases 2st and the product E_B*t_c with it
@@ -298,8 +334,8 @@ class TestSweep:
         # every binding of the 4x4 model builders, the measurement, the
         # numeric expectation/eigensolver, the Kabsch SVD and su2 raises;
         # sweeps and rounds read E_B off the closed-form M entries in every
-        # mode and policy
-        banned = (
+        # mode and policy, and a round does not take the array path either
+        numeric_model = (
             kernel.hermitian_eig,
             kernel.expectation,
             kernel.kron,
@@ -312,22 +348,33 @@ class TestSweep:
         )
 
         def boom(*args, **kwargs):
-            raise AssertionError("numeric model reached from a sweep")
+            raise AssertionError("numeric model reached from a sweep or round")
 
-        patched = 0
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "qetsim":
-                continue
-            for attr, value in list(vars(module).items()):
-                if any(value is fn for fn in banned):
-                    monkeypatch.setattr(module, attr, boom)
-                    patched += 1
-        assert patched >= len(banned)
-        for policy in POLICIES:
-            for mode in MODES:
-                rows = sweep_latency(P21, [0.0, 0.3, 1.1], policy=policy, mode=mode)
-                assert len(rows) == 3
-                assert run_once(P21, 0.3, policy=policy, mode=mode) == rows[1]
+        def ban(*banned):
+            patched = 0
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "qetsim":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in banned):
+                        monkeypatch.setattr(module, attr, boom)
+                        patched += 1
+            assert patched >= len(banned)
+
+        ban(*numeric_model)
+        rows = {
+            (policy, mode): sweep_latency(
+                P21, [0.0, 0.3, 1.1], policy=policy, mode=mode
+            )
+            for policy in POLICIES
+            for mode in MODES
+        }
+        ban(extraction.extraction_curve)
+        for (policy, mode), swept in rows.items():
+            assert len(swept) == 3
+            assert run_once(P21, 0.3, policy=policy, mode=mode) == swept[1]
+        with pytest.raises(AssertionError, match="numeric model"):
+            sweep_latency(P21, [0.3])
 
     def test_ten_thousand_latencies(self):
         period = diffusion_period(P21)
@@ -343,6 +390,27 @@ class TestSweep:
         assert {row.verdict for row in rows} == {"observable", "unobservable"}
         for i in range(0, 10_000, 997):  # a row does not depend on the grid
             assert rows[i] == run_once(P21, grid[i])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.data())
+def test_round_is_bit_identical_to_its_sweep_row(log_h, log_k, data):
+    # h and k log-uniform over the stated domain and t >= 0 anywhere 4st
+    # stays finite, in a grid of latencies at other magnitudes: the scalar
+    # round and the array sweep give the same trace, bit for bit
+    p = ModelParams(h=10.0**log_h, k=10.0**log_k)
+    four_s = 4.0 * p.energy_scale
+    times = st.floats(0.0, sys.float_info.max / four_s).filter(
+        lambda t: math.isfinite(four_s * t)
+    )
+    t = data.draw(times)
+    grid = sorted({t, *data.draw(st.lists(times, max_size=4))})
+    for policy in POLICIES:
+        for mode in MODES:
+            row = sweep_latency(p, grid, policy=policy, mode=mode)[grid.index(t)]
+            single = run_once(p, t, policy=policy, mode=mode)
+            assert single == row
+            assert single.e_b_extracted.hex() == row.e_b_extracted.hex()  # -0.0
 
 
 def oracle_e_b(p, t_c, policy, mode):

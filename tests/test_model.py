@@ -160,6 +160,15 @@ class TestClosedForms:
         # 4kt = pi at t = pi/16
         assert hb_expected(P34, math.pi / 16.0) == pytest.approx(1.8, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6])
+    def test_hb_keeps_its_digits_at_small_time(self, t):
+        # (h^2/2s)(1 - cos 4kt) read 0.0 at t = 1e-12 and was 13% off at 1e-9
+        with mpmath.workdps(50):
+            h, kk, tt = mpmath.mpf(P34.h), mpmath.mpf(P34.k), mpmath.mpf(t)
+            s = mpmath.sqrt(h * h + kk * kk)
+            exact = float(h * h / (2 * s) * (1 - mpmath.cos(4 * kk * tt)))
+        assert hb_expected(P34, t) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     def test_hb_period(self):
         period = diffusion_period(P34)
         for t in (0.05, 0.11, 0.31):

@@ -23,17 +23,15 @@ from qetsim.model import (
     hb_expected,
     optimal_rotation_angle,
 )
+from qetsim.extraction import MODES, _branch0_entries, _numpy_ops, extraction_curve
 from qetsim.protocol import (
-    MODES,
     BobControl,
-    _branch0_entries,
     _PROJECTORS,
     _rotation_costs,
     apply_bob,
     branch_average,
     evolve_branches,
     extracted_energy,
-    extraction_curve,
     infused_energy,
     measure_alice,
     optimize_bob,
@@ -311,7 +309,7 @@ def closed_branch0(p, times):
     """Branch 0's M at every time, shape (N, 3, 3), from `_branch0_entries`."""
     t = np.asarray(times, dtype=float)
     m = np.zeros((t.size, 3, 3))
-    for (row, col), entry in zip(ENTRY_INDEX, _branch0_entries(p, t)):
+    for (row, col), entry in zip(ENTRY_INDEX, _branch0_entries(p, t, _numpy_ops())):
         m[:, row, col] = entry
     return m
 
