@@ -5,10 +5,10 @@ Every numeric printed is recomputed from module operations and formatted
 at 12 significant digits; identical invocations produce byte-identical
 output files.
 
-Each command imports what it computes with: `audit`, `scan-alpha` and
-`run` (one round, in or out of wire mode) need only scalar closed forms, so
-they start without numpy; `model` (4x4 linear algebra) and `sweep` (one
-array pass over the grid) load it when they run.
+Each command imports what it computes with: `audit`, `scan-alpha`, `run`
+(one round, in or out of wire mode) and `sweep` (one scalar loop over the
+grid) need only scalar closed forms, so they start without numpy; `model`
+(4x4 linear algebra) loads it when it runs.
 """
 
 from __future__ import annotations

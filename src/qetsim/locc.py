@@ -3,11 +3,12 @@
 Model time, not wall time, drives the physics: the channel latency t_c is
 the duration of unitary diffusion between Alice's measurement and Bob's
 conditioned operation.  Sweeps and rounds read Bob's energy off the
-closed forms in `extraction`: a sweep in one numpy pass over its latency
-grid (`extraction_curve`), a round in scalar `math` without numpy
-(`extraction_at`), bit-identical to its latency's row in any sweep.  Wire
-mode moves the outcome frames across a real byte stream while each side
-runs that same round, so the two traces agree bit for bit.
+closed forms in `extraction`, in scalar `math` without numpy: a sweep in
+one loop over its latency grid (`extraction_curve`), a round as its
+one-point case (`extraction_at`), bit-identical to its latency's row in
+any sweep.  Wire mode moves the outcome frames across a real byte stream
+while each side runs that same round, so the two traces agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -81,11 +82,23 @@ class ProtocolTrace:
     def verdict(self) -> str:
         return verdict_for(self.uncertainty_product)
 
-    def _cells(self) -> list[str]:
-        """The printed values, in `_FIELDS` order."""
-        p, product = self.params, self.uncertainty_product
-        values = (p.h, p.k, self.latency, self.e_a, self.e_b_extracted, product)
-        return [*map(fmt, values), verdict_for(product)]
+    def _cells(self, shared: tuple[str, str, str] | None = None) -> list[str]:
+        """The printed values, in `_FIELDS` order.
+
+        `shared` is `_shared_cells(self.params, self.e_a)` when the caller
+        has it already: the rows of one sweep share h, k and e_a.
+        """
+        h, k, e_a = shared or _shared_cells(self.params, self.e_a)
+        product = self.uncertainty_product
+        return [
+            h,
+            k,
+            fmt(self.latency),
+            e_a,
+            fmt(self.e_b_extracted),
+            fmt(product),
+            verdict_for(product),
+        ]
 
     def digest(self) -> str:
         """SHA-256 over the canonical 12-significant-digit serialisation.
@@ -110,6 +123,11 @@ class ProtocolTrace:
 
     def csv_row(self) -> str:
         return ",".join(self._cells())
+
+
+def _shared_cells(p: ModelParams, e_a: float) -> tuple[str, str, str]:
+    """The h, k and e_a cells of a trace."""
+    return fmt(p.h), fmt(p.k), fmt(e_a)
 
 
 def run_once(
@@ -140,22 +158,29 @@ def sweep_latency(
 ) -> list[ProtocolTrace]:
     """One trace per latency of a non-empty, strictly ascending, finite grid >= 0.
 
-    Bob's energy comes for the whole grid in one elementwise pass off the
+    Bob's energy comes for the whole grid in one scalar loop off the
     closed-form branch M (`extraction_curve`, which checks policy, mode and
     the grid), with no 4x4 model, measurement, eigendecomposition or SVD.
     E_A is the closed form h^2/s.
     """
     e_b = extraction_curve(p, grid, policy, mode)
     e_a = e_a_closed(p)
-    return [
-        ProtocolTrace(p, t_c, e_a, e, policy, mode)
-        for t_c, e in zip(grid, e_b.tolist())
-    ]
+    return [ProtocolTrace(p, t_c, e_a, e, policy, mode) for t_c, e in zip(grid, e_b)]
 
 
 def traces_to_csv(traces) -> str:
+    """The header and each trace's `csv_row`, one line each.
+
+    h, k and e_a are formatted once per run of traces with equal
+    (params, e_a), as in a sweep.
+    """
     lines = [TRACE_CSV_HEADER]
-    lines.extend(trace.csv_row() for trace in traces)
+    key = shared = None
+    for trace in traces:
+        if (trace.params, trace.e_a) != key:
+            key = trace.params, trace.e_a
+            shared = _shared_cells(*key)
+        lines.append(",".join(trace._cells(shared)))
     return "\n".join(lines) + "\n"
 
 

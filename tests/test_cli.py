@@ -92,8 +92,21 @@ class TestImports:
         assert self.third_party_modules("import qetsim.cli") == "[]"
 
     def test_locc_import_adds_no_third_party_module(self):
-        # a round's closed forms are scalar; numpy loads on a sweep's first call
+        # rounds and sweeps are scalar closed forms; numpy never loads here
         assert self.third_party_modules("import qetsim.locc") == "[]"
+
+    @pytest.mark.parametrize("latency", ["1", "Fraction(1, 2)"])
+    def test_latency_of_another_real_type_loads_no_numpy(self, latency):
+        # a latency of another real type is checked without numpy, in a round
+        # and in a sweep
+        code = (
+            "from fractions import Fraction\n"
+            "from qetsim.locc import run_once, sweep_latency\n"
+            "from qetsim.model import ModelParams\n"
+            f"row = run_once(ModelParams(3, 4), {latency})\n"
+            f"assert sweep_latency(ModelParams(3, 4), [0, {latency}])[1] == row"
+        )
+        assert self.third_party_modules(code) == "[]"
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -118,8 +131,17 @@ class TestImports:
                 id="run-closed-form-theta",
             ),
             pytest.param(
-                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5"], "['numpy']",
-                id="sweep",
+                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5"], "[]", id="sweep",
+            ),
+            pytest.param(
+                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5", "--mode", "full"],
+                "[]",
+                id="sweep-full",
+            ),
+            pytest.param(
+                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5",
+                 "--policy", "closed-form-theta"], "[]",
+                id="sweep-closed-form-theta",
             ),
             pytest.param(["model", "--h", "3", "--k", "4"], "['numpy']", id="model"),
             pytest.param(["scan-alpha", "--points", "10"], "[]", id="scan-alpha"),
@@ -127,7 +149,8 @@ class TestImports:
     )
     def test_command_loads_numpy_only_for_linear_algebra(self, argv, loaded):
         # numpy is the one runtime dependency (pyproject.toml); audits, the
-        # f(alpha) scan and a round are scalar closed forms and start without it
+        # f(alpha) scan, a round and a sweep are scalar closed forms and start
+        # without it
         code = (
             "import contextlib, io; from qetsim.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -213,11 +236,19 @@ class TestGolden:
              "run_h3_k4_t0.5_theta.csv"),
             (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1"],
              "sweep_h3_k4.csv"),
+            (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1",
+              "--mode", "full"],
+             "sweep_h3_k4_full.csv"),
+            (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1",
+              "--policy", "closed-form-theta"],
+             "sweep_h3_k4_theta.csv"),
         ],
-        ids=["run", "run-full", "run-closed-form-theta", "sweep"],
+        ids=["run", "run-full", "run-closed-form-theta", "sweep", "sweep-full",
+             "sweep-closed-form-theta"],
     )
     def test_round_and_sweep(self, argv, name, tmp_path):
-        # a round is scalar arithmetic and a sweep numpy's: both pinned
+        # a round is a one-point sweep; each (policy, mode) loop of the
+        # sweep is pinned through the command
         code, got = run_cli(argv, tmp_path)
         assert code == 0
         assert got == (GOLDEN / name).read_bytes()

@@ -22,6 +22,7 @@ from qetsim.errors import ProtocolError, ValidationError
 from qetsim.formatting import fmt
 from qetsim.locc import (
     TRACE_CSV_HEADER,
+    ProtocolTrace,
     _parse_endpoint,
     open_listener,
     run_once,
@@ -334,7 +335,7 @@ class TestSweep:
         # every binding of the 4x4 model builders, the measurement, the
         # numeric expectation/eigensolver, the Kabsch SVD and su2 raises;
         # sweeps and rounds read E_B off the closed-form M entries in every
-        # mode and policy, and a round does not take the array path either
+        # mode and policy, and a round does not go through the grid entry point
         numeric_model = (
             kernel.hermitian_eig,
             kernel.expectation,
@@ -397,7 +398,7 @@ class TestSweep:
 def test_round_is_bit_identical_to_its_sweep_row(log_h, log_k, data):
     # h and k log-uniform over the stated domain and t >= 0 anywhere 4st
     # stays finite, in a grid of latencies at other magnitudes: the scalar
-    # round and the array sweep give the same trace, bit for bit
+    # round and its sweep row give the same trace, bit for bit
     p = ModelParams(h=10.0**log_h, k=10.0**log_k)
     four_s = 4.0 * p.energy_scale
     times = st.floats(0.0, sys.float_info.max / four_s).filter(
@@ -544,6 +545,33 @@ class TestCsv:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "3" and first[1] == "4" and first[-1] == "unobservable"
+
+    @staticmethod
+    def joined_rows(traces):
+        return "\n".join([TRACE_CSV_HEADER, *(t.csv_row() for t in traces)]) + "\n"
+
+    def test_long_sweep_is_its_joined_rows(self):
+        # the writer formats h, k and e_a once per run of equal (params, e_a)
+        traces = sweep_latency(P21, [2.5e-4 * i for i in range(100_000)])
+        assert traces_to_csv(traces) == self.joined_rows(traces)
+
+    def test_mixed_traces_are_their_joined_rows(self):
+        # runs of one row and of several, equal params in distinct objects
+        # (one with int fields), and a change of e_a alone
+        traces = [
+            trace
+            for policy in POLICIES
+            for mode in MODES
+            for p, grid in [
+                (P34, [0.0, 0.3]),
+                (P21, [0.3]),
+                (ModelParams(3, 4), [0.5, 1.5]),
+                (P21, [0.0, 0.7, 2.0]),
+            ]
+            for trace in sweep_latency(p, grid, policy=policy, mode=mode)
+        ]
+        traces.insert(3, ProtocolTrace(P34, 0.5, 1.0, 0.25, "optimize", "family"))
+        assert traces_to_csv(traces) == self.joined_rows(traces)
 
 
 class TestWire:

@@ -23,7 +23,7 @@ from qetsim.model import (
     hb_expected,
     optimal_rotation_angle,
 )
-from qetsim.extraction import MODES, _branch0_entries, _numpy_ops, extraction_curve
+from qetsim.extraction import MODES, _branch0_entries, _coefficients, extraction_curve
 from qetsim.protocol import (
     BobControl,
     _PROJECTORS,
@@ -307,10 +307,11 @@ ENTRY_INDEX = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))
 
 def closed_branch0(p, times):
     """Branch 0's M at every time, shape (N, 3, 3), from `_branch0_entries`."""
-    t = np.asarray(times, dtype=float)
-    m = np.zeros((t.size, 3, 3))
-    for (row, col), entry in zip(ENTRY_INDEX, _branch0_entries(p, t, _numpy_ops())):
-        m[:, row, col] = entry
+    coefficients = _coefficients(p)
+    m = np.zeros((len(times), 3, 3))
+    for i, t in enumerate(times):
+        for (row, col), entry in zip(ENTRY_INDEX, _branch0_entries(coefficients, t)):
+            m[i, row, col] = entry
     return m
 
 
