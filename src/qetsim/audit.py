@@ -31,7 +31,6 @@ __all__ = [
     "uncertainty_product",
     "verdict_for",
     "audit_minimal",
-    "ion_output",
     "ion_maximize",
     "audit_ion",
     "scan_to_csv",
@@ -178,13 +177,13 @@ class IonParams:
 
     gamma_n and zeta_n are dimensionless couplings treated as inputs (no
     microscopic ion-count dependence is modelled); nu is the phonon
-    frequency (energy, hbar = 1) and phi the interaction angle.
+    frequency (energy, hbar = 1).  The interaction angle phi is fixed at
+    its optimum, sin^2(2*phi) = 1.
     """
 
     gamma_n: float
     zeta_n: float
     nu: float
-    phi: float = math.pi / 4.0
 
     def __post_init__(self):
         set_field = object.__setattr__  # frozen: store the admitted floats
@@ -193,7 +192,6 @@ class IonParams:
             raise ValidationError("gamma_n must lie in (0, 1]")
         set_field(self, "zeta_n", require_real(self.zeta_n, "zeta_n", gt=0.0))
         set_field(self, "nu", require_real(self.nu, "nu", gt=0.0))
-        set_field(self, "phi", require_real(self.phi, "phi"))
 
 
 @dataclass(frozen=True)
@@ -205,19 +203,9 @@ class IonMaximum:
     phonon_scale_output: float  # output evaluated at e_in = nu
 
 
-def ion_output(ip: IonParams, e_in: float) -> float:
-    """Trapped-ion teleported energy gamma*e_in*exp(-zeta*e_in/nu)*sin^2(2*phi)."""
-    e_in = require_real(e_in, "input energy", ge=0.0)
-    return (
-        ip.gamma_n
-        * e_in
-        * math.exp(-ip.zeta_n * e_in / ip.nu)
-        * math.sin(2.0 * ip.phi) ** 2
-    )
-
-
 def ion_maximize(ip: IonParams) -> IonMaximum:
-    """Maximise the output over the input energy, with sin^2(2*phi) = 1.
+    """Maximise the teleported energy gamma*e_in*exp(-zeta*e_in/nu) over the
+    input energy e_in, with sin^2(2*phi) = 1.
 
     Exact: gamma*e*exp(-zeta*e/nu) peaks at e_in* = nu/zeta with value
     gamma*(nu/zeta)/e; NumericError if either is not finite and > 0.  Also

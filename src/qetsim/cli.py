@@ -221,11 +221,15 @@ def cmd_scan_alpha(args) -> int:
 def cmd_run(args) -> int:
     from . import locc
 
+    if args.listen is not None and args.wire != "alice":
+        raise ValidationError("--listen needs --wire alice")
+    if args.connect is not None and args.wire != "bob":
+        raise ValidationError("--connect needs --wire bob")
     round_args = (_resolve_params(args), args.latency, args.policy, args.mode)
-    if args.wire == "alice" and args.listen:
+    if args.listen:
         with locc.open_listener(args.listen) as listener:
             trace = locc.wire_alice(listener, *round_args)
-    elif args.wire == "bob" and args.connect:
+    elif args.connect:
         trace = locc.wire_bob(args.connect, *round_args)
     elif args.wire:
         raise ValidationError("wire mode needs --listen (alice) or --connect (bob)")

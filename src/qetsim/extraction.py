@@ -134,7 +134,7 @@ def _check_range(p: ModelParams, low: float, high: float) -> None:
 def _check_times(p: ModelParams, times) -> list[float]:
     """`times` as a non-empty list of floats in range, strictly ascending."""
     if type(times) is not list and (
-        isinstance(times, (str, bytes))
+        isinstance(times, (str, bytes, bytearray, memoryview))
         or not (isinstance(times, Sequence) or getattr(times, "ndim", None) == 1)
     ):
         raise ValidationError(_NOT_REAL)
@@ -180,10 +180,11 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[floa
 
     Checks policy, mode and times, in that order.  Times must be a
     non-empty flat list of real numbers (bool, int, float, numpy's, or any
-    value `errors.require_real` admits; no str, bytes or complex) >= 0 with
-    4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st, 2kt and
-    the product E_B*t finite; a NaN fails both comparisons.  As floats they
-    must ascend strictly, so no two rows share a latency.
+    value `errors.require_real` admits; no str, bytes or complex, and no
+    byte buffer as the grid) >= 0 with 4*s*t finite: E_B <= 4s, so the
+    bound keeps the phases 2st, 2kt and the product E_B*t finite; a NaN
+    fails both comparisons.  As floats they must ascend strictly, so no
+    two rows share a latency.
 
     The energy is read off branch 0's M entries (`_branch0_entries`).
     Both branches give up the same energy: branch 1's sign flips leave the

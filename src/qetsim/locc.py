@@ -47,36 +47,39 @@ TRACE_CSV_HEADER = ",".join(_FIELDS)
 class ProtocolTrace:
     """End-to-end record of one protocol round.
 
-    Only the independent quantities are stored; the product and the
+    Only the independent quantities are stored, a latency of another real
+    type (np.float32, Decimal) as its float; E_A, the product and the
     verdict follow from them.
     """
 
     params: ModelParams
     latency: float
-    e_a: float
     e_b_extracted: float
     policy: str
     mode: str
 
-    def __init__(self, params, latency, e_a, e_b_extracted, policy, mode):
-        # One dict update instead of the frozen __init__'s six
+    def __init__(self, params, latency, e_b_extracted, policy, mode):
+        # One dict update instead of the frozen __init__'s five
         # object.__setattr__ calls: a sweep builds one trace per latency.
         self.__dict__.update(
             params=params,
-            latency=latency,
-            e_a=e_a,
+            latency=float(latency),
             e_b_extracted=e_b_extracted,
             policy=policy,
             mode=mode,
         )
 
     @property
+    def e_a(self) -> float:
+        """Energy infused at site A, the closed form h^2/s."""
+        return e_a_closed(self.params)
+
+    @property
     def uncertainty_product(self) -> float:
         # Kept recomputable as e_b * t_c even when a fixed-angle policy
         # injects energy (negative extraction); the audit op's e >= 0
-        # contract is not used here.  A latency of another real type
-        # (np.float32, Decimal) counts as its float.
-        return self.e_b_extracted * float(self.latency)
+        # contract is not used here.
+        return self.e_b_extracted * self.latency
 
     @property
     def verdict(self) -> str:
@@ -85,10 +88,10 @@ class ProtocolTrace:
     def _cells(self, shared: tuple[str, str, str] | None = None) -> list[str]:
         """The printed values, in `_FIELDS` order.
 
-        `shared` is `_shared_cells(self.params, self.e_a)` when the caller
-        has it already: the rows of one sweep share h, k and e_a.
+        `shared` is `_shared_cells(self.params)` when the caller has it
+        already: the rows of one sweep share h, k and e_a.
         """
-        h, k, e_a = shared or _shared_cells(self.params, self.e_a)
+        h, k, e_a = shared or _shared_cells(self.params)
         product = self.uncertainty_product
         return [
             h,
@@ -125,9 +128,9 @@ class ProtocolTrace:
         return ",".join(self._cells())
 
 
-def _shared_cells(p: ModelParams, e_a: float) -> tuple[str, str, str]:
-    """The h, k and e_a cells of a trace."""
-    return fmt(p.h), fmt(p.k), fmt(e_a)
+def _shared_cells(p: ModelParams) -> tuple[str, str, str]:
+    """The h, k and e_a cells of a trace with params p."""
+    return fmt(p.h), fmt(p.k), fmt(e_a_closed(p))
 
 
 def run_once(
@@ -146,8 +149,7 @@ def run_once(
     The round is a one-point sweep in scalar arithmetic (`extraction_at`,
     with the sweep's checks): bit-identical to t_c's row in any sweep.
     """
-    e_b = extraction_at(p, t_c, policy, mode)
-    return ProtocolTrace(p, t_c, e_a_closed(p), e_b, policy, mode)
+    return ProtocolTrace(p, t_c, extraction_at(p, t_c, policy, mode), policy, mode)
 
 
 def sweep_latency(
@@ -161,38 +163,37 @@ def sweep_latency(
     Bob's energy comes for the whole grid in one scalar loop off the
     closed-form branch M (`extraction_curve`, which checks policy, mode and
     the grid), with no 4x4 model, measurement, eigendecomposition or SVD.
-    E_A is the closed form h^2/s.
     """
     e_b = extraction_curve(p, grid, policy, mode)
-    e_a = e_a_closed(p)
-    return [ProtocolTrace(p, t_c, e_a, e, policy, mode) for t_c, e in zip(grid, e_b)]
+    return [ProtocolTrace(p, t_c, e, policy, mode) for t_c, e in zip(grid, e_b)]
 
 
 def traces_to_csv(traces) -> str:
     """The header and each trace's `csv_row`, one line each.
 
-    h, k and e_a are formatted once per run of traces with equal
-    (params, e_a), as in a sweep.
+    h, k and e_a are formatted once per run of traces that share one
+    params object, as in a sweep; equal params in another object are
+    formatted again, to the same cells.
     """
     lines = [TRACE_CSV_HEADER]
-    key = shared = None
+    params = shared = None
     for trace in traces:
-        if (trace.params, trace.e_a) != key:
-            key = trace.params, trace.e_a
-            shared = _shared_cells(*key)
+        if trace.params is not params:
+            params = trace.params
+            shared = _shared_cells(params)
         lines.append(",".join(trace._cells(shared)))
     return "\n".join(lines) + "\n"
 
 
 # --- wire mode -------------------------------------------------------------
 
-def _frames(p: ModelParams, t_c: float) -> list[dict]:
+def _frames(trace: ProtocolTrace) -> list[dict]:
     """The round's three frames in wire order: hello, then outcomes mu = 0, 1.
 
-    Both ends build this same list, send their share of it and require
-    each frame they read to equal its entry.
+    Both ends build this same list from their own trace, send their share
+    of it and require each frame they read to equal its entry.
     """
-    t_c = float(t_c)  # a Decimal or np.float32 latency has no JSON form
+    p, t_c = trace.params, trace.latency
     hello = {"kind": "hello", "h": p.h, "k": p.k, "t_c": t_c}
     return [hello] + [
         {"kind": "outcome", "mu": mu, "sent_at": 0.0, "deliver_at": t_c}
@@ -272,7 +273,7 @@ def wire_alice(
     awaited.
     """
     trace = run_once(p, t_c, policy=policy, mode=mode)
-    frames = _frames(p, t_c)
+    frames = _frames(trace)
     with _socket_errors("alice wire failure"):
         conn, _addr = listener.accept()
         conn.settimeout(WIRE_TIMEOUT)
@@ -296,7 +297,7 @@ def wire_bob(
     The round is computed first, so bad inputs fail before any connection.
     """
     trace = run_once(p, t_c, policy=policy, mode=mode)
-    frames = _frames(p, t_c)
+    frames = _frames(trace)
     host, port = _parse_endpoint(endpoint)
     with (
         _socket_errors("bob wire failure"),

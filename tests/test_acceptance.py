@@ -18,7 +18,6 @@ from qetsim.audit import (
     audit_minimal,
     f_alpha,
     ion_maximize,
-    ion_output,
     scan_alpha,
 )
 from qetsim.cli import main
@@ -183,8 +182,8 @@ def test_criterion_7_minimal_contradiction():
 @criterion(8, "trapped-ion suite")
 def test_criterion_8_trapped_ion():
     demo = IonParams(gamma_n=0.5, zeta_n=2.0, nu=1.0)
-    assert abs(ion_output(demo, 1.0) - 0.5 * math.exp(-2.0)) <= 1e-12 * 0.5 * math.exp(-2.0)
-    assert abs(ion_output(demo, 0.3) - 0.5 * 0.3 * math.exp(-0.6)) <= 1e-12
+    phonon = ion_maximize(demo).phonon_scale_output  # the output at e_in = nu = 1
+    assert abs(phonon - 0.5 * math.exp(-2.0)) <= 1e-12 * 0.5 * math.exp(-2.0)
 
     rng = np.random.default_rng(RNG_SEED + 2)
     for _ in range(10):

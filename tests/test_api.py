@@ -21,7 +21,7 @@ from qetsim.audit import (
     audit_ion,
     audit_minimal,
     f_alpha,
-    ion_output,
+    ion_maximize,
     scan_alpha,
     uncertainty_product,
 )
@@ -69,7 +69,7 @@ ION = IonParams(0.5, 2.0, 1.0)
     [
         pytest.param(lambda: audit_minimal(P, "1"), id="audit_minimal-str"),
         pytest.param(lambda: audit_minimal(P, 1j), id="audit_minimal-complex"),
-        pytest.param(lambda: ion_output(ION, None), id="ion_output-None"),
+        pytest.param(lambda: audit_ion(ION, None), id="audit_ion-None"),
         pytest.param(lambda: IonParams("a", 1, 1), id="IonParams-str"),
         pytest.param(lambda: hb_expected(P, "1"), id="hb_expected-str"),
         pytest.param(lambda: evolve_operator(ID4, "1"), id="evolve_operator-str"),
@@ -136,8 +136,7 @@ TWINS = {
     "product-e-Decimal": (lambda v: uncertainty_product(v, 1.5), Decimal("0.5")),
     "product-t-Decimal": (lambda v: uncertainty_product(1.5, v), Decimal("0.5")),
     "audit_minimal-Decimal": (lambda v: audit_minimal(P, v), Decimal("0.5")),
-    "IonParams-Decimal": (lambda v: ion_output(IonParams(1, v, 1), 1), Decimal("2")),
-    "ion_output-Decimal": (lambda v: ion_output(ION, v), Decimal("0.5")),
+    "IonParams-Decimal": (lambda v: ion_maximize(IonParams(1, v, 1)), Decimal("2")),
     "audit_ion-Decimal": (lambda v: audit_ion(ION, v), Decimal("0.5")),
     "evolve_operator-Fraction": (lambda v: evolve_operator(ID4, v), Fraction(1, 2)),
     "branches-Fraction": (lambda v: evolve_branches(BRANCHES, HAMS, v), Fraction(1, 2)),

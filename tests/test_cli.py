@@ -400,6 +400,26 @@ class TestRunCommand:
         assert main(["run", "--h", "3", "--k", "4", "--latency", "0",
                      "--wire", "alice"]) == 2
 
+    @pytest.mark.parametrize(
+        ("flags", "flag"),
+        [
+            (["--listen", "127.0.0.1:7777"], "--listen"),
+            (["--connect", "127.0.0.1:7777"], "--connect"),
+            (["--wire", "alice", "--listen", "127.0.0.1:0",
+              "--connect", "127.0.0.1:7777"], "--connect"),
+            (["--wire", "bob", "--connect", "127.0.0.1:7777",
+              "--listen", "127.0.0.1:0"], "--listen"),
+        ],
+        ids=["listen-alone", "connect-alone", "alice-connect", "bob-listen"],
+    )
+    def test_endpoint_of_another_role_exit_2(self, flags, flag, capsys):
+        # each once ran the round in process, or ignored the flag, and exited 0
+        argv = ["run", "--h", "3", "--k", "4", "--latency", "0.5", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
     WIRE_BOB = ["run", "--h", "3", "--k", "4", "--latency", "0.5", "--wire", "bob"]
 
     def test_wire_refused_connect_exit_2(self, capsys):

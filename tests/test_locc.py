@@ -198,6 +198,9 @@ class TestSweep:
             None,
             # distinct Decimals that round to one float gave two rows at one t_c
             [Decimal("0.1"), Decimal("0.1000000000000000000001")],
+            # byte buffers were read as lists of byte values, unlike bytes
+            bytearray(b"\x00\x01"),
+            memoryview(b"\x00\x01"),
         ],
     )
     def test_grid_checked_once_at_the_boundary(self, grid):
@@ -228,7 +231,8 @@ class TestSweep:
     def test_accepts_real_latency(self, grid):
         rows = sweep_latency(P21, grid)
         for row, t_c in zip(rows, grid):
-            assert row.latency == t_c
+            assert type(row.latency) is float
+            assert row.latency == float(t_c)
             assert row.e_b_extracted == run_once(P21, float(t_c)).e_b_extracted
             assert len(row.digest()) == 64
 
@@ -237,6 +241,7 @@ class TestSweep:
         # an np.float32 latency gave an np.float32 product, whose CSV cell
         # and digest differed from its float twin's; a Decimal was rejected
         row, twin = run_once(P34, latency), run_once(P34, float(latency))
+        assert type(row.latency) is float
         assert type(row.uncertainty_product) is float
         assert row.uncertainty_product == twin.uncertainty_product
         assert row.csv_row() == twin.csv_row()
@@ -288,10 +293,11 @@ class TestSweep:
         for field in ("latency", "e_b_extracted", "policy"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, field, 0.0)
-        with pytest.raises(AttributeError):
-            trace.verdict = "observable"
+        for derived in ("e_a", "verdict"):
+            with pytest.raises(AttributeError):
+                setattr(trace, derived, 0.0)
         assert [f.name for f in dataclasses.fields(trace)] == [
-            "params", "latency", "e_a", "e_b_extracted", "policy", "mode"
+            "params", "latency", "e_b_extracted", "policy", "mode"
         ]
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -551,13 +557,14 @@ class TestCsv:
         return "\n".join([TRACE_CSV_HEADER, *(t.csv_row() for t in traces)]) + "\n"
 
     def test_long_sweep_is_its_joined_rows(self):
-        # the writer formats h, k and e_a once per run of equal (params, e_a)
+        # the writer formats h, k and e_a once per run of one params object
         traces = sweep_latency(P21, [2.5e-4 * i for i in range(100_000)])
         assert traces_to_csv(traces) == self.joined_rows(traces)
 
     def test_mixed_traces_are_their_joined_rows(self):
-        # runs of one row and of several, equal params in distinct objects
-        # (one with int fields), and a change of e_a alone
+        # runs of one row and of several, and equal params in distinct
+        # objects (one with int fields), one of them a single row between
+        # two rows of P34
         traces = [
             trace
             for policy in POLICIES
@@ -570,7 +577,8 @@ class TestCsv:
             ]
             for trace in sweep_latency(p, grid, policy=policy, mode=mode)
         ]
-        traces.insert(3, ProtocolTrace(P34, 0.5, 1.0, 0.25, "optimize", "family"))
+        twin = ModelParams(3.0, 4.0)
+        traces.insert(1, ProtocolTrace(twin, 0.5, 0.25, "optimize", "family"))
         assert traces_to_csv(traces) == self.joined_rows(traces)
 
 
@@ -645,6 +653,7 @@ class TestWire:
         assert "alice_error" not in box and "bob_error" not in box
         twin = run_once(P34, float(t_c)).digest()
         assert box["alice"].digest() == box["bob"].digest() == twin
+        assert type(box["alice"].latency) is type(box["bob"].latency) is float
 
     def test_handshake_rejects_mismatched_params(self):
         box = self.run_pair(P34, ModelParams(h=3.0, k=5.0), 0.25, 0.25)
