@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .audit import (
@@ -27,9 +28,9 @@ from .audit import (
     scan_to_csv,
 )
 from .errors import NumericError, ValidationError
+from .extraction import POLICIES
 from .formatting import fmt, fnum
 from .model import (
-    POLICIES,
     ModelParams,
     build_hamiltonians,
     diffusion_period,
@@ -41,14 +42,6 @@ from .model import (
 )
 
 __all__ = ["main", "entry"]
-
-
-def _add_model_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--h", type=float, help="site field energy h > 0")
-    parser.add_argument("--k", type=float, help="coupling energy k > 0")
-    parser.add_argument(
-        "--alpha", type=float, help="reparametrised point h = alpha*k with k = 1"
-    )
 
 
 def _resolve_params(args) -> ModelParams:
@@ -64,11 +57,20 @@ def _resolve_params(args) -> ModelParams:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text to path, or stdout; an unwritable output is a ValidationError."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:  # what is left in stdout's buffer goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValidationError(
+            f"cannot write {path or 'stdout'}: {exc.strerror or exc}"
+        ) from exc
 
 
 # Largest `start:stop:step` grid a sweep admits; the count is checked before
@@ -120,14 +122,15 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
     hams = build_hamiltonians(p)
     closed = ground_state_closed_form(p)
     spectrum_c = spectrum_closed_form(p)
-    numeric = kernel.hermitian_eig(hams.h_tot)  # ground state and spectrum
+    eigenvalues, eigenvectors = kernel.hermitian_eig(hams.h_tot)
+    ground = eigenvectors[:, 0]
 
     # Phase-align the numeric ground vector to the closed form for
     # amplitude-by-amplitude residuals (global phase is not physical).
-    overlap = complex(np.vdot(numeric.ground_vector, closed))
+    overlap = complex(np.vdot(ground, closed))
     if overlap == 0.0:
         raise NumericError("numeric ground vector is orthogonal to the closed form")
-    aligned = numeric.ground_vector * (overlap / abs(overlap))
+    aligned = ground * (overlap / abs(overlap))
     fidelity = abs(overlap) ** 2
 
     branches = measure_alice(closed)
@@ -144,9 +147,9 @@ def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]
             resid /= max(abs(closed_v), 1e-300)
         rows.append((name, fmt(closed_v), fmt(numeric_v), resid, tol))
 
-    row("ground energy", 0.0, numeric.ground_energy, 1e-10)
+    row("ground energy", 0.0, float(eigenvalues[0]), 1e-10)
     for i in range(4):
-        row(f"spectrum[{i}]", spectrum_c[i], float(numeric.eigenvalues[i]), 1e-9)
+        row(f"spectrum[{i}]", spectrum_c[i], float(eigenvalues[i]), 1e-9)
     basis = ("|++>", "|+->", "|-+>", "|-->")
     for i in range(4):
         row(
@@ -267,56 +270,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mp = sub.add_parser("model", help="cross-checked model report")
-    _add_model_params(mp)
-    mp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    mp.add_argument("--output", help="write to file instead of stdout")
-    mp.set_defaults(func=cmd_model)
+    # Flags that several commands share, each declared once.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write to file instead of stdout")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--h", type=float, help="site field energy h > 0")
+    point.add_argument("--k", type=float, help="coupling energy k > 0")
+    point.add_argument(
+        "--alpha", type=float, help="reparametrised point h = alpha*k with k = 1"
+    )
+    control = argparse.ArgumentParser(add_help=False)
+    control.add_argument("--policy", choices=POLICIES, default="optimize")
+    control.add_argument("--mode", choices=("family", "full"), default="family")
 
-    sp = sub.add_parser("scan-alpha", help="tabulate f(alpha) as CSV")
+    def command(group, name, summary, func, *parents):
+        """A command that runs `func` and writes to --output or stdout."""
+        cmd = group.add_parser(name, help=summary, parents=[*parents, output])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    mp = command(sub, "model", "cross-checked model report", cmd_model, point)
+    mp.add_argument("--format", choices=("table", "csv", "json"), default="table")
+
+    sp = command(sub, "scan-alpha", "tabulate f(alpha) as CSV", cmd_scan_alpha)
     sp.add_argument("--points", type=int, default=10_000)
     sp.add_argument("--min-alpha", type=float, default=0.01)
     sp.add_argument("--max-alpha", type=float, default=20.0)
-    sp.add_argument("--output")
-    sp.set_defaults(func=cmd_scan_alpha)
 
-    rp = sub.add_parser("run", help="one protocol round, trace CSV")
-    _add_model_params(rp)
+    rp = command(sub, "run", "one protocol round, trace CSV", cmd_run, point, control)
     rp.add_argument("--latency", type=float, required=True)
-    rp.add_argument("--policy", choices=POLICIES, default="optimize")
-    rp.add_argument("--mode", choices=("family", "full"), default="family")
     rp.add_argument("--wire", choices=("alice", "bob"))
     rp.add_argument("--listen", help="host:port to serve on (alice)")
     rp.add_argument("--connect", help="host:port to connect to (bob)")
-    rp.add_argument("--output")
-    rp.set_defaults(func=cmd_run)
 
-    wp = sub.add_parser("sweep", help="latency sweep, trace CSV")
-    _add_model_params(wp)
+    wp = command(sub, "sweep", "latency sweep, trace CSV", cmd_sweep, point, control)
     wp.add_argument(
         "--latencies", required=True, help="start:stop:step or comma-separated"
     )
-    wp.add_argument("--policy", choices=POLICIES, default="optimize")
-    wp.add_argument("--mode", choices=("family", "full"), default="family")
-    wp.add_argument("--output")
-    wp.set_defaults(func=cmd_sweep)
 
     ap = sub.add_parser("audit", help="energy-time uncertainty audit, JSON")
     asub = ap.add_subparsers(dest="protocol", required=True)
-
-    amp = asub.add_parser("minimal", help="minimal protocol audit")
-    _add_model_params(amp)
+    amp = command(asub, "minimal", "minimal protocol audit", cmd_audit, point)
     amp.add_argument("--time", type=float, required=True)
-    amp.add_argument("--output")
-    amp.set_defaults(func=cmd_audit)
-
-    aip = asub.add_parser("ion", help="trapped-ion protocol audit")
+    aip = command(asub, "ion", "trapped-ion protocol audit", cmd_audit)
     aip.add_argument("--gamma", type=float, required=True)
     aip.add_argument("--zeta", type=float, required=True)
     aip.add_argument("--nu", type=float, required=True)
     aip.add_argument("--time", type=float, required=True)
-    aip.set_defaults(func=cmd_audit)
-    aip.add_argument("--output")
 
     return parser
 

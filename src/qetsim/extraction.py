@@ -25,12 +25,13 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from .errors import ValidationError, require_real
-from .model import POLICIES, ModelParams, optimal_rotation_angle
+from .model import ModelParams, optimal_rotation_angle
 
-__all__ = ["MODES", "extraction_at", "extraction_curve"]
+__all__ = ["POLICIES", "MODES", "extraction_at", "extraction_curve"]
 
-# Bob's control sets, described at `extraction_curve`; `model.POLICIES` are
-# a round's two ways of choosing his control.
+# A round's ways of choosing Bob's control, and his control sets (described at
+# `extraction_curve`); the fixed angle is a family control, so four pairs.
+POLICIES = ("optimize", "closed-form-theta")
 MODES = ("family", "full", "shared")
 
 _NOT_REAL = "latencies must be a flat list of real numbers"
@@ -113,6 +114,10 @@ def _check_choices(policy: str, mode: str) -> None:
         raise ValidationError(f"unknown policy {policy!r}, expected {POLICIES}")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected {MODES}")
+    if policy == "closed-form-theta" and mode != "family":
+        raise ValidationError(
+            f"policy 'closed-form-theta' takes only mode 'family', not {mode!r}"
+        )
 
 
 def _latency(x) -> float:
@@ -178,13 +183,13 @@ def _curve(p: ModelParams, times: list[float], policy: str, mode: str) -> list[f
 def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[float]:
     """E_B at every latency of `times`, in closed form, as a list of floats.
 
-    Checks policy, mode and times, in that order.  Times must be a
-    non-empty flat list of real numbers (bool, int, float, numpy's, or any
-    value `errors.require_real` admits; no str, bytes or complex, and no
-    byte buffer as the grid) >= 0 with 4*s*t finite: E_B <= 4s, so the
-    bound keeps the phases 2st, 2kt and the product E_B*t finite; a NaN
-    fails both comparisons.  As floats they must ascend strictly, so no
-    two rows share a latency.
+    Checks policy, mode, their pair (closed-form-theta takes only family)
+    and times, in that order.  Times must be a non-empty flat list of real
+    numbers (bool, int, float, numpy's, or any value `require_real` admits;
+    no str, bytes or complex, and no byte buffer as the grid) >= 0 with
+    4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st, 2kt and the
+    product E_B*t finite; a NaN fails both comparisons.  As floats they
+    must ascend strictly, so no two rows share a latency.
 
     The energy is read off branch 0's M entries (`_branch0_entries`).
     Both branches give up the same energy: branch 1's sign flips leave the

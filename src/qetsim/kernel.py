@@ -9,7 +9,6 @@ validation; eigenvectors keep the arbitrary phase LAPACK gives them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "SIGMA_Z",
     "ID2",
     "ID4",
-    "Spectrum",
     "require_finite",
     "kron",
     "hermitian_eig",
@@ -65,10 +63,6 @@ def _require_square(a: np.ndarray, what: str, dims=(2, 4)) -> int:
     return n
 
 
-def _hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 matrices, site-A factor on the left.
 
@@ -81,27 +75,13 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigendecomposition: ascending real eigenvalues, orthonormal columns."""
-
-    eigenvalues: np.ndarray  # shape (n,), float, ascending
-    eigenvectors: np.ndarray  # shape (n, n), complex; column i pairs eigenvalues[i]
-
-    @property
-    def ground_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
-
-
-def hermitian_eig(m) -> Spectrum:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix of dimension 2 or 4.
 
     LAPACK's Hermitian eigensolver via ``numpy.linalg.eigh``, applied to the
-    exactly symmetrised input.  Eigenvalues ascend; eigenvectors are
+    exactly symmetrised input, and its pair (eigenvalues, eigenvectors),
+    both read-only: the eigenvalues (n,) ascend, and column i of the
+    eigenvectors (n, n) pairs eigenvalues[i].  The columns are
     orthonormal, each with the arbitrary phase LAPACK returns: compare
     them through |<a|b>|^2 or projectors, not entry by entry.
 
@@ -110,25 +90,24 @@ def hermitian_eig(m) -> Spectrum:
     """
     m = require_finite(m, "eigensolver input")
     _require_square(m, "eigensolver input")
-    if _hermiticity_defect(m) > TOL:
+    if float(np.max(np.abs(m - m.conj().T))) > TOL:
         raise ValidationError("eigensolver input is not Hermitian within 1e-12")
 
     try:
         w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
-    return Spectrum(eigenvalues=_frozen(w), eigenvectors=_frozen(v))
+    return _frozen(w), _frozen(v)
 
 
 def evolve_operator(h_tot, t: float) -> np.ndarray:
     """Unitary exp(-i*H*t) built from the eigendecomposition of Hermitian H;
     ValidationError unless every phase max|eigenvalue|*t is finite."""
     t = require_real(t, "evolution time")
-    spec = hermitian_eig(h_tot)
-    if not math.isfinite(float(np.max(np.abs(spec.eigenvalues))) * t):
+    w, v = hermitian_eig(h_tot)
+    if not math.isfinite(float(np.max(np.abs(w))) * t):
         raise ValidationError("evolution time must keep max|eigenvalue|*t finite")
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    v = spec.eigenvectors
+    phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T
 
 

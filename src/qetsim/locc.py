@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 WIRE_TIMEOUT = 30.0  # seconds of wall time before a socket read gives up
+_MAX_FRAME = 512  # bytes in a frame line; the longest, a hello, has under 120
 
 # A trace's printed values: the CSV columns, and the digest's keys.
 _FIELDS = ("h", "k", "t_c", "e_a", "e_b", "product", "verdict")
@@ -208,9 +209,11 @@ def _write_frame(stream, frame: dict) -> None:
 
 def _read_frame(stream, expected: dict) -> None:
     """Read one frame and reject it unless it equals `expected`."""
-    line = stream.readline()
+    line = stream.readline(_MAX_FRAME + 1)
     if not line:
         raise ProtocolError("connection closed mid-protocol")
+    if len(line) > _MAX_FRAME:
+        raise ProtocolError(f"malformed frame: longer than {_MAX_FRAME} bytes")
     try:
         payload = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -230,8 +233,10 @@ def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     if not sep or not host:
         raise ValidationError(f"endpoint must be host:port, got {endpoint!r}")
     try:
+        if not (port.isascii() and port.isdigit()):  # int() reads " 80", "8_0"
+            raise ValueError(port)
         number = int(port)
-    except ValueError as exc:
+    except ValueError as exc:  # not ASCII digits, or past int()'s digit limit
         raise ValidationError(f"bad port in endpoint {endpoint!r}") from exc
     if not 0 <= number <= 65535:
         raise ValidationError(f"port out of range 0-65535 in endpoint {endpoint!r}")

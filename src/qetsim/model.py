@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PARAM_MIN",
     "PARAM_MAX",
-    "POLICIES",
     "ModelParams",
     "HamiltonianSet",
     "build_hamiltonians",
@@ -45,10 +44,6 @@ __all__ = [
 # normal floats, far from overflow and underflow.
 PARAM_MIN = 1e-30
 PARAM_MAX = 1e30
-
-# A round's two ways of choosing Bob's control, described at
-# `extraction.extraction_curve`.
-POLICIES = ("optimize", "closed-form-theta")
 
 
 @dataclass(frozen=True)

@@ -97,12 +97,12 @@ def test_returned_arrays_are_read_only():
     # callers share the arrays a result holds without copying
     evolved = evolve_branches(BRANCHES, HAMS, 0.3)
     after = apply_bob(evolved, BobControl.family(0.2))
-    spectrum = kernel.hermitian_eig(HAMS.h_tot)
+    eigenvalues, eigenvectors = kernel.hermitian_eig(HAMS.h_tot)
     arrays = {
         "ground state": ground_state_closed_form(P),
         **{name: getattr(HAMS, name) for name in ("h_a", "h_b", "v", "h_tot")},
-        "eigenvalues": spectrum.eigenvalues,
-        "eigenvectors": spectrum.eigenvectors,
+        "eigenvalues": eigenvalues,
+        "eigenvectors": eigenvectors,
     }
     steps = (("measured", BRANCHES), ("evolved", evolved), ("applied", after))
     for step, branches in steps:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import socket
@@ -13,6 +14,18 @@ from qetsim.errors import ValidationError
 from qetsim.locc import open_listener
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# One invocation of each command, all writing to stdout or --output.
+COMMANDS = {
+    "model": ["model", "--h", "3", "--k", "4"],
+    "scan-alpha": ["scan-alpha", "--points", "10"],
+    "run": ["run", "--h", "3", "--k", "4", "--latency", "0.5"],
+    "sweep": ["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.5"],
+    "audit-minimal": ["audit", "minimal", "--alpha", "2", "--time", "0.25"],
+    "audit-ion": ["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu", "1",
+                  "--time", "1"],
+}
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -55,6 +68,43 @@ class TestUsage:
         assert captured.out == ""
         assert "h=" in captured.err and "stated domain" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--h", "3", "--k", "4", "--latency", "0.5"],
+            ["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.5"],
+            ["run", "--h", "3", "--k", "4", "--latency", "0.5",
+             "--wire", "alice", "--listen", "127.0.0.1:0"],
+            ["run", "--h", "3", "--k", "4", "--latency", "0.5",
+             "--wire", "bob", "--connect", "127.0.0.1:1"],
+        ],
+        ids=["run", "sweep", "wire-alice", "wire-bob"],
+    )
+    def test_fixed_angle_with_another_mode_exit_2(self, argv, monkeypatch, capsys):
+        # printed the family's fixed-angle row under --mode full, with exit 0
+        from qetsim import locc
+
+        monkeypatch.setattr(locc, "WIRE_TIMEOUT", 0.3)
+        assert main([*argv, "--policy", "closed-form-theta", "--mode", "full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qetsim: error: policy 'closed-form-theta' takes only mode 'family', "
+            "not 'full'\n"
+        )
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+    def test_unwritable_output_exit_2(self, argv, target, tmp_path, capsys):
+        # each gave a traceback and exit 1 (FileNotFoundError, IsADirectoryError)
+        path = {"missing-directory": tmp_path / "missing" / "out",
+                "directory": tmp_path}[target]
+        assert main([*argv, "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"qetsim: error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+
     def test_numeric_failure_exit_3(self, monkeypatch, capsys):
         from qetsim import cli, locc
         from qetsim.errors import NumericError
@@ -74,8 +124,7 @@ class TestImports:
     def third_party_modules(code):
         """Top-level third-party modules (qetsim aside) that `code` loads in a
         fresh interpreter; those loaded at start-up (site hooks) don't count."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         script = (
             "import sys; before = set(sys.modules); assert 'numpy' not in before\n"
             f"{code}\n"
@@ -182,12 +231,54 @@ class TestImports:
         assert self.third_party_modules(code) == "[]"
 
     def test_policy_choices_are_the_protocol_policies(self):
-        from qetsim import cli, model
+        from qetsim import cli, extraction, model
 
         commands = cli.build_parser()._subparsers._group_actions[0].choices
         for name in ("run", "sweep"):
             (policy,) = [a for a in commands[name]._actions if a.dest == "policy"]
-            assert policy.choices is model.POLICIES
+            assert policy.choices is extraction.POLICIES
+        assert not hasattr(model, "POLICIES")  # defined once, next to MODES
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (COMMANDS["run"], 0),
+        (["teleport"], 2),
+        ([*COMMANDS["run"], "--policy", "closed-form-theta", "--mode", "full"], 2),
+        ([*COMMANDS["run"], "--output", "."], 2),  # the working directory
+        (["scan-alpha", "--points", "100000"], 2),  # stdout's reader gone
+        (["audit", "ion", "--gamma", "1", "--zeta", "1e-300", "--nu", "1e300",
+          "--time", "1"], 3),
+    ],
+    ids=["golden-run", "unknown-command", "fixed-angle-full", "unwritable-output",
+         "closed-stdout", "ion-maximum-out-of-range"],
+)
+def test_process_exit_code_is_mains(argv, code, tmp_path):
+    # `python -m qetsim.cli` runs entry(), whose exit code is main's.  The
+    # scan's 2 MB are far past a pipe's buffer; with the pipe's read end
+    # closed, its write gave a traceback and exit 1.
+    stdout = subprocess.PIPE
+    if "scan-alpha" in argv:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    with subprocess.Popen(
+        [sys.executable, "-m", "qetsim.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        if stdout != subprocess.PIPE:
+            os.close(stdout)
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    assert b"Traceback" not in err
+    if code == 0:
+        assert out == (GOLDEN / "run_h3_k4_t0.5.csv").read_bytes()
+    else:
+        assert not out
+        assert err.startswith((b"qetsim: ", b"usage: qetsim"))
 
 
 class TestGolden:
@@ -485,18 +576,22 @@ class TestRunCommand:
                 + b'{"kind":"outcome","mu":0,"sent_at":0.0,"deliver_at":0.25}\n',
                 "outcome frame",
             ),
+            # Bob buffered a line of any length: 200 MB cost him 400 MB
+            (lambda hello: b"0" * (1 << 22), "malformed frame: longer than 512 bytes"),
         ],
         ids=["early-close", "truncated-hello", "string-field", "truncated-outcome",
-             "non-utf8", "outcome-out-of-order", "outcome-wrong-latency"],
+             "non-utf8", "outcome-out-of-order", "outcome-wrong-latency",
+             "endless-line"],
     )
     def test_wire_bad_peer_exit_2(self, reply, message, capsys):
-        # a scripted peer reads Bob's hello, answers with `reply` and closes
+        # a scripted peer reads Bob's hello, answers with `reply` and closes;
+        # Bob may close first, while a long reply is still being written
         with socket.create_server(("127.0.0.1", 0)) as server:
             port = server.getsockname()[1]
 
             def peer():
                 conn, _ = server.accept()
-                with conn, conn.makefile("rwb") as stream:
+                with contextlib.suppress(OSError), conn, conn.makefile("rwb") as stream:
                     stream.write(reply(stream.readline()))
                     stream.flush()
 

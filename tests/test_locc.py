@@ -32,7 +32,6 @@ from qetsim.locc import (
     wire_bob,
 )
 from qetsim.model import (
-    POLICIES,
     ModelParams,
     build_hamiltonians,
     diffusion_period,
@@ -41,7 +40,7 @@ from qetsim.model import (
     ground_state_closed_form,
     optimal_rotation_angle,
 )
-from qetsim.extraction import MODES
+from qetsim.extraction import MODES, POLICIES
 from qetsim.protocol import (
     BobControl,
     apply_bob,
@@ -59,6 +58,15 @@ P21 = ModelParams(h=2.0, k=1.0)
 REAL_LATENCIES = [np.float32(0.3), np.int64(2), Fraction(1, 3), 10**20, Decimal("0.5")]
 # Values that are not a real latency.
 NON_REAL_LATENCIES = ["a", "0.5", b"1", 1j, None, [0.1]]
+
+# Bob's four controls (policy, mode), in the drift grid's hash order: the
+# fixed angle is a family control.
+CONTROLS = [
+    ("optimize", "family"),
+    ("optimize", "full"),
+    ("optimize", "shared"),
+    ("closed-form-theta", "family"),
+]
 
 
 class TestRunOnce:
@@ -134,6 +142,42 @@ class TestRunOnce:
             run_once(P21, 0.3, policy=policy, mode="annealing")
         with pytest.raises(ValidationError):
             sweep_latency(P21, [0.0, 0.3], policy=policy, mode="annealing")
+
+
+def test_controls_are_the_admitted_pairs():
+    # the fixed angle is a family control: under "full" or "shared" it gave
+    # the family's E_B bit for bit, under that mode's label and digest
+    admitted = []
+    for policy in POLICIES:
+        for mode in MODES:
+            try:
+                extraction.extraction_at(P21, 0.3, policy, mode)
+            except ValidationError as exc:
+                assert f"takes only mode 'family', not {mode!r}" in str(exc)
+            else:
+                admitted.append((policy, mode))
+    assert admitted == CONTROLS
+
+
+@pytest.mark.parametrize("mode", ["full", "shared"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: extraction.extraction_curve(P21, [0.3], "closed-form-theta", mode),
+        lambda mode: extraction.extraction_at(P21, 0.3, "closed-form-theta", mode),
+        lambda mode: run_once(P21, 0.3, "closed-form-theta", mode),
+        lambda mode: sweep_latency(P21, [0.3], "closed-form-theta", mode),
+        # no listener and a closed port: the pair is rejected before either
+        # end touches a socket
+        lambda mode: wire_alice(None, P21, 0.3, "closed-form-theta", mode),
+        lambda mode: wire_bob("127.0.0.1:1", P21, 0.3, "closed-form-theta", mode),
+    ],
+    ids=["extraction_curve", "extraction_at", "run_once", "sweep_latency",
+         "wire_alice", "wire_bob"],
+)
+def test_fixed_angle_with_another_mode_is_rejected(call, mode):
+    with pytest.raises(ValidationError, match=f"only mode 'family', not '{mode}'"):
+        call(mode)
 
 
 class TestSweep:
@@ -300,8 +344,9 @@ class TestSweep:
             "params", "latency", "e_b_extracted", "policy", "mode"
         ]
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("mode", ["family", "full", "shared"])
+    @pytest.mark.parametrize(
+        ("policy", "mode"), CONTROLS, ids=[f"{m}-{p}" for p, m in CONTROLS]
+    )
     def test_run_once_is_a_one_point_sweep(self, policy, mode):
         for t_c in (0.0, 0.37):
             single = run_once(P21, t_c, policy=policy, mode=mode)
@@ -340,8 +385,8 @@ class TestSweep:
     def test_skips_the_numeric_model(self, monkeypatch):
         # every binding of the 4x4 model builders, the measurement, the
         # numeric expectation/eigensolver, the Kabsch SVD and su2 raises;
-        # sweeps and rounds read E_B off the closed-form M entries in every
-        # mode and policy, and a round does not go through the grid entry point
+        # sweeps and rounds read E_B off the closed-form M entries under
+        # every control, and a round does not go through the grid entry point
         numeric_model = (
             kernel.hermitian_eig,
             kernel.expectation,
@@ -373,8 +418,7 @@ class TestSweep:
             (policy, mode): sweep_latency(
                 P21, [0.0, 0.3, 1.1], policy=policy, mode=mode
             )
-            for policy in POLICIES
-            for mode in MODES
+            for policy, mode in CONTROLS
         }
         ban(extraction.extraction_curve)
         for (policy, mode), swept in rows.items():
@@ -412,12 +456,11 @@ def test_round_is_bit_identical_to_its_sweep_row(log_h, log_k, data):
     )
     t = data.draw(times)
     grid = sorted({t, *data.draw(st.lists(times, max_size=4))})
-    for policy in POLICIES:
-        for mode in MODES:
-            row = sweep_latency(p, grid, policy=policy, mode=mode)[grid.index(t)]
-            single = run_once(p, t, policy=policy, mode=mode)
-            assert single == row
-            assert single.e_b_extracted.hex() == row.e_b_extracted.hex()  # -0.0
+    for policy, mode in CONTROLS:
+        row = sweep_latency(p, grid, policy=policy, mode=mode)[grid.index(t)]
+        single = run_once(p, t, policy=policy, mode=mode)
+        assert single == row
+        assert single.e_b_extracted.hex() == row.e_b_extracted.hex()  # -0.0
 
 
 def oracle_e_b(p, t_c, policy, mode):
@@ -443,9 +486,7 @@ def test_sweep_rows_match_per_point_rounds(alpha, k, fractions):
     hams = build_hamiltonians(p)
     infused = infused_energy(measure_alice(ground_state_closed_form(p)), hams)
     tol = 1e-12 * max(1.0, infused)
-    for policy, mode in [("closed-form-theta", "family")] + [
-        ("optimize", m) for m in ("family", "full", "shared")
-    ]:
+    for policy, mode in CONTROLS:
         rows = sweep_latency(p, grid, policy=policy, mode=mode)
         for row, t_c in zip(rows, grid):
             assert row.latency == t_c
@@ -472,14 +513,8 @@ def ulps_to_print_boundary(x):
 
 class TestDriftGrid:
     # The drift grid pins every printed digit of 4,444 trace rows: latencies
-    # 0:2.5:0.025 at k = 1, alpha-major, four (policy, mode) configurations.
+    # 0:2.5:0.025 at k = 1, alpha-major, under the four CONTROLS.
     ALPHAS = (1e-8, 1e-4, 0.1, 0.5, 1, 1.817, 2, 3, 10, 1e4, 1e8)
-    CONFIGS = (
-        ("optimize", "family"),
-        ("optimize", "full"),
-        ("optimize", "shared"),
-        ("closed-form-theta", "family"),
-    )
     HASH = "642d60d4467cddbddb5474b19e13fab167a5eaa2d175f0cb992cab77af93a4a7"
 
     def grid_rows(self):
@@ -489,7 +524,7 @@ class TestDriftGrid:
         return [
             (alpha, row)
             for alpha in self.ALPHAS
-            for policy, mode in self.CONFIGS
+            for policy, mode in CONTROLS
             for row in sweep_latency(
                 ModelParams.from_alpha(alpha), grid, policy=policy, mode=mode
             )
@@ -567,8 +602,7 @@ class TestCsv:
         # two rows of P34
         traces = [
             trace
-            for policy in POLICIES
-            for mode in MODES
+            for policy, mode in CONTROLS
             for p, grid in [
                 (P34, [0.0, 0.3]),
                 (P21, [0.3]),
@@ -699,6 +733,11 @@ class TestWire:
             (":7777", "host:port"),
             ("[]:7777", "host:port"),
             ("localhost:http", "bad port"),
+            # int() reads each of these as port 80
+            ("localhost:+80", "bad port"),
+            ("localhost: 80", "bad port"),
+            ("localhost:8_0", "bad port"),
+            ("localhost:\u0668\u0660", "bad port"),  # Arabic-Indic digits
         ],
     )
     def test_rejects_malformed_endpoint(self, endpoint, message):

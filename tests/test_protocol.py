@@ -14,7 +14,6 @@ from qetsim.kernel import ID2, SIGMA_X, expectation, kron, su2
 from qetsim.model import (
     PARAM_MAX,
     PARAM_MIN,
-    POLICIES,
     ModelParams,
     build_hamiltonians,
     e_a_closed,
@@ -23,7 +22,13 @@ from qetsim.model import (
     hb_expected,
     optimal_rotation_angle,
 )
-from qetsim.extraction import MODES, _branch0_entries, _coefficients, extraction_curve
+from qetsim.extraction import (
+    MODES,
+    POLICIES,
+    _branch0_entries,
+    _coefficients,
+    extraction_curve,
+)
 from qetsim.protocol import (
     BobControl,
     _PROJECTORS,
