@@ -5,16 +5,16 @@ Every numeric printed is recomputed from module operations and formatted
 at 12 significant digits; identical invocations produce byte-identical
 output files.
 
-Each command imports what it computes with: `audit`, `scan-alpha`, `run`
-(one round, in or out of wire mode) and `sweep` (one scalar loop over the
-grid) need only scalar closed forms, so they start without numpy; `model`
-(4x4 linear algebra) loads it when it runs.
+Each command imports what it computes with, and none loads numpy:
+`audit`, `scan-alpha`, `run` (one round, in or out of wire mode) and
+`sweep` (one scalar loop over the grid) need only scalar closed forms;
+`model` loads `qetsim.report`, whose numeric side is plain `math` on the
+two parity blocks of H_tot, when it runs; `socket` loads only in wire mode.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -29,17 +29,7 @@ from .audit import (
 )
 from .errors import NumericError, ValidationError
 from .extraction import POLICIES
-from .formatting import fmt, fnum
-from .model import (
-    ModelParams,
-    build_hamiltonians,
-    diffusion_period,
-    e_a_closed,
-    e_b_closed,
-    ground_state_closed_form,
-    hb_expected,
-    spectrum_closed_form,
-)
+from .model import ModelParams
 
 __all__ = ["main", "entry"]
 
@@ -104,111 +94,12 @@ def _parse_latencies(spec: str) -> list[float]:
         raise ValidationError(f"cannot parse latency grid {spec!r}") from exc
 
 
-# --- model report ------------------------------------------------------------
-
-def _model_rows(p: ModelParams) -> tuple[list[tuple[str, str, str, float, float]], float]:
-    """Cross-checked rows (quantity, closed, numeric, residual, tolerance)."""
-    import numpy as np
-
-    from . import kernel
-    from .protocol import (
-        branch_average,
-        evolve_branches,
-        infused_energy,
-        measure_alice,
-        optimize_bob,
-    )
-
-    hams = build_hamiltonians(p)
-    closed = ground_state_closed_form(p)
-    spectrum_c = spectrum_closed_form(p)
-    eigenvalues, eigenvectors = kernel.hermitian_eig(hams.h_tot)
-    ground = eigenvectors[:, 0]
-
-    # Phase-align the numeric ground vector to the closed form for
-    # amplitude-by-amplitude residuals (global phase is not physical).
-    overlap = complex(np.vdot(ground, closed))
-    if overlap == 0.0:
-        raise NumericError("numeric ground vector is orthogonal to the closed form")
-    aligned = ground * (overlap / abs(overlap))
-    fidelity = abs(overlap) ** 2
-
-    branches = measure_alice(closed)
-    e_a_sim = infused_energy(branches, hams)
-    peak_time = math.pi / (4.0 * p.k)
-    hb_sim = branch_average(evolve_branches(branches, hams, peak_time), hams.h_b)
-    extraction = optimize_bob(branches, hams)
-
-    rows = []
-
-    def row(name, closed_v, numeric_v, tol, relative=False):
-        resid = abs(numeric_v - closed_v)
-        if relative:
-            resid /= max(abs(closed_v), 1e-300)
-        rows.append((name, fmt(closed_v), fmt(numeric_v), resid, tol))
-
-    row("ground energy", 0.0, float(eigenvalues[0]), 1e-10)
-    for i in range(4):
-        row(f"spectrum[{i}]", spectrum_c[i], float(eigenvalues[i]), 1e-9)
-    basis = ("|++>", "|+->", "|-+>", "|-->")
-    for i in range(4):
-        row(
-            f"amplitude {basis[i]}",
-            float(closed[i].real),
-            float(aligned[i].real),
-            1e-10,
-        )
-    row("ground fidelity", 1.0, fidelity, 1e-12)
-    row("e_a", e_a_closed(p), e_a_sim, 1e-10, relative=True)
-    row("e_b", e_b_closed(p), extraction.extracted_energy, 1e-6, relative=True)
-    row("hb peak", hb_expected(p, peak_time), hb_sim, 1e-9)
-    worst = max(r[3] / r[4] for r in rows)
-    return rows, worst
-
-
 def cmd_model(args) -> int:
-    p = _resolve_params(args)
-    rows, worst = _model_rows(p)
-    status = "ok" if worst <= 1.0 else "residual-failure"
-    period = diffusion_period(p)
-    head = (("h", p.h), ("k", p.k), ("alpha", p.alpha), ("diffusion period", period))
+    from .report import model_report
 
-    if args.format == "table":
-        lines = ["minimal-model cross-check report"]
-        lines += [f"{name:24}{fmt(value)}" for name, value in head]
-        lines.append(
-            f"{'quantity':24}{'closed-form':20}{'numeric':20}{'residual':12}tolerance"
-        )
-        for name, closed_v, numeric_v, resid, tol in rows:
-            lines.append(
-                f"{name:24}{closed_v:20}{numeric_v:20}{resid:<12.3e}{tol:.0e}"
-            )
-        lines.append(f"{'status':24}{status}")
-        text = "\n".join(lines) + "\n"
-    elif args.format == "csv":
-        lines = ["quantity,closed,numeric,residual,tolerance"]
-        lines += [f"{name},{fmt(value)},,," for name, value in head]
-        for name, closed_v, numeric_v, resid, tol in rows:
-            lines.append(f"{name},{closed_v},{numeric_v},{fmt(resid)},{tol:.0e}")
-        lines.append(f"status,{status},,,")
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {name.replace(" ", "_"): fnum(value) for name, value in head}
-        payload["checks"] = [
-            {
-                "quantity": name,
-                "closed": float(closed_v),
-                "numeric": float(numeric_v),
-                "residual": fnum(resid),
-                "tolerance": tol,
-            }
-            for name, closed_v, numeric_v, resid, tol in rows
-        ]
-        payload["status"] = status
-        text = json.dumps(payload, indent=2) + "\n"
-
+    text, worst = model_report(_resolve_params(args), args.format)
     _emit(text, args.output)
-    if status != "ok":
+    if not worst <= 1.0:  # the report's status is "ok" only when worst <= 1
         raise NumericError(f"model cross-check residual above tolerance (x{worst:.2f})")
     return 0
 

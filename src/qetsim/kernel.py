@@ -4,6 +4,13 @@ Everything here is a pure function of its inputs; returned arrays are marked
 read-only so callers can share them without copying.  The eigensolver
 wraps LAPACK's Hermitian routine (``numpy.linalg.eigh``) with input
 validation; eigenvectors keep the arbitrary phase LAPACK gives them.
+
+With `qetsim.protocol` this is the 4x4 reference path, which no command
+runs: the tests use it as the oracle of the closed forms and of the model
+report's plain-math numeric side (`qetsim.report`).  It needs numpy, which
+the `test` extra installs; qetsim itself has no runtime dependency.  Both
+modules stay in `src/` only until perfbench's tracing `TARGETS`, which
+bind their names, move off them.
 """
 
 from __future__ import annotations

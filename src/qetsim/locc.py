@@ -14,16 +14,18 @@ bit.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
-import socket
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
 from .extraction import extraction_at, extraction_curve
 from .formatting import fmt
 from .model import ModelParams, e_a_closed
+
+if TYPE_CHECKING:  # socket and hashlib load only in wire mode and digest()
+    import socket
 
 __all__ = [
     "ProtocolTrace",
@@ -111,6 +113,8 @@ class ProtocolTrace:
         events rows record the round's fixed schedule: Alice measures and
         sends at t = 0, Bob receives and extracts at t_c.
         """
+        import hashlib
+
         cells = self._cells()
         t_c = cells[2]
         payload = dict(zip(_FIELDS[:3], cells[:3]))
@@ -257,6 +261,8 @@ def open_listener(endpoint: str) -> socket.socket:
 
     A host with a colon is an IPv6 address.
     """
+    import socket
+
     host, port = _parse_endpoint(endpoint)
     family = socket.AF_INET6 if ":" in host else socket.AF_INET
     with _socket_errors(f"cannot listen on {endpoint}"):
@@ -301,6 +307,8 @@ def wire_bob(
 
     The round is computed first, so bad inputs fail before any connection.
     """
+    import socket
+
     trace = run_once(p, t_c, policy=policy, mode=mode)
     frames = _frames(trace)
     host, port = _parse_endpoint(endpoint)

@@ -27,6 +27,7 @@ __all__ = [
     "ModelParams",
     "HamiltonianSet",
     "build_hamiltonians",
+    "ground_amplitudes",
     "ground_state_closed_form",
     "spectrum_closed_form",
     "e_a_closed",
@@ -101,7 +102,9 @@ def build_hamiltonians(p: ModelParams) -> HamiltonianSet:
 
     H_A = h*sigma_z^A + h^2/s, H_B = h*sigma_z^B + h^2/s,
     V = 2k*sigma_x^A sigma_x^B + 2k^2/s with s = sqrt(h^2+k^2);
-    the offsets cancel the raw ground energy -2s exactly.
+    the offsets cancel the raw ground energy -2s exactly.  numpy arrays for
+    the 4x4 reference path (`qetsim.kernel`); the model report builds the
+    same matrices as nested lists (`report.hamiltonians`).
     """
     from .kernel import ID2, ID4, SIGMA_X, SIGMA_Z, kron
 
@@ -116,20 +119,26 @@ def build_hamiltonians(p: ModelParams) -> HamiltonianSet:
     return HamiltonianSet(h_a=h_a, h_b=h_b, v=v, h_tot=h_tot)
 
 
-def ground_state_closed_form(p: ModelParams) -> np.ndarray:
-    """Entangled ground state, a read-only (4,) complex array: amplitudes
-    on |++> and |--> only, energy zero in this normalisation.
+def ground_amplitudes(p: ModelParams) -> tuple[float, float]:
+    """The ground state's two nonzero amplitudes, (amp(|++>), amp(|-->)).
 
     amp(|++>) = sqrt((1 - h/s)/2), amp(|-->) = -sqrt((1 + h/s)/2);
     normalised identically and an exact eigenvector with eigenvalue 0.
     amp(|++>) is computed as k/sqrt(2s(s+h)), which does not cancel when
     h >> k.
     """
+    s = p.energy_scale
+    return p.k / math.sqrt(2.0 * s * (s + p.h)), -math.sqrt((1.0 + p.h / s) / 2.0)
+
+
+def ground_state_closed_form(p: ModelParams) -> np.ndarray:
+    """Entangled ground state, a read-only (4,) complex array: amplitudes
+    on |++> and |--> only (`ground_amplitudes`), energy zero in this
+    normalisation.
+    """
     import numpy as np
 
-    s = p.energy_scale
-    amp_pp = p.k / math.sqrt(2.0 * s * (s + p.h))
-    amp_mm = -math.sqrt((1.0 + p.h / s) / 2.0)
+    amp_pp, amp_mm = ground_amplitudes(p)
     state = np.array([amp_pp, 0.0, 0.0, amp_mm], dtype=complex)
     state.flags.writeable = False
     return state

@@ -14,8 +14,12 @@ I - R built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
 oracle for the full and shared optima.
 
 The product does not take this path: sweeps and rounds read E_B off the
-same M in closed form, straight from (h, k, t) (`qetsim.extraction`).
-This path is their independent check.
+same M in closed form, straight from (h, k, t) (`qetsim.extraction`), and
+the model report solves H_tot's two parity blocks in plain `math`
+(`qetsim.report`).  This path is their independent check in the tests.  It
+needs numpy, which the `test` extra installs, and stays in `src/` with
+`qetsim.kernel` only until perfbench's tracing `TARGETS`, which bind their
+names, move off them.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qetsim import audit, extraction, kernel, locc, model, protocol
+from qetsim import audit, extraction, kernel, locc, model, protocol, report
 from qetsim.audit import (
     IonParams,
     audit_ion,
@@ -40,7 +40,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 @pytest.mark.parametrize(
     "module",
-    [kernel, model, extraction, protocol, locc, audit],
+    [kernel, model, extraction, protocol, locc, audit, report],
     ids=lambda m: m.__name__,
 )
 def test_all_names_resolve(module):

@@ -121,21 +121,32 @@ class TestUsage:
 
 class TestImports:
     @staticmethod
-    def third_party_modules(code):
-        """Top-level third-party modules (qetsim aside) that `code` loads in a
-        fresh interpreter; those loaded at start-up (site hooks) don't count."""
+    def loaded(code, which):
+        """sorted(`which`), a set expression over `new`: the top-level modules
+        that `code` loads in a fresh interpreter; those loaded at start-up
+        (site hooks) don't count."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         script = (
             "import sys; before = set(sys.modules); assert 'numpy' not in before\n"
             f"{code}\n"
-            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
-            " - set(sys.stdlib_module_names) - {'qetsim'}))"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            f"print(sorted({which}))"
         )
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True,
             check=True,
         )
         return out.stdout.strip()
+
+    # The top-level third-party modules (qetsim aside) among `new`.
+    THIRD_PARTY = "new - set(sys.stdlib_module_names) - {'qetsim'}"
+
+    def third_party_modules(self, code):
+        return self.loaded(code, self.THIRD_PARTY)
+
+    def wire_stack_loaded(self, code):
+        """Which of socket and hashlib `code` loads."""
+        return self.loaded(code, "new & {'socket', 'hashlib'}")
 
     def test_cli_import_adds_no_third_party_module(self):
         assert self.third_party_modules("import qetsim.cli") == "[]"
@@ -158,77 +169,88 @@ class TestImports:
         assert self.third_party_modules(code) == "[]"
 
     @pytest.mark.parametrize(
-        "argv, loaded",
+        "argv",
         [
             pytest.param(
-                ["audit", "minimal", "--alpha", "2", "--time", "0.25"], "[]",
+                ["audit", "minimal", "--alpha", "2", "--time", "0.25"],
                 id="audit-minimal",
             ),
             pytest.param(
                 ["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu", "1",
-                 "--time", "1"], "[]",
+                 "--time", "1"],
                 id="audit-ion",
             ),
-            pytest.param(["run", "--alpha", "2", "--latency", "0.1"], "[]", id="run"),
+            pytest.param(["run", "--alpha", "2", "--latency", "0.1"], id="run"),
             pytest.param(
-                ["run", "--alpha", "2", "--latency", "0.1", "--mode", "full"], "[]",
+                ["run", "--alpha", "2", "--latency", "0.1", "--mode", "full"],
                 id="run-full",
             ),
             pytest.param(
                 ["run", "--alpha", "2", "--latency", "0.1",
-                 "--policy", "closed-form-theta"], "[]",
+                 "--policy", "closed-form-theta"],
                 id="run-closed-form-theta",
             ),
             pytest.param(
-                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5"], "[]", id="sweep",
+                ["sweep", "--alpha", "2", "--latencies", "0:1:0.5"], id="sweep",
             ),
             pytest.param(
                 ["sweep", "--alpha", "2", "--latencies", "0:1:0.5", "--mode", "full"],
-                "[]",
                 id="sweep-full",
             ),
             pytest.param(
                 ["sweep", "--alpha", "2", "--latencies", "0:1:0.5",
-                 "--policy", "closed-form-theta"], "[]",
+                 "--policy", "closed-form-theta"],
                 id="sweep-closed-form-theta",
             ),
-            pytest.param(["model", "--h", "3", "--k", "4"], "['numpy']", id="model"),
-            pytest.param(["scan-alpha", "--points", "10"], "[]", id="scan-alpha"),
+            pytest.param(["model", "--h", "3", "--k", "4"], id="model"),
+            pytest.param(["scan-alpha", "--points", "10"], id="scan-alpha"),
         ],
     )
-    def test_command_loads_numpy_only_for_linear_algebra(self, argv, loaded):
-        # numpy is the one runtime dependency (pyproject.toml); audits, the
-        # f(alpha) scan, a round and a sweep are scalar closed forms and start
-        # without it
+    def test_command_loads_numpy_only_for_linear_algebra(self, argv):
+        # qetsim has no runtime dependency (pyproject.toml): audits, the
+        # f(alpha) scan, a round and a sweep are scalar closed forms, and the
+        # model report's numeric side is plain math on the two parity blocks.
+        # Outside wire mode no command loads socket, nor hashlib, which only
+        # ProtocolTrace.digest() uses
         code = (
             "import contextlib, io; from qetsim.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0"
         )
-        assert self.third_party_modules(code) == loaded
+        which = self.THIRD_PARTY + " | new & {'socket', 'hashlib'}"
+        assert self.loaded(code, which) == "[]"
+
+    # Alice in a thread and Bob through the CLI, in one interpreter
+    WIRE_PAIR = (
+        "import contextlib, io, threading\n"
+        "from qetsim import locc\n"
+        "from qetsim.cli import main\n"
+        "from qetsim.model import ModelParams\n"
+        "listener = locc.open_listener('127.0.0.1:0')\n"
+        "port = listener.getsockname()[1]\n"
+        "box = {}\n"
+        "alice = threading.Thread(target=lambda: box.update(\n"
+        "    trace=locc.wire_alice(listener, ModelParams(3, 4), 0.5)))\n"
+        "alice.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['run', '--h', '3', '--k', '4', '--latency', '0.5',\n"
+        "                 '--wire', 'bob', '--connect', f'127.0.0.1:{port}'])\n"
+        "alice.join(timeout=30)\n"
+        "listener.close()\n"
+        "assert code == 0 and not alice.is_alive()\n"
+        "assert out.getvalue() == locc.traces_to_csv([box['trace']])"
+    )
 
     def test_wire_pair_loads_no_numpy(self):
-        # Alice in a thread and Bob through the CLI, in one interpreter
-        code = (
-            "import contextlib, io, threading\n"
-            "from qetsim import locc\n"
-            "from qetsim.cli import main\n"
-            "from qetsim.model import ModelParams\n"
-            "listener = locc.open_listener('127.0.0.1:0')\n"
-            "port = listener.getsockname()[1]\n"
-            "box = {}\n"
-            "alice = threading.Thread(target=lambda: box.update(\n"
-            "    trace=locc.wire_alice(listener, ModelParams(3, 4), 0.5)))\n"
-            "alice.start()\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    code = main(['run', '--h', '3', '--k', '4', '--latency', '0.5',\n"
-            "                 '--wire', 'bob', '--connect', f'127.0.0.1:{port}'])\n"
-            "alice.join(timeout=30)\n"
-            "listener.close()\n"
-            "assert code == 0 and not alice.is_alive()\n"
-            "assert out.getvalue() == locc.traces_to_csv([box['trace']])"
+        assert self.third_party_modules(self.WIRE_PAIR) == "[]"
+
+    def test_wire_round_and_digest_load_the_wire_stack(self):
+        assert self.wire_stack_loaded(self.WIRE_PAIR) == "['socket']"
+        digest = (
+            "from qetsim.locc import run_once; from qetsim.model import ModelParams\n"
+            "run_once(ModelParams(3, 4), 0.5).digest()"
         )
-        assert self.third_party_modules(code) == "[]"
+        assert self.wire_stack_loaded(digest) == "['hashlib']"
 
     def test_policy_choices_are_the_protocol_policies(self):
         from qetsim import cli, extraction, model
@@ -386,9 +408,9 @@ class TestModelCommand:
         assert by_name["e_b"]["residual"] <= by_name["e_b"]["tolerance"]
 
     def test_degenerate_ground_level_exit_3(self, capsys):
-        # the two lowest levels are 1e-16 apart at alpha = 1e-8, and the
-        # numeric ground vector came out orthogonal to the closed form: the
-        # phase alignment divided by zero (a traceback and exit 1)
+        # the two lowest levels are 1e-16 apart at alpha = 1e-8: a numeric
+        # failure with one stderr line, never a traceback (the e_a row's
+        # cancellation fails the report there, tests/test_report.py)
         assert main(["model", "--alpha", "1e-8"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("qetsim: numeric failure: ")
