@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
         raise ValidationError("wire mode needs --listen (alice) or --connect (bob)")
     else:
         trace = locc.run_once(*round_args)
-    _emit(locc.traces_to_csv([trace]), args.output)
+    _emit(f"{locc.TRACE_CSV_HEADER}\n{trace.csv_row()}\n", args.output)
     return 0
 
 
@@ -138,8 +138,7 @@ def cmd_sweep(args) -> int:
 
     p = _resolve_params(args)
     grid = _parse_latencies(args.latencies)
-    traces = locc.sweep_latency(p, grid, policy=args.policy, mode=args.mode)
-    _emit(locc.traces_to_csv(traces), args.output)
+    _emit(locc.sweep_csv(p, grid, policy=args.policy, mode=args.mode), args.output)
     return 0
 
 

@@ -6,9 +6,10 @@ conditioned operation.  Sweeps and rounds read Bob's energy off the
 closed forms in `extraction`, in scalar `math` without numpy: a sweep in
 one loop over its latency grid (`extraction_curve`), a round as its
 one-point case (`extraction_at`), bit-identical to its latency's row in
-any sweep.  Wire mode moves the outcome frames across a real byte stream
-while each side runs that same round, so the two traces agree bit for
-bit.
+any sweep; `sweep_csv` prints a sweep from its latency and E_B columns,
+with no trace built.  Wire mode moves the outcome frames across a real
+byte stream while each side runs that same round, so the two traces
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "TRACE_CSV_HEADER",
     "run_once",
     "sweep_latency",
-    "traces_to_csv",
+    "sweep_csv",
     "open_listener",
     "wire_alice",
     "wire_bob",
@@ -88,23 +89,9 @@ class ProtocolTrace:
     def verdict(self) -> str:
         return verdict_for(self.uncertainty_product)
 
-    def _cells(self, shared: tuple[str, str, str] | None = None) -> list[str]:
-        """The printed values, in `_FIELDS` order.
-
-        `shared` is `_shared_cells(self.params)` when the caller has it
-        already: the rows of one sweep share h, k and e_a.
-        """
-        h, k, e_a = shared or _shared_cells(self.params)
-        product = self.uncertainty_product
-        return [
-            h,
-            k,
-            fmt(self.latency),
-            e_a,
-            fmt(self.e_b_extracted),
-            fmt(product),
-            verdict_for(product),
-        ]
+    def _cells(self) -> list[str]:
+        """The printed values, in `_FIELDS` order."""
+        return _row_cells(_shared_cells(self.params), self.latency, self.e_b_extracted)
 
     def digest(self) -> str:
         """SHA-256 over the canonical 12-significant-digit serialisation.
@@ -136,6 +123,14 @@ class ProtocolTrace:
 def _shared_cells(p: ModelParams) -> tuple[str, str, str]:
     """The h, k and e_a cells of a trace with params p."""
     return fmt(p.h), fmt(p.k), fmt(e_a_closed(p))
+
+
+def _row_cells(shared: tuple[str, str, str], t_c: float, e_b: float) -> list[str]:
+    """A row's printed values, in `_FIELDS` order, from its params'
+    `_shared_cells`, its float latency and E_B."""
+    h, k, e_a = shared
+    product = e_b * t_c
+    return [h, k, fmt(t_c), e_a, fmt(e_b), fmt(product), verdict_for(product)]
 
 
 def run_once(
@@ -173,21 +168,23 @@ def sweep_latency(
     return [ProtocolTrace(p, t_c, e, policy, mode) for t_c, e in zip(grid, e_b)]
 
 
-def traces_to_csv(traces) -> str:
-    """The header and each trace's `csv_row`, one line each.
+def sweep_csv(
+    p: ModelParams,
+    grid,
+    policy: str = "optimize",
+    mode: str = "family",
+) -> str:
+    """`sweep_latency`'s CSV with no trace built: the header, then each
+    trace's `csv_row()`, one line each.
 
-    h, k and e_a are formatted once per run of traces that share one
-    params object, as in a sweep; equal params in another object are
-    formatted again, to the same cells.
+    E_B comes from `extraction_curve`, with its checks; h, k and e_a are
+    formatted once, and each latency is printed as its float, as a trace
+    stores it.
     """
-    lines = [TRACE_CSV_HEADER]
-    params = shared = None
-    for trace in traces:
-        if trace.params is not params:
-            params = trace.params
-            shared = _shared_cells(params)
-        lines.append(",".join(trace._cells(shared)))
-    return "\n".join(lines) + "\n"
+    e_b = extraction_curve(p, grid, policy, mode)
+    shared = _shared_cells(p)
+    lines = [",".join(_row_cells(shared, float(t), e)) for t, e in zip(grid, e_b)]
+    return "\n".join([TRACE_CSV_HEADER, *lines, ""])
 
 
 # --- wire mode -------------------------------------------------------------

@@ -238,7 +238,8 @@ class TestImports:
         "alice.join(timeout=30)\n"
         "listener.close()\n"
         "assert code == 0 and not alice.is_alive()\n"
-        "assert out.getvalue() == locc.traces_to_csv([box['trace']])"
+        "row = box['trace'].csv_row()\n"
+        "assert out.getvalue() == f'{locc.TRACE_CSV_HEADER}\\n{row}\\n'"
     )
 
     def test_wire_pair_loads_no_numpy(self):
@@ -482,12 +483,11 @@ class TestRunCommand:
         box = {}
 
         def serve():
-            from qetsim.locc import wire_alice
+            from qetsim.locc import TRACE_CSV_HEADER, wire_alice
             from qetsim.model import ModelParams
-            from qetsim.locc import traces_to_csv
 
             trace = wire_alice(listener, ModelParams(3, 4), 0.5)
-            out_alice.write_text(traces_to_csv([trace]))
+            out_alice.write_text(f"{TRACE_CSV_HEADER}\n{trace.csv_row()}\n")
             box["done"] = True
 
         thread = threading.Thread(target=serve)

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import bob_optimum
 
 from qetsim import extraction, kernel, model, protocol
-from qetsim.audit import verdict_for
+from qetsim.audit import audit_minimal, verdict_for
 from qetsim.cli import _parse_latencies
 from qetsim.errors import ProtocolError, ValidationError
 from qetsim.formatting import fmt
@@ -26,12 +26,14 @@ from qetsim.locc import (
     _parse_endpoint,
     open_listener,
     run_once,
+    sweep_csv,
     sweep_latency,
-    traces_to_csv,
     wire_alice,
     wire_bob,
 )
 from qetsim.model import (
+    PARAM_MAX,
+    PARAM_MIN,
     ModelParams,
     build_hamiltonians,
     diffusion_period,
@@ -420,12 +422,16 @@ class TestSweep:
             )
             for policy, mode in CONTROLS
         }
+        for (policy, mode), swept in rows.items():
+            written = sweep_csv(P21, [0.0, 0.3, 1.1], policy=policy, mode=mode)
+            assert written.splitlines()[1:] == [row.csv_row() for row in swept]
         ban(extraction.extraction_curve)
         for (policy, mode), swept in rows.items():
             assert len(swept) == 3
             assert run_once(P21, 0.3, policy=policy, mode=mode) == swept[1]
-        with pytest.raises(AssertionError, match="numeric model"):
-            sweep_latency(P21, [0.3])
+        for sweep in (sweep_latency, sweep_csv):
+            with pytest.raises(AssertionError, match="numeric model"):
+                sweep(P21, [0.3])
 
     def test_ten_thousand_latencies(self):
         period = diffusion_period(P21)
@@ -461,6 +467,65 @@ def test_round_is_bit_identical_to_its_sweep_row(log_h, log_k, data):
         single = run_once(p, t, policy=policy, mode=mode)
         assert single == row
         assert single.e_b_extracted.hex() == row.e_b_extracted.hex()  # -0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.data())
+def test_rows_are_unit_invariant(log_h, log_k, data):
+    # hbar = 1 leaves the energy unit free: (h, k, t) -> (2^j h, 2^j k, t/2^j)
+    # is exact in binary floating point while nothing under- or overflows,
+    # so E_B scales by 2^j exactly and the product, the verdict, their
+    # printed cells and the minimal audit's product are bit-identical.  The
+    # model report's status is left out: its absolute tolerances (ROADMAP
+    # item 4, cause (b)) make it depend on the unit.
+    p = ModelParams(h=10.0**log_h, k=10.0**log_k)
+    low, high = min(p.h, p.k), max(p.h, p.k)
+    j = data.draw(
+        st.integers(
+            math.ceil(math.log2(PARAM_MIN / low)),
+            math.floor(math.log2(PARAM_MAX / high)),
+        )
+    )
+    assume(PARAM_MIN <= math.ldexp(low, j) and math.ldexp(high, j) <= PARAM_MAX)
+    scaled = ModelParams(h=math.ldexp(p.h, j), k=math.ldexp(p.k, j))
+    s = p.energy_scale
+
+    def exact(t):
+        """4st is finite and t/2^j neither rounds nor overflows."""
+        try:
+            return math.isfinite(4.0 * s * t) and math.ldexp(math.ldexp(t, -j), j) == t
+        except OverflowError:
+            return False
+
+    # t = 0, or st from 1e-20 up: at st = 1e-100 the squares that
+    # `extraction._rank2_gain` forms of M entries can be subnormal, where
+    # scaling by 2^j rounds
+    times = st.one_of(
+        st.just(0.0),
+        st.floats(1e-20, 100.0).map(lambda x: x / s),  # x = st
+        st.floats(1e-20 / s, sys.float_info.max / (4.0 * s)),
+    ).filter(exact)
+    grid = sorted(set(data.draw(st.lists(times, min_size=1, max_size=5))))
+    scaled_grid = [math.ldexp(t, -j) for t in grid]
+    for policy, mode in CONTROLS:
+        rows = sweep_latency(p, grid, policy=policy, mode=mode)
+        twins = sweep_latency(scaled, scaled_grid, policy=policy, mode=mode)
+        for row, twin in zip(rows, twins):
+            assert twin.e_b_extracted == math.ldexp(row.e_b_extracted, j)
+            assert twin.uncertainty_product.hex() == row.uncertainty_product.hex()
+            assert twin.verdict == row.verdict
+        printed, scaled_printed = (
+            [line.split(",")[5:] for line in text.splitlines()[1:]]
+            for text in (
+                sweep_csv(p, grid, policy=policy, mode=mode),
+                sweep_csv(scaled, scaled_grid, policy=policy, mode=mode),
+            )
+        )
+        assert scaled_printed == printed
+    for t, scaled_t in zip(grid, scaled_grid):
+        if t > 0.0:
+            product = audit_minimal(p, t).product
+            assert audit_minimal(scaled, scaled_t).product.hex() == product.hex()
 
 
 def oracle_e_b(p, t_c, policy, mode):
@@ -579,41 +644,86 @@ def test_ulps_to_print_boundary():
 
 
 class TestCsv:
+    @staticmethod
+    def joined_rows(traces):
+        return "\n".join([TRACE_CSV_HEADER, *(t.csv_row() for t in traces)]) + "\n"
+
     def test_header_and_rows(self):
-        text = traces_to_csv(sweep_latency(P34, [0.0, 0.1]))
-        lines = text.splitlines()
+        lines = sweep_csv(P34, [0.0, 0.1]).splitlines()
         assert lines[0] == TRACE_CSV_HEADER
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "3" and first[1] == "4" and first[-1] == "unobservable"
 
-    @staticmethod
-    def joined_rows(traces):
-        return "\n".join([TRACE_CSV_HEADER, *(t.csv_row() for t in traces)]) + "\n"
+    @pytest.mark.parametrize(
+        ("policy", "mode"), CONTROLS, ids=[f"{m}-{p}" for p, m in CONTROLS]
+    )
+    def test_each_control_is_its_joined_rows(self, policy, mode):
+        grid = [0.0, 0.05, 0.3, 1.0, 1.1, 2.5]
+        traces = sweep_latency(P21, grid, policy=policy, mode=mode)
+        assert sweep_csv(P21, grid, policy, mode) == self.joined_rows(traces)
 
     def test_long_sweep_is_its_joined_rows(self):
-        # the writer formats h, k and e_a once per run of one params object
-        traces = sweep_latency(P21, [2.5e-4 * i for i in range(100_000)])
-        assert traces_to_csv(traces) == self.joined_rows(traces)
+        grid = [2.5e-4 * i for i in range(100_000)]
+        assert sweep_csv(P21, grid) == self.joined_rows(sweep_latency(P21, grid))
 
-    def test_mixed_traces_are_their_joined_rows(self):
-        # runs of one row and of several, and equal params in distinct
-        # objects (one with int fields), one of them a single row between
-        # two rows of P34
-        traces = [
-            trace
-            for policy, mode in CONTROLS
-            for p, grid in [
-                (P34, [0.0, 0.3]),
-                (P21, [0.3]),
-                (ModelParams(3, 4), [0.5, 1.5]),
-                (P21, [0.0, 0.7, 2.0]),
-            ]
-            for trace in sweep_latency(p, grid, policy=policy, mode=mode)
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [Decimal("0"), Decimal("0.1"), Decimal("1.5")],
+            [np.float32(0.0), np.float32(0.3), np.float32(1.1)],
+            [0, 1, 2],
+            np.array([0.0, 0.25, 0.5]),
+        ],
+        ids=["Decimal", "float32", "int", "array"],
+    )
+    def test_latency_of_another_real_type(self, grid):
+        # each latency prints as its float, as the trace stores it
+        text = sweep_csv(P21, grid)
+        assert text == self.joined_rows(sweep_latency(P21, grid))
+        assert text == sweep_csv(P21, [float(t) for t in grid])
+
+    @pytest.mark.parametrize(
+        ("policy", "mode", "grid"),
+        [
+            ("greedy", "family", [0.0]),
+            ("greedy", "annealing", [-1.0]),
+            ("optimize", "annealing", [0.0]),
+            ("optimize", "annealing", []),
+            ("closed-form-theta", "full", [0.0]),
+            ("closed-form-theta", "shared", "0.5"),
+            ("optimize", "family", []),
+            ("optimize", "family", [0.2, 0.1]),
+            ("optimize", "family", [0.0, math.nan]),
+            ("optimize", "family", [0.5, -1.0]),
+            ("optimize", "family", [0.0, 1e308]),
+            ("optimize", "family", ["a"]),
+            ("optimize", "family", None),
+        ],
+        ids=repr,
+    )
+    def test_checks_as_the_curve(self, policy, mode, grid):
+        with pytest.raises(ValidationError) as curve:
+            extraction.extraction_curve(P34, grid, policy, mode)
+        with pytest.raises(ValidationError) as written:
+            sweep_csv(P34, grid, policy, mode)
+        assert str(written.value) == str(curve.value)
+
+    def test_negative_zero_prints_zero(self, monkeypatch):
+        # a -0.0 E_B, and a -0.0 product from a negative E_B at t_c = 0,
+        # print as fmt prints them
+        e_b = [-0.5, -0.0]
+        monkeypatch.setattr("qetsim.locc.extraction_curve", lambda *args: e_b)
+        rows = sweep_csv(P34, [0.0, 0.5], "closed-form-theta").splitlines()[1:]
+        assert [row.split(",")[2:6] for row in rows] == [
+            ["0", "1.8", "-0.5", "0"],
+            ["0.5", "1.8", "0", "0"],
         ]
-        twin = ModelParams(3.0, 4.0)
-        traces.insert(1, ProtocolTrace(twin, 0.5, 0.25, "optimize", "family"))
-        assert traces_to_csv(traces) == self.joined_rows(traces)
+        traces = [
+            ProtocolTrace(P34, t_c, e, "closed-form-theta", "family")
+            for t_c, e in zip([0.0, 0.5], e_b)
+        ]
+        assert [trace.csv_row() for trace in traces] == rows
 
 
 class TestWire:
