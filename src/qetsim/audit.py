@@ -9,14 +9,23 @@ to the computed numbers in every report rather than asserted.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, fields
 
 from .errors import NumericError, ValidationError, require_real
 from .formatting import fmt, fnum
-from .model import PARAM_MAX, PARAM_MIN, ModelParams, _f_curve, e_b_closed
+# THRESHOLD and verdict_for live in `model`, so a round or a sweep does not
+# load this module; both are re-exported here.
+from .model import (
+    PARAM_MAX,
+    PARAM_MIN,
+    THRESHOLD,
+    ModelParams,
+    Record,
+    _f_curve,
+    e_b_closed,
+    verdict_for,
+)
 
 __all__ = [
     "THRESHOLD",
@@ -36,9 +45,6 @@ __all__ = [
     "scan_to_csv",
     "report_to_json",
 ]
-
-# Observability requires the energy-time product to reach 1 (hbar = 1).
-THRESHOLD = 1.0
 
 # Headline curve maximum under audit; the computed value is reported beside it.
 CLAIMED_F_MAX = 0.13
@@ -81,14 +87,13 @@ def f_alpha(alpha: float) -> float:
     return _f_curve(_require_alpha(alpha, "alpha"))
 
 
-@dataclass(frozen=True)
-class AlphaScanResult:
+class AlphaScanResult(Record):
     """Tabulated f(alpha) with the exact maximum on the range."""
 
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    argmax_alpha: float
-    max_value: float
+    def __init__(self, grid: tuple[float, ...], values: tuple[float, ...],
+                 argmax_alpha: float, max_value: float):
+        self.__dict__.update(grid=grid, values=values, argmax_alpha=argmax_alpha,
+                             max_value=max_value)
 
 
 def scan_alpha(
@@ -126,21 +131,14 @@ def uncertainty_product(e: float, t: float) -> float:
     return product
 
 
-def verdict_for(product: float) -> str:
-    return "observable" if product >= THRESHOLD else "unobservable"
-
-
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Energy, time, their product in hbar units, and the verdict."""
 
-    protocol: str
-    energy: float
-    time: float
-    product: float
-    threshold: float
-    verdict: str
-    notes: str
+    def __init__(self, protocol: str, energy: float, time: float, product: float,
+                 threshold: float, verdict: str, notes: str):
+        self.__dict__.update(protocol=protocol, energy=energy, time=time,
+                             product=product, threshold=threshold,
+                             verdict=verdict, notes=notes)
 
     @property
     def flagged(self) -> bool:
@@ -171,8 +169,7 @@ def audit_minimal(p: ModelParams, t: float) -> AuditReport:
     return _report("minimal", e_b_closed(p), t, notes)
 
 
-@dataclass(frozen=True)
-class IonParams:
+class IonParams(Record):
     """Free inputs of the trapped-ion output formula.
 
     gamma_n and zeta_n are dimensionless couplings treated as inputs (no
@@ -181,26 +178,23 @@ class IonParams:
     its optimum, sin^2(2*phi) = 1.
     """
 
-    gamma_n: float
-    zeta_n: float
-    nu: float
-
-    def __post_init__(self):
-        set_field = object.__setattr__  # frozen: store the admitted floats
-        set_field(self, "gamma_n", require_real(self.gamma_n, "gamma_n", gt=0.0))
-        if self.gamma_n > 1.0:
+    def __init__(self, gamma_n: float, zeta_n: float, nu: float):
+        gamma_n = require_real(gamma_n, "gamma_n", gt=0.0)
+        if gamma_n > 1.0:
             raise ValidationError("gamma_n must lie in (0, 1]")
-        set_field(self, "zeta_n", require_real(self.zeta_n, "zeta_n", gt=0.0))
-        set_field(self, "nu", require_real(self.nu, "nu", gt=0.0))
+        zeta_n = require_real(zeta_n, "zeta_n", gt=0.0)
+        nu = require_real(nu, "nu", gt=0.0)
+        self.__dict__.update(gamma_n=gamma_n, zeta_n=zeta_n, nu=nu)
 
 
-@dataclass(frozen=True)
-class IonMaximum:
-    """Exact maximiser of the ion output at sin^2(2*phi) = 1."""
+class IonMaximum(Record):
+    """Exact maximiser of the ion output at sin^2(2*phi) = 1; the phonon-scale
+    output is the output evaluated at e_in = nu."""
 
-    e_in_star: float
-    e_out_max: float
-    phonon_scale_output: float  # output evaluated at e_in = nu
+    def __init__(self, e_in_star: float, e_out_max: float,
+                 phonon_scale_output: float):
+        self.__dict__.update(e_in_star=e_in_star, e_out_max=e_out_max,
+                             phonon_scale_output=phonon_scale_output)
 
 
 def ion_maximize(ip: IonParams) -> IonMaximum:
@@ -274,8 +268,10 @@ def scan_to_csv(result: AlphaScanResult) -> str:
 def report_to_json(report: AuditReport) -> str:
     """One JSON object with exactly the report fields in declaration order,
     floats at 12 significant digits."""
-    payload = {}
-    for field in fields(report):
-        value = getattr(report, field.name)
-        payload[field.name] = fnum(value) if field.type == "float" else value
+    import json
+
+    payload = {
+        name: value if isinstance(value, str) else fnum(value)
+        for name, value in vars(report).items()
+    }
     return json.dumps(payload)

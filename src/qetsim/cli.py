@@ -5,11 +5,13 @@ Every numeric printed is recomputed from module operations and formatted
 at 12 significant digits; identical invocations produce byte-identical
 output files.
 
-Each command imports what it computes with, and none loads numpy:
-`audit`, `scan-alpha`, `run` (one round, in or out of wire mode) and
-`sweep` (one scalar loop over the grid) need only scalar closed forms;
-`model` loads `qetsim.report`, whose numeric side is plain `math` on the
-two parity blocks of H_tot, when it runs; `socket` loads only in wire mode.
+Each command imports only the modules it runs, when it runs, and none
+loads numpy: `audit` and `scan-alpha` load `qetsim.audit`, `run` (one
+round, in or out of wire mode) and `sweep` (one scalar loop over the grid)
+load `qetsim.locc`, all scalar closed forms; `model` loads `qetsim.report`,
+whose numeric side is plain `math` on the two parity blocks of H_tot.
+`json` loads only for JSON output, `socket` only in wire mode.  Every
+command loads `qetsim.extraction`, whose `POLICIES` the parser offers.
 """
 
 from __future__ import annotations
@@ -19,14 +21,6 @@ import math
 import os
 import sys
 
-from .audit import (
-    IonParams,
-    audit_ion,
-    audit_minimal,
-    report_to_json,
-    scan_alpha,
-    scan_to_csv,
-)
 from .errors import NumericError, ValidationError
 from .extraction import POLICIES
 from .model import ModelParams
@@ -105,6 +99,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_scan_alpha(args) -> int:
+    from .audit import scan_alpha, scan_to_csv
+
     result = scan_alpha(
         alpha_min=args.min_alpha, alpha_max=args.max_alpha, points=args.points
     )
@@ -143,6 +139,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import IonParams, audit_ion, audit_minimal, report_to_json
+
     if args.protocol == "minimal":
         p = _resolve_params(args)
         report = audit_minimal(p, args.time)

@@ -97,12 +97,14 @@ def _rank2_gain(xx, xy, xz, zx, zy, zz):
     det = xx zz - xz zx, is a sum of terms >= 0 (|a_x x a_z| >= |det|).
     Where det > 0, |a_x x a_z| - det is taken as r^2/(|a_x x a_z| + det),
     with r = hypot(cx, cz) over the cross product's other two components,
-    so nothing cancels; hypot keeps every square in range.
+    so nothing cancels; hypot keeps every square in range, and the
+    quotient is formed as r*(r/(|a_x x a_z| + det)), since r*r alone goes
+    subnormal at small scale.
     """
     det = xx * zz - xz * zx
     r = abs(complex(xy * zz - xz * zy, xx * zy - xy * zx))
     cross = abs(complex(r, det))
-    excess = r * r / (cross + det) if det > 0.0 else cross - det
+    excess = r * (r / (cross + det)) if det > 0.0 else cross - det
     off = abs(complex(abs(complex(xy, zy)), xz - zx))  # sqrt(xy^2 + zy^2 + (xz - zx)^2)
     n = off * off + 2.0 * excess
     tr = xx + zz

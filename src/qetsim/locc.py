@@ -15,17 +15,14 @@ agree bit for bit.
 from __future__ import annotations
 
 import contextlib
-import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .audit import verdict_for
 from .errors import ProtocolError, ValidationError
 from .extraction import extraction_at, extraction_curve
 from .formatting import fmt
-from .model import ModelParams, e_a_closed
+from .model import ModelParams, Record, e_a_closed, verdict_for
 
-if TYPE_CHECKING:  # socket and hashlib load only in wire mode and digest()
+if TYPE_CHECKING:  # socket, hashlib and json load only in wire mode and digest()
     import socket
 
 __all__ = [
@@ -47,8 +44,7 @@ _FIELDS = ("h", "k", "t_c", "e_a", "e_b", "product", "verdict")
 TRACE_CSV_HEADER = ",".join(_FIELDS)
 
 
-@dataclass(frozen=True, init=False)
-class ProtocolTrace:
+class ProtocolTrace(Record):
     """End-to-end record of one protocol round.
 
     Only the independent quantities are stored, a latency of another real
@@ -56,22 +52,10 @@ class ProtocolTrace:
     verdict follow from them.
     """
 
-    params: ModelParams
-    latency: float
-    e_b_extracted: float
-    policy: str
-    mode: str
-
-    def __init__(self, params, latency, e_b_extracted, policy, mode):
-        # One dict update instead of the frozen __init__'s five
-        # object.__setattr__ calls: a sweep builds one trace per latency.
-        self.__dict__.update(
-            params=params,
-            latency=float(latency),
-            e_b_extracted=e_b_extracted,
-            policy=policy,
-            mode=mode,
-        )
+    def __init__(self, params: ModelParams, latency: float, e_b_extracted: float,
+                 policy: str, mode: str):
+        self.__dict__.update(params=params, latency=float(latency),
+                             e_b_extracted=e_b_extracted, policy=policy, mode=mode)
 
     @property
     def e_a(self) -> float:
@@ -101,6 +85,7 @@ class ProtocolTrace:
         sends at t = 0, Bob receives and extracts at t_c.
         """
         import hashlib
+        import json
 
         cells = self._cells()
         t_c = cells[2]
@@ -205,11 +190,15 @@ def _frames(trace: ProtocolTrace) -> list[dict]:
 
 def _write_frame(stream, frame: dict) -> None:
     """One newline-delimited UTF-8 JSON line, fields in the dict's order."""
+    import json
+
     stream.write(json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n")
 
 
 def _read_frame(stream, expected: dict) -> None:
     """Read one frame and reject it unless it equals `expected`."""
+    import json
+
     line = stream.readline(_MAX_FRAME + 1)
     if not line:
         raise ProtocolError("connection closed mid-protocol")

@@ -3,7 +3,9 @@
 Builds the site Hamiltonians H_A, H_B, the coupling V (all with identity
 offsets chosen so the ground energy is exactly zero), the entangled ground
 state in closed form, and the closed-form protocol quantities: infused
-energy, the diffusion curve at site B, and the optimal extracted energy.
+energy, the diffusion curve at site B, and the optimal extracted energy;
+the verdict on an energy-time product (E*t >= 1); and `Record`, the base of
+every frozen record in the package.
 
 Note on normalisation: the site-A term is h*sigma_z acting on site A and the
 scalar offsets multiply the 4-dim identity, so all operators live in one
@@ -13,7 +15,6 @@ space and <g|H_A|g> = <g|H_B|g> = <g|V|g> = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError, require_real
@@ -24,6 +25,8 @@ if TYPE_CHECKING:
 __all__ = [
     "PARAM_MIN",
     "PARAM_MAX",
+    "THRESHOLD",
+    "Record",
     "ModelParams",
     "HamiltonianSet",
     "build_hamiltonians",
@@ -35,6 +38,7 @@ __all__ = [
     "e_b_closed",
     "diffusion_period",
     "optimal_rotation_angle",
+    "verdict_for",
 ]
 
 
@@ -47,18 +51,46 @@ PARAM_MIN = 1e-30
 PARAM_MAX = 1e30
 
 
-@dataclass(frozen=True)
-class ModelParams:
+# Observability requires the energy-time product to reach 1 (hbar = 1).
+THRESHOLD = 1.0
+
+
+def verdict_for(product: float) -> str:
+    return "observable" if product >= THRESHOLD else "unobservable"
+
+
+class Record:
+    """A frozen record of the fields its `__init__` stores once, in order, in
+    the instance dict: equal to a record of its class with equal values,
+    hashed as the tuple of values, printed as `Name(field=value, ...)`."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ModelParams(Record):
     """The two positive energy constants of the model (hbar = 1).
 
     Each must lie in the stated domain [PARAM_MIN, PARAM_MAX] = [1e-30, 1e30].
     """
 
-    h: float
-    k: float
-
-    def __post_init__(self):
-        for name, value in (("h", self.h), ("k", self.k)):
+    def __init__(self, h: float, k: float):
+        for name, value in (("h", h), ("k", k)):
             if not isinstance(value, (int, float)):  # the wire hello JSON-encodes it
                 raise ValidationError(
                     f"{name} must be an int or a float, not {type(value).__name__}"
@@ -69,6 +101,7 @@ class ModelParams:
                     f"{name}={value!r} is outside the stated domain "
                     f"[{PARAM_MIN:g}, {PARAM_MAX:g}]"
                 )
+        self.__dict__.update(h=h, k=k)
 
     @classmethod
     def from_alpha(cls, alpha: float, k: float = 1.0) -> "ModelParams":
@@ -87,14 +120,12 @@ class ModelParams:
         return math.hypot(self.h, self.k)
 
 
-@dataclass(frozen=True)
-class HamiltonianSet:
+class HamiltonianSet(Record):
     """H_A, H_B, V and their sum, all 4x4 Hermitian."""
 
-    h_a: np.ndarray
-    h_b: np.ndarray
-    v: np.ndarray
-    h_tot: np.ndarray
+    def __init__(self, h_a: np.ndarray, h_b: np.ndarray, v: np.ndarray,
+                 h_tot: np.ndarray):
+        self.__dict__.update(h_a=h_a, h_b=h_b, v=v, h_tot=h_tot)
 
 
 def build_hamiltonians(p: ModelParams) -> HamiltonianSet:

@@ -25,14 +25,13 @@ names, move off them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
 from .errors import NumericError, require_real
 from .kernel import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, su2
-from .model import HamiltonianSet
+from .model import HamiltonianSet, Record
 
 __all__ = [
     "Branches",
@@ -50,30 +49,29 @@ __all__ = [
 
 Y_AXIS = (0.0, 1.0, 0.0)
 
-@dataclass(frozen=True)
-class Branches:
+
+class Branches(Record):
     """Both measurement outcomes of a round; row mu is outcome mu.
 
-    Both arrays are made read-only here.
+    Probabilities are a (2,) float array, states a (2, 4) complex array of
+    unit rows; both are made read-only here.
     """
 
-    probabilities: np.ndarray  # (2,) float
-    states: np.ndarray  # (2, 4) complex, unit rows
-
-    def __post_init__(self):
-        self.probabilities.flags.writeable = False
-        self.states.flags.writeable = False
+    def __init__(self, probabilities: np.ndarray, states: np.ndarray):
+        probabilities.flags.writeable = False
+        states.flags.writeable = False
+        self.__dict__.update(probabilities=probabilities, states=states)
 
 
-@dataclass(frozen=True)
-class BobControl:
+class BobControl(Record):
     """Outcome-conditioned local unitary on site B: U_B(mu) = su2(*params[mu]).
 
     Any (theta, axis) pair per outcome mu = 0, 1; `family(theta)` gives
     U_B(mu) = cos(theta)*I + i*(-1)^mu*sin(theta)*sigma_y.
     """
 
-    params: tuple[tuple[float, tuple[float, float, float]], ...]
+    def __init__(self, params: tuple[tuple[float, tuple[float, float, float]], ...]):
+        self.__dict__.update(params=params)
 
     @classmethod
     def family(cls, theta: float) -> "BobControl":
@@ -81,13 +79,13 @@ class BobControl:
         return cls(params=((theta, Y_AXIS), (-theta, Y_AXIS)))
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Record):
     """Extracted energy, the control achieving it, and per-branch contributions."""
 
-    extracted_energy: float
-    control: BobControl
-    per_branch_energy: tuple[float, float]
+    def __init__(self, extracted_energy: float, control: BobControl,
+                 per_branch_energy: tuple[float, float]):
+        self.__dict__.update(extracted_energy=extracted_energy, control=control,
+                             per_branch_energy=per_branch_energy)
 
 
 # The sign (-1)^mu per branch.

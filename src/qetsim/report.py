@@ -22,7 +22,6 @@ quantities and is this module's oracle in the tests.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -302,6 +301,8 @@ def model_report(p: ModelParams, form: str) -> tuple[str, float]:
             lines.append(f"{name},{closed_v},{numeric_v},{fmt(resid)},{tol:.0e}")
         lines.append(f"status,{status},,,")
         return "\n".join(lines) + "\n", worst
+    import json
+
     payload = {name.replace(" ", "_"): fnum(value) for name, value in head}
     payload["checks"] = [
         {

@@ -5,7 +5,6 @@ Benchmarks and tracers look these names up by module and attribute, so a
 rename or removal shows up here rather than as a failed traced run.
 """
 
-import dataclasses
 import importlib
 import importlib.util
 from decimal import Decimal
@@ -17,6 +16,7 @@ import pytest
 
 from qetsim import audit, extraction, kernel, locc, model, protocol, report
 from qetsim.audit import (
+    AuditReport,
     IonParams,
     audit_ion,
     audit_minimal,
@@ -27,8 +27,10 @@ from qetsim.audit import (
 )
 from qetsim.errors import ValidationError
 from qetsim.kernel import ID4, evolve_operator, su2
+from qetsim.locc import run_once
 from qetsim.model import (
     ModelParams,
+    Record,
     build_hamiltonians,
     ground_state_closed_form,
     hb_expected,
@@ -112,9 +114,10 @@ def test_returned_arrays_are_read_only():
 
 
 def plain(result):
-    """Dataclasses, and tuples of them, as nested tuples for assert_equal."""
-    if dataclasses.is_dataclass(result):
-        return dataclasses.astuple(result)
+    """Records, and tuples of them, as nested tuples for assert_equal: a
+    record's == would compare its numpy arrays elementwise."""
+    if isinstance(result, Record):
+        return tuple(map(plain, vars(result).values()))
     if isinstance(result, tuple):
         return tuple(map(plain, result))
     return result
@@ -147,3 +150,69 @@ TWINS = {
 @pytest.mark.parametrize("call, value", TWINS.values(), ids=TWINS)
 def test_real_of_another_type_computes_like_its_float(call, value):
     np.testing.assert_equal(plain(call(value)), plain(call(float(value))))
+
+
+def _copy(record, cls=None, **changes):
+    """A record of class `cls` (record's own by default) holding record's
+    fields, with `changes` applied."""
+    twin = object.__new__(cls or type(record))
+    twin.__dict__.update(vars(record), **changes)
+    return twin
+
+
+# Each runtime record, and its repr as a frozen dataclass printed it.
+RECORDS = {
+    "ModelParams": (lambda: ModelParams(3, 4), "ModelParams(h=3, k=4)"),
+    "ModelParams-from_alpha": (
+        lambda: ModelParams.from_alpha(2), "ModelParams(h=2.0, k=1.0)"
+    ),
+    "AlphaScanResult": (
+        lambda: scan_alpha(0.5, 2.0, 3),
+        "AlphaScanResult(grid=(0.5, 1.25, 2.0), values=(0.04909163305901955, "
+        "0.13301917610151454, 0.14514555174644245), argmax_alpha=1.8173540210239707, "
+        "max_value=0.14596427586236024)",
+    ),
+    "IonParams": (
+        lambda: IonParams(0.5, 2, 1), "IonParams(gamma_n=0.5, zeta_n=2.0, nu=1.0)"
+    ),
+    "IonMaximum": (
+        lambda: ion_maximize(ION),
+        "IonMaximum(e_in_star=0.5, e_out_max=0.09196986029286058, "
+        "phonon_scale_output=0.06766764161830635)",
+    ),
+    "AuditReport": (
+        lambda: AuditReport("minimal", 0.5, 2.0, 1.0, 1.0, "observable", "n"),
+        "AuditReport(protocol='minimal', energy=0.5, time=2.0, product=1.0, "
+        "threshold=1.0, verdict='observable', notes='n')",
+    ),
+    "ProtocolTrace": (
+        lambda: run_once(P, 0.5),
+        "ProtocolTrace(params=ModelParams(h=3, k=4), latency=0.5, "
+        "e_b_extracted=0.4644884122049605, policy='optimize', mode='family')",
+    ),
+    "BobControl": (
+        lambda: BobControl.family(0.25),
+        "BobControl(params=((0.25, (0.0, 1.0, 0.0)), (-0.25, (0.0, 1.0, 0.0))))",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, text", RECORDS.values(), ids=RECORDS)
+def test_record_is_a_frozen_value(make, text):
+    record = make()
+    values = tuple(vars(record).values())
+    assert record == make() and record is not make()
+    assert hash(record) == hash(make()) == hash(values)
+    assert repr(record) == text
+    # equal only to a record of its own class with equal values
+    first = next(iter(vars(record)))
+    assert record != _copy(record, **{first: "other"})
+    subclass = type("Subclass", (type(record),), {})
+    assert record != _copy(record, subclass) and _copy(record, subclass) != record
+    assert record != values
+    for name in vars(record):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(vars(record).values()) == values

@@ -212,12 +212,48 @@ class TestImports:
         # model report's numeric side is plain math on the two parity blocks.
         # Outside wire mode no command loads socket, nor hashlib, which only
         # ProtocolTrace.digest() uses
-        code = (
+        which = self.THIRD_PARTY + " | new & {'socket', 'hashlib'}"
+        assert self.loaded(self.main_code(argv), which) == "[]"
+
+    @staticmethod
+    def main_code(argv):
+        """Code that runs `qetsim argv` in-process, its stdout discarded."""
+        return (
             "import contextlib, io; from qetsim.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0"
         )
-        which = self.THIRD_PARTY + " | new & {'socket', 'hashlib'}"
+
+    # Cold start: no command needs dataclasses' generated code, nor inspect,
+    # which dataclasses loads; a round and a sweep need neither the audit
+    # module nor json, and the model report's default table needs no json
+    NO_CODEGEN = ["dataclasses", "inspect"]
+    ROUND = [*NO_CODEGEN, "json", "qetsim.audit"]
+
+    @pytest.mark.parametrize(
+        "argv, unwanted",
+        [
+            pytest.param(["model", "--h", "3", "--k", "4"], [*NO_CODEGEN, "json"],
+                         id="model"),
+            pytest.param(["scan-alpha", "--points", "100"], NO_CODEGEN,
+                         id="scan-alpha"),
+            pytest.param(["audit", "minimal", "--alpha", "2", "--time", "0.25"],
+                         NO_CODEGEN, id="audit-minimal"),
+            pytest.param(["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu",
+                          "1", "--time", "1"], NO_CODEGEN, id="audit-ion"),
+            pytest.param(["run", "--alpha", "2", "--latency", "0.1"], ROUND,
+                         id="run"),
+            pytest.param(["run", "--alpha", "2", "--latency", "0.1",
+                          "--policy", "closed-form-theta"], ROUND,
+                         id="run-closed-form-theta"),
+            pytest.param(["sweep", "--alpha", "2", "--latencies", "0:1:0.1"], ROUND,
+                         id="sweep"),
+            pytest.param(None, NO_CODEGEN, id="import-locc"),
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, unwanted):
+        code = "import qetsim.locc" if argv is None else self.main_code(argv)
+        which = f"(set(sys.modules) - before) & set({unwanted!r})"
         assert self.loaded(code, which) == "[]"
 
     # Alice in a thread and Bob through the CLI, in one interpreter
