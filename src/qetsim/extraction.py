@@ -9,6 +9,10 @@ sweep (`locc.sweep_latency`, `qetsim sweep`) start without it.
 
 - `extraction_curve` evaluates a latency grid in one scalar loop per
   (policy, mode), over coefficients computed once per grid (`_curve`).
+  The two family loops (optimize and closed-form-theta) read only the
+  amplitudes a0 = xx + zz and a2 = xz - zx, from `_family_amplitudes`,
+  bit-identical to the entries' own sum and difference; full and shared
+  read `_branch0_entries`.
 - `extraction_at` is its one-point case, so a round is bit-identical to
   its latency's row in any sweep.
 
@@ -84,6 +88,25 @@ def _branch0_entries(coefficients: tuple[float, ...], t: float):
     )
 
 
+def _family_amplitudes(coefficients: tuple[float, ...], times):
+    """(a0, a2) = (xx + zz, xz - zx) of `_branch0_entries` at each time.
+
+    The family's two amplitudes, formed with `_branch0_entries`' own
+    operations in its order, so each is bit-identical to the sum or
+    difference of its entries; the negated coefficients and the cos, sin
+    lookups are taken once per grid, and xy, zy are not formed.
+    """
+    h, hk_s, h2_s, xx, w, v = coefficients
+    neg_h, neg_h2_s, neg_2hk_s = -h, -h2_s, -2.0 * hk_s
+    cos, sin = math.cos, math.sin
+    for t in times:
+        a, b = t * w, t * v
+        c = cos(b)
+        cc = cos(a) * c
+        zx = neg_h * (sin(a) * sin(b)) - hk_s * cc
+        yield xx + neg_h2_s * (c * c), neg_2hk_s * cc - zx
+
+
 def _rank2_gain(xx, xy, xz, zx, zy, zz):
     """tr M + sigma1 + sigma2: the most a site-B rotation extracts from M.
 
@@ -139,8 +162,9 @@ def _check_range(p: ModelParams, low: float, high: float) -> None:
 
 
 def _check_times(p: ModelParams, times) -> list[float]:
-    """`times` as a non-empty list of floats in range, strictly ascending."""
-    if type(times) is not list and (
+    """`times` as a non-empty list of floats in range, strictly ascending.
+    A list or a tuple needs no Sequence test; its entries are checked alike."""
+    if type(times) is not list and type(times) is not tuple and (
         isinstance(times, (str, bytes, bytearray, memoryview))
         or not (isinstance(times, Sequence) or getattr(times, "ndim", None) == 1)
     ):
@@ -157,22 +181,20 @@ def _check_times(p: ModelParams, times) -> list[float]:
 
 
 def _curve(p: ModelParams, times: list[float], policy: str, mode: str) -> list[float]:
-    """E_B at every checked time; see `extraction_curve`."""
+    """E_B at every checked time; see `extraction_curve`.  The family loops
+    read `_family_amplitudes`, full and shared `_branch0_entries`."""
     coefficients = _coefficients(p)
-    curve = []
     if policy == "closed-form-theta":
         theta = optimal_rotation_angle(p)
         half = math.sin(theta)
         two_half2, sin_2theta = 2.0 * half * half, math.sin(2.0 * theta)
-        for t in times:
-            xx, _, xz, zx, _, zz = _branch0_entries(coefficients, t)
-            curve.append((xx + zz) * two_half2 + (xz - zx) * sin_2theta)
-    elif mode == "family":
-        for t in times:
-            xx, _, xz, zx, _, zz = _branch0_entries(coefficients, t)
-            a0, a2 = xx + zz, xz - zx
-            curve.append(a2 * a2 / (abs(complex(a0, a2)) - a0))
-    elif mode == "shared":
+        return [a0 * two_half2 + a2 * sin_2theta
+                for a0, a2 in _family_amplitudes(coefficients, times)]
+    if mode == "family":
+        return [a2 * a2 / (abs(complex(a0, a2)) - a0)
+                for a0, a2 in _family_amplitudes(coefficients, times)]
+    curve = []
+    if mode == "shared":
         for t in times:
             xx, xy, _, _, _, zz = _branch0_entries(coefficients, t)
             curve.append(_rank2_gain(xx, xy, 0.0, 0.0, 0.0, zz))
@@ -193,7 +215,9 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[floa
     product E_B*t finite; a NaN fails both comparisons.  As floats they
     must ascend strictly, so no two rows share a latency.
 
-    The energy is read off branch 0's M entries (`_branch0_entries`).
+    The energy is read off branch 0's M entries (`_branch0_entries`;
+    the family control, under either policy, reads only its amplitudes
+    a0 and a2, from `_family_amplitudes`).
     Both branches give up the same energy: branch 1's sign flips leave the
     family's a0 and a2, tr M, |a_x|^2, |a_z|^2 and |a_x x a_z| unchanged,
     and 0.5*g + 0.5*g is g exactly.  Under policy "closed-form-theta" Bob

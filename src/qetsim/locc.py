@@ -15,15 +15,11 @@ agree bit for bit.
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING
 
 from .errors import ProtocolError, ValidationError
 from .extraction import extraction_at, extraction_curve
 from .formatting import fmt
 from .model import ModelParams, Record, e_a_closed, verdict_for
-
-if TYPE_CHECKING:  # socket, hashlib and json load only in wire mode and digest()
-    import socket
 
 __all__ = [
     "ProtocolTrace",
@@ -54,8 +50,14 @@ class ProtocolTrace(Record):
 
     def __init__(self, params: ModelParams, latency: float, e_b_extracted: float,
                  policy: str, mode: str):
-        self.__dict__.update(params=params, latency=float(latency),
-                             e_b_extracted=e_b_extracted, policy=policy, mode=mode)
+        # by item, building no kwargs dict per trace, and in field order,
+        # which repr, hash and vars() show
+        fields = self.__dict__
+        fields["params"] = params
+        fields["latency"] = float(latency)
+        fields["e_b_extracted"] = e_b_extracted
+        fields["policy"] = policy
+        fields["mode"] = mode
 
     @property
     def e_a(self) -> float:

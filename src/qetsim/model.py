@@ -15,12 +15,8 @@ space and <g|H_A|g> = <g|H_B|g> = <g|V|g> = 0.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError, require_real
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PARAM_MIN",

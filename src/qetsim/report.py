@@ -23,12 +23,12 @@ quantities and is this module's oracle in the tests.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import NumericError
 from .formatting import fmt, fnum
 from .model import (
     ModelParams,
+    Record,
     diffusion_period,
     e_a_closed,
     e_b_closed,
@@ -155,14 +155,17 @@ def _peak_time(p: ModelParams) -> float:
     return math.pi / (4.0 * p.k)
 
 
-class NumericSide(NamedTuple):
-    """What the report computes without the closed forms it checks."""
+class NumericSide(Record):
+    """What the report computes without the closed forms it checks:
+    the four eigenvalues of H_tot, ascending (spectrum); the even block's
+    lower eigenvector (ground); the infused energy sum_mu p_mu <H_tot>_mu
+    (e_a); the branch-averaged <H_B> at t = pi/(4k) (hb_peak); and Bob's
+    best sigma_y-family energy at zero delay (e_b)."""
 
-    spectrum: tuple[float, ...]  # the four eigenvalues of H_tot, ascending
-    ground: tuple[float, ...]  # the even block's lower eigenvector
-    e_a: float  # infused energy, sum_mu p_mu <H_tot>_mu
-    hb_peak: float  # branch-averaged <H_B> at t = pi/(4k)
-    e_b: float  # Bob's best sigma_y-family energy at zero delay
+    def __init__(self, spectrum: tuple[float, ...], ground: tuple[float, ...],
+                 e_a: float, hb_peak: float, e_b: float):
+        self.__dict__.update(spectrum=spectrum, ground=ground, e_a=e_a,
+                             hb_peak=hb_peak, e_b=e_b)
 
 
 def _branches(psi):

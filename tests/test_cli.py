@@ -121,10 +121,10 @@ class TestUsage:
 
 class TestImports:
     @staticmethod
-    def loaded(code, which):
+    def loaded(code, which, flags=()):
         """sorted(`which`), a set expression over `new`: the top-level modules
-        that `code` loads in a fresh interpreter; those loaded at start-up
-        (site hooks) don't count."""
+        that `code` loads in a fresh interpreter started with `flags`; those
+        loaded at start-up (site hooks) don't count."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         script = (
             "import sys; before = set(sys.modules); assert 'numpy' not in before\n"
@@ -133,8 +133,8 @@ class TestImports:
             f"print(sorted({which}))"
         )
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            check=True,
+            [sys.executable, *flags, "-c", script], env=env, capture_output=True,
+            text=True, check=True,
         )
         return out.stdout.strip()
 
@@ -225,22 +225,26 @@ class TestImports:
         )
 
     # Cold start: no command needs dataclasses' generated code, nor inspect,
-    # which dataclasses loads; a round and a sweep need neither the audit
-    # module nor json, and the model report's default table needs no json
-    NO_CODEGEN = ["dataclasses", "inspect"]
-    ROUND = [*NO_CODEGEN, "json", "qetsim.audit"]
+    # which dataclasses loads, nor typing, whose names no annotation
+    # evaluates; a round and a sweep need neither the audit module nor
+    # json, and the model report's default table needs no json.  The child
+    # runs without site (-S), whose hooks may load any of these first.
+    COLD = ["dataclasses", "inspect", "typing"]
+    ROUND = [*COLD, "json", "qetsim.audit"]
 
     @pytest.mark.parametrize(
         "argv, unwanted",
         [
-            pytest.param(["model", "--h", "3", "--k", "4"], [*NO_CODEGEN, "json"],
+            pytest.param(["model", "--h", "3", "--k", "4"], [*COLD, "json"],
                          id="model"),
-            pytest.param(["scan-alpha", "--points", "100"], NO_CODEGEN,
+            pytest.param(["model", "--h", "3", "--k", "4", "--format", "json"],
+                         COLD, id="model-json"),
+            pytest.param(["scan-alpha", "--points", "100"], COLD,
                          id="scan-alpha"),
             pytest.param(["audit", "minimal", "--alpha", "2", "--time", "0.25"],
-                         NO_CODEGEN, id="audit-minimal"),
+                         COLD, id="audit-minimal"),
             pytest.param(["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu",
-                          "1", "--time", "1"], NO_CODEGEN, id="audit-ion"),
+                          "1", "--time", "1"], COLD, id="audit-ion"),
             pytest.param(["run", "--alpha", "2", "--latency", "0.1"], ROUND,
                          id="run"),
             pytest.param(["run", "--alpha", "2", "--latency", "0.1",
@@ -248,13 +252,18 @@ class TestImports:
                          id="run-closed-form-theta"),
             pytest.param(["sweep", "--alpha", "2", "--latencies", "0:1:0.1"], ROUND,
                          id="sweep"),
-            pytest.param(None, NO_CODEGEN, id="import-locc"),
+            pytest.param(["sweep", "--alpha", "2", "--latencies", "0:1:0.1",
+                          "--mode", "full"], ROUND, id="sweep-full"),
+            pytest.param(["sweep", "--alpha", "2", "--latencies", "0:1:0.1",
+                          "--policy", "closed-form-theta"], ROUND,
+                         id="sweep-closed-form-theta"),
+            pytest.param(None, COLD, id="import-locc"),
         ],
     )
     def test_command_loads_only_what_it_runs(self, argv, unwanted):
         code = "import qetsim.locc" if argv is None else self.main_code(argv)
         which = f"(set(sys.modules) - before) & set({unwanted!r})"
-        assert self.loaded(code, which) == "[]"
+        assert self.loaded(code, which, flags=["-S"]) == "[]"
 
     # Alice in a thread and Bob through the CLI, in one interpreter
     WIRE_PAIR = (
@@ -280,6 +289,10 @@ class TestImports:
 
     def test_wire_pair_loads_no_numpy(self):
         assert self.third_party_modules(self.WIRE_PAIR) == "[]"
+
+    def test_wire_pair_and_digest_load_no_typing(self):
+        code = f"{self.WIRE_PAIR}\nbox['trace'].digest()"
+        assert self.loaded(code, "new & {'typing'}", flags=["-S"]) == "[]"
 
     def test_wire_round_and_digest_load_the_wire_stack(self):
         assert self.wire_stack_loaded(self.WIRE_PAIR) == "['socket']"

@@ -27,6 +27,7 @@ from qetsim.extraction import (
     POLICIES,
     _branch0_entries,
     _coefficients,
+    _family_amplitudes,
     extraction_curve,
 )
 from qetsim.protocol import (
@@ -369,6 +370,27 @@ class TestClosedFormWahba:
             with pytest.raises(ValidationError, match="latencies"):
                 extraction_curve(P34, times, policy, "family")
 
+    def test_tuple_grid_is_checked_as_its_list(self):
+        # a tuple takes the list's path past the Sequence test; its entries
+        # are checked alike, with the list's messages
+        grid = [0.0, 0.25, 1, 1.7]
+        for policy, mode in [
+            ("optimize", "family"),
+            ("optimize", "full"),
+            ("optimize", "shared"),
+            ("closed-form-theta", "family"),
+        ]:
+            curve = extraction_curve(P34, tuple(grid), policy, mode)
+            assert curve == extraction_curve(P34, grid, policy, mode)
+        for bad in (
+            [0.0, "0.5"], [0.0, 0.5j], [0.0, (0.5,)], [0.0, math.nan], [0.5, 0.25]
+        ):
+            with pytest.raises(ValidationError) as from_list:
+                extraction_curve(P34, bad, "optimize", "family")
+            with pytest.raises(ValidationError) as from_tuple:
+                extraction_curve(P34, tuple(bad), "optimize", "family")
+            assert str(from_tuple.value) == str(from_list.value)
+
     def test_rejects_times_whose_phase_overflows(self):
         # 2st overflowed to inf and the entries came back nan
         p = ModelParams(h=1e30, k=1.0)
@@ -495,6 +517,62 @@ class TestRank2AcrossTheDomain:
             assert full >= family - 32.0 * eps * family - slack
             assert full >= shared - 32.0 * eps * shared - slack
         assert rows["shared"][0] == 0.0  # no classical bit at t = 0
+
+
+@st.composite
+def family_grids(draw):
+    """(p, times): h and k log-uniform over the stated domain, and 1 to 6
+    ascending latencies, each 0 or with st in [1e-100, 1e18]."""
+    p = ModelParams(
+        h=10.0 ** draw(st.floats(-30.0, 30.0)), k=10.0 ** draw(st.floats(-30.0, 30.0))
+    )
+    s = p.energy_scale
+    times = st.one_of(
+        st.just(0.0),
+        st.floats(-100.0, 18.0).map(lambda e: 10.0**e / s),  # st log-uniform
+        st.floats(1e-100, 1e18).map(lambda x: x / s),
+    ).filter(lambda t: math.isfinite(4.0 * s * t))
+    return p, sorted(set(draw(st.lists(times, min_size=1, max_size=6))))
+
+
+def bits(values):
+    return [x.hex() for x in values]
+
+
+class TestFamilyAmplitudes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family_grids())
+    def test_are_the_branch0_entries_bit_for_bit(self, case):
+        # (a0, a2) = (xx + zz, xz - zx) of `_branch0_entries`, -0.0 included
+        p, times = case
+        coefficients = _coefficients(p)
+        got = list(_family_amplitudes(coefficients, times))
+        want = []
+        for t in times:
+            xx, _, xz, zx, _, zz = _branch0_entries(coefficients, t)
+            want.append((xx + zz, xz - zx))
+        assert [bits(pair) for pair in got] == [bits(pair) for pair in want]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family_grids())
+    def test_family_curves_are_the_per_point_formulas(self, case):
+        # the family peak and the fixed angle's energy, each formed from the
+        # six entries at one time, as the loops did before the generator
+        p, times = case
+        coefficients = _coefficients(p)
+        theta = optimal_rotation_angle(p)
+        half = math.sin(theta)
+        two_half2, sin_2theta = 2.0 * half * half, math.sin(2.0 * theta)
+        family, fixed = [], []
+        for t in times:
+            xx, _, xz, zx, _, zz = _branch0_entries(coefficients, t)
+            a0, a2 = xx + zz, xz - zx
+            family.append(a2 * a2 / (abs(complex(a0, a2)) - a0))
+            fixed.append((xx + zz) * two_half2 + (xz - zx) * sin_2theta)
+        assert bits(extraction_curve(p, times, "optimize", "family")) == bits(family)
+        assert bits(extraction_curve(p, times, "closed-form-theta", "family")) == bits(
+            fixed
+        )
 
 
 class TestClosedFormEqualsSimulation:
