@@ -10,8 +10,9 @@ loads numpy: `audit` and `scan-alpha` load `qetsim.audit`, `run` (one
 round, in or out of wire mode) and `sweep` (one scalar loop over the grid)
 load `qetsim.locc`, all scalar closed forms; `model` loads `qetsim.report`,
 whose numeric side is plain `math` on the two parity blocks of H_tot.
-`json` loads only for JSON output, `socket` only in wire mode.  Every
-command loads `qetsim.extraction`, whose `POLICIES` the parser offers.
+`json` loads only for JSON output, `socket` only in wire mode.  The
+parser's `--policy` choices are `model.POLICIES`, so only `run` and `sweep`
+load `qetsim.extraction`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import os
 import sys
 
 from .errors import NumericError, ValidationError
-from .extraction import POLICIES
-from .model import ModelParams
+from .model import POLICIES, ModelParams
 
 __all__ = ["main", "entry"]
 
@@ -94,7 +94,7 @@ def cmd_model(args) -> int:
     text, worst = model_report(_resolve_params(args), args.format)
     _emit(text, args.output)
     if not worst <= 1.0:  # the report's status is "ok" only when worst <= 1
-        raise NumericError(f"model cross-check residual above tolerance (x{worst:.2f})")
+        raise NumericError(f"model cross-check residual above tolerance (x{worst:.3g})")
     return 0
 
 

@@ -29,14 +29,9 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from .errors import ValidationError, require_real
-from .model import ModelParams, optimal_rotation_angle
+from .model import MODES, POLICIES, ModelParams, optimal_rotation_angle
 
 __all__ = ["POLICIES", "MODES", "extraction_at", "extraction_curve"]
-
-# A round's ways of choosing Bob's control, and his control sets (described at
-# `extraction_curve`); the fixed angle is a family control, so four pairs.
-POLICIES = ("optimize", "closed-form-theta")
-MODES = ("family", "full", "shared")
 
 _NOT_REAL = "latencies must be a flat list of real numbers"
 

@@ -4,8 +4,8 @@ Builds the site Hamiltonians H_A, H_B, the coupling V (all with identity
 offsets chosen so the ground energy is exactly zero), the entangled ground
 state in closed form, and the closed-form protocol quantities: infused
 energy, the diffusion curve at site B, and the optimal extracted energy;
-the verdict on an energy-time product (E*t >= 1); and `Record`, the base of
-every frozen record in the package.
+the verdict on an energy-time product (E*t >= 1); the names of Bob's
+controls; and `Record`, the base of every frozen record in the package.
 
 Note on normalisation: the site-A term is h*sigma_z acting on site A and the
 scalar offsets multiply the 4-dim identity, so all operators live in one
@@ -22,6 +22,8 @@ __all__ = [
     "PARAM_MIN",
     "PARAM_MAX",
     "THRESHOLD",
+    "POLICIES",
+    "MODES",
     "Record",
     "ModelParams",
     "HamiltonianSet",
@@ -53,6 +55,12 @@ THRESHOLD = 1.0
 
 def verdict_for(product: float) -> str:
     return "observable" if product >= THRESHOLD else "unobservable"
+
+
+# A round's ways of choosing Bob's control, and his control sets (see
+# `extraction.extraction_curve`); the fixed angle is family-only: four pairs.
+POLICIES = ("optimize", "closed-form-theta")
+MODES = ("family", "full", "shared")
 
 
 class Record:

@@ -7,11 +7,12 @@ by sampling, so every quantity downstream is deterministic.  A branch's
 energy under a site-B rotation R is const + tr(R^T M), with one 3x3 Wahba
 matrix M per branch, measured on the explicit branch states
 (`_rotation_costs`).  The sigma_y family is a sinusoid in 2*theta with
-coefficients read off M (`optimize_bob`, the family optimum the model
-report cross-checks).  A fixed control's energy is tr((I - R)^T M), with
-I - R built straight from its (theta, axis) (`_turn`).  The Kabsch SVD
-(`minimize`) gives the optimal rotation over all of SO(3), the tests'
-oracle for the full and shared optima.
+coefficients read off M (`optimize_bob`; the model report computes its
+own family optimum, and the tests compare the two).  A fixed control's
+energy is tr((I - R)^T M), with I - R built straight from its
+(theta, axis) (`_turn`).  The Kabsch SVD (`minimize`) gives the optimal
+rotation over all of SO(3), the tests' oracle for the full and shared
+optima.
 
 The product does not take this path: sweeps and rounds read E_B off the
 same M in closed form, straight from (h, k, t) (`qetsim.extraction`), and

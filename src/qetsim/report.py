@@ -150,11 +150,6 @@ def _eigenpairs(h_tot):
     return blocks
 
 
-def _peak_time(p: ModelParams) -> float:
-    """The first time <H_B> peaks after the measurement, pi/(4k)."""
-    return math.pi / (4.0 * p.k)
-
-
 class NumericSide(Record):
     """What the report computes without the closed forms it checks:
     the four eigenvalues of H_tot, ascending (spectrum); the even block's
@@ -223,7 +218,7 @@ def numeric_side(p: ModelParams) -> NumericSide:
     probs, states = _branches([amp_pp, 0.0, 0.0, amp_mm])
     e_a = sum(prob * _expect(psi, h_tot) for prob, psi in zip(probs, states))
 
-    peak_time = _peak_time(p)
+    peak_time = diffusion_period(p) / 2.0  # <H_B>'s first peak, pi/(4k)
     hb = 0.0
     for prob, psi in zip(probs, states):
         evolved = [0j] * 4
@@ -272,7 +267,7 @@ def model_rows(p: ModelParams) -> tuple[list[tuple], float]:
     row("ground fidelity", 1.0, overlap * overlap, 1e-12)
     row("e_a", e_a_closed(p), numeric.e_a, 1e-10, relative=True)
     row("e_b", e_b_closed(p), numeric.e_b, 1e-6, relative=True)
-    row("hb peak", hb_expected(p, _peak_time(p)), numeric.hb_peak, 1e-9)
+    row("hb peak", hb_expected(p, diffusion_period(p) / 2.0), numeric.hb_peak, 1e-9)
     worst = max(r[3] / r[4] for r in rows)
     return rows, worst
 

@@ -151,6 +151,14 @@ class TestImports:
     def test_cli_import_adds_no_third_party_module(self):
         assert self.third_party_modules("import qetsim.cli") == "[]"
 
+    def test_cli_import_loads_errors_and_model_only(self):
+        # the parser's --policy choices live in qetsim.model, so the CLI
+        # loads no module that only some commands run
+        which = "{m for m in set(sys.modules) - before if m.startswith('qetsim')}"
+        assert self.loaded("import qetsim.cli", which, flags=["-S"]) == (
+            "['qetsim', 'qetsim.cli', 'qetsim.errors', 'qetsim.model']"
+        )
+
     def test_locc_import_adds_no_third_party_module(self):
         # rounds and sweeps are scalar closed forms; numpy never loads here
         assert self.third_party_modules("import qetsim.locc") == "[]"
@@ -227,24 +235,26 @@ class TestImports:
     # Cold start: no command needs dataclasses' generated code, nor inspect,
     # which dataclasses loads, nor typing, whose names no annotation
     # evaluates; a round and a sweep need neither the audit module nor
-    # json, and the model report's default table needs no json.  The child
-    # runs without site (-S), whose hooks may load any of these first.
+    # json, the model report's default table needs no json, and only a
+    # round and a sweep evaluate E_B (qetsim.extraction).  The child runs
+    # without site (-S), whose hooks may load any of these first.
     COLD = ["dataclasses", "inspect", "typing"]
+    NO_E_B = [*COLD, "qetsim.extraction"]
     ROUND = [*COLD, "json", "qetsim.audit"]
 
     @pytest.mark.parametrize(
         "argv, unwanted",
         [
-            pytest.param(["model", "--h", "3", "--k", "4"], [*COLD, "json"],
+            pytest.param(["model", "--h", "3", "--k", "4"], [*NO_E_B, "json"],
                          id="model"),
             pytest.param(["model", "--h", "3", "--k", "4", "--format", "json"],
-                         COLD, id="model-json"),
-            pytest.param(["scan-alpha", "--points", "100"], COLD,
+                         NO_E_B, id="model-json"),
+            pytest.param(["scan-alpha", "--points", "100"], NO_E_B,
                          id="scan-alpha"),
             pytest.param(["audit", "minimal", "--alpha", "2", "--time", "0.25"],
-                         COLD, id="audit-minimal"),
+                         NO_E_B, id="audit-minimal"),
             pytest.param(["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu",
-                          "1", "--time", "1"], COLD, id="audit-ion"),
+                          "1", "--time", "1"], NO_E_B, id="audit-ion"),
             pytest.param(["run", "--alpha", "2", "--latency", "0.1"], ROUND,
                          id="run"),
             pytest.param(["run", "--alpha", "2", "--latency", "0.1",
@@ -308,8 +318,10 @@ class TestImports:
         commands = cli.build_parser()._subparsers._group_actions[0].choices
         for name in ("run", "sweep"):
             (policy,) = [a for a in commands[name]._actions if a.dest == "policy"]
-            assert policy.choices is extraction.POLICIES
-        assert not hasattr(model, "POLICIES")  # defined once, next to MODES
+            assert policy.choices is model.POLICIES
+        # defined once, in qetsim.model, and the same tuples in qetsim.extraction
+        assert extraction.POLICIES is model.POLICIES
+        assert extraction.MODES is model.MODES
 
 
 @pytest.mark.parametrize(
@@ -465,6 +477,19 @@ class TestModelCommand:
         err = capsys.readouterr().err
         assert err.startswith("qetsim: numeric failure: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "h, k, ratio",
+        [("3221225472", "4294967296", "x715"), ("1e-30", "1e30", "x2.81e+114")],
+    )
+    def test_failure_prints_the_worst_ratio_to_3_digits(self, h, k, ratio, capsys):
+        # 2^30 * (3, 4) fails on the energy rows' absolute tolerances, and the
+        # far corner by 114 orders of magnitude (ROADMAP item 4)
+        assert main(["model", "--h", h, "--k", k]) == 3
+        assert capsys.readouterr().err == (
+            "qetsim: numeric failure: model cross-check residual above "
+            f"tolerance ({ratio})\n"
+        )
 
 
 class TestScanCommand:
@@ -715,6 +740,16 @@ class TestSweepCommand:
 
     def test_bad_grid_exit_2(self):
         assert main(["sweep", "--h", "3", "--k", "4", "--latencies", "1:0:0.1"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["abc", "0:1", "0:1:0.1:2", "1,,2", pytest.param("", id="empty"), "0:1:x"],
+    )
+    def test_unparsable_grid_exit_2(self, spec, capsys):
+        assert main(["sweep", "--alpha", "1", "--latencies", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qetsim: error: cannot parse latency grid {spec!r}\n"
 
     @pytest.mark.parametrize(
         "spec", ["0:inf:1", "nan:1:0.1", "0:1e308:1e-308", "0:1e-300:1e-310"]
