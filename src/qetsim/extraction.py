@@ -8,11 +8,8 @@ no numpy, so a round (`locc.run_once`, both wire ends, `qetsim run`) and a
 sweep (`locc.sweep_latency`, `qetsim sweep`) start without it.
 
 - `extraction_curve` evaluates a latency grid in one scalar loop per
-  (policy, mode), over coefficients computed once per grid (`_curve`).
-  The two family loops (optimize and closed-form-theta) read only the
-  amplitudes a0 = xx + zz and a2 = xz - zx, from `_family_amplitudes`,
-  bit-identical to the entries' own sum and difference; full and shared
-  read `_branch0_entries`.
+  (policy, mode), over coefficients computed once per grid (`_curve`);
+  each loop reads only the entries its control's optimum depends on.
 - `extraction_at` is its one-point case, so a round is bit-identical to
   its latency's row in any sweep.
 
@@ -103,7 +100,8 @@ def _family_amplitudes(coefficients: tuple[float, ...], times):
 
 
 def _rank2_gain(xx, xy, xz, zx, zy, zz):
-    """tr M + sigma1 + sigma2: the most a site-B rotation extracts from M.
+    """tr M + sigma1 + sigma2: the most a site-B rotation extracts from M,
+    full mode's optimum.
 
     M has rows a_x = (xx, xy, xz), a_z = (zx, zy, zz) and a zero y row, so
     sigma3 = 0 and the minimum over SO(3) of tr(R^T M) is -(sigma1 + sigma2)
@@ -113,11 +111,9 @@ def _rank2_gain(xx, xy, xz, zx, zy, zz):
         n = (sigma1 + sigma2)^2 - tr^2
           = xy^2 + zy^2 + (xz - zx)^2 + 2(|a_x x a_z| - det),
     det = xx zz - xz zx, is a sum of terms >= 0 (|a_x x a_z| >= |det|).
-    Where det > 0, |a_x x a_z| - det is taken as r^2/(|a_x x a_z| + det),
-    with r = hypot(cx, cz) over the cross product's other two components,
-    so nothing cancels; hypot keeps every square in range, and the
-    quotient is formed as r*(r/(|a_x x a_z| + det)), since r*r alone goes
-    subnormal at small scale.
+    Where det > 0, |a_x x a_z| - det is taken as r*(r/(|a_x x a_z| + det)),
+    r = hypot(cx, cz) over the cross product's other two components, so
+    nothing cancels and no subnormal r*r forms; hypot keeps squares in range.
     """
     det = xx * zz - xz * zx
     r = abs(complex(xy * zz - xz * zy, xx * zy - xy * zx))
@@ -176,8 +172,9 @@ def _check_times(p: ModelParams, times) -> list[float]:
 
 
 def _curve(p: ModelParams, times: list[float], policy: str, mode: str) -> list[float]:
-    """E_B at every checked time; see `extraction_curve`.  The family loops
-    read `_family_amplitudes`, full and shared `_branch0_entries`."""
+    """E_B at every checked time; see `extraction_curve`.  Both family loops
+    read (a0, a2) from `_family_amplitudes`, shared (xx, xy) off the one
+    angle 2kt, full all six entries of `_branch0_entries`."""
     coefficients = _coefficients(p)
     if policy == "closed-form-theta":
         theta = optimal_rotation_angle(p)
@@ -190,9 +187,12 @@ def _curve(p: ModelParams, times: list[float], policy: str, mode: str) -> list[f
                 for a0, a2 in _family_amplitudes(coefficients, times)]
     curve = []
     if mode == "shared":
+        _, hk_s, _, xx, _, v = coefficients
+        two_hk_s, cos, sin = 2.0 * hk_s, math.cos, math.sin
         for t in times:
-            xx, xy, _, _, _, zz = _branch0_entries(coefficients, t)
-            curve.append(_rank2_gain(xx, xy, 0.0, 0.0, 0.0, zz))
+            b = t * v
+            xy = two_hk_s * (cos(b) * sin(b))
+            curve.append(xy * (xy / (abs(complex(xx, xy)) - xx)))
     else:
         for t in times:
             curve.append(_rank2_gain(*_branch0_entries(coefficients, t)))
@@ -210,10 +210,8 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[floa
     product E_B*t finite; a NaN fails both comparisons.  As floats they
     must ascend strictly, so no two rows share a latency.
 
-    The energy is read off branch 0's M entries (`_branch0_entries`;
-    the family control, under either policy, reads only its amplitudes
-    a0 and a2, from `_family_amplitudes`).
-    Both branches give up the same energy: branch 1's sign flips leave the
+    The energy is read off branch 0's M entries (`_branch0_entries`); both
+    branches give up the same energy: branch 1's sign flips leave the
     family's a0 and a2, tr M, |a_x|^2, |a_z|^2 and |a_x x a_z| unchanged,
     and 0.5*g + 0.5*g is g exactly.  Under policy "closed-form-theta" Bob
     applies the family control at the zero-delay angle theta
@@ -225,10 +223,12 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[floa
     element per outcome (full), tr M + sigma1 + sigma2 of M
     (`_rank2_gain`); over one element for both outcomes (shared, the
     no-information baseline), the same of (M_0 + M_1)/2, which keeps only
-    xx, xy and zz.
+    xx, xy and zz, so sigma1 + sigma2 = hypot(xx, xy) - zz and the optimum
+    is xx + hypot(xx, xy).
     xx = -2k^2/s < 0 and zz = -(h^2/s) c^2 <= 0, so a0 = tr M < 0 at every
     time and each peak is taken in its cancellation-free quotient form:
-    the family's as a2^2/(hypot(a0, a2) - a0).
+    the family's as a2^2/(hypot(a0, a2) - a0), shared's as
+    xy*(xy/(hypot(xx, xy) - xx)), since xy*xy goes subnormal at small scale.
     """
     _check_choices(policy, mode)
     return _curve(p, _check_times(p, times), policy, mode)
@@ -237,12 +237,11 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[floa
 def extraction_at(p: ModelParams, t, policy: str, mode: str) -> float:
     """E_B at the one latency t: `extraction_curve(p, [t], ...)[0]`.
 
-    The same checks, in its order and with its messages: a float needs
-    only the range check, any other latency is checked as the grid [t].
+    The same checks, in its order and with its messages: a latency of
+    another type is read as its float (`_latency`), then range-checked.
     """
     _check_choices(policy, mode)
-    if type(t) is float:
-        _check_range(p, t, t)
-    else:
-        (t,) = _check_times(p, [t])
+    if type(t) is not float:
+        t = _latency(t)
+    _check_range(p, t, t)
     return _curve(p, [t], policy, mode)[0]

