@@ -108,11 +108,9 @@ class ModelParams(Record):
         self.__dict__.update(h=h, k=k)
 
     @classmethod
-    def from_alpha(cls, alpha: float, k: float = 1.0) -> "ModelParams":
-        """Reparametrised point h = alpha*k, energies in units of k."""
-        alpha = require_real(alpha, "alpha")
-        k = require_real(k, "k")
-        return cls(h=alpha * k, k=k)
+    def from_alpha(cls, alpha: float) -> "ModelParams":
+        """The point h = alpha at k = 1: energies in units of k."""
+        return cls(h=require_real(alpha, "alpha"), k=1.0)
 
     @property
     def alpha(self) -> float:

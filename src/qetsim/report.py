@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 from .formatting import fmt, fnum
 from .model import (
     ModelParams,
@@ -275,6 +275,8 @@ def model_rows(p: ModelParams) -> tuple[list[tuple], float]:
 def model_report(p: ModelParams, form: str) -> tuple[str, float]:
     """The `qetsim model` report at p as table, csv or json text, and the
     worst residual/tolerance ratio (status ok when at most 1)."""
+    if form not in ("table", "csv", "json"):
+        raise ValidationError(f"unknown form {form!r}, expected table, csv or json")
     rows, worst = model_rows(p)
     status = "ok" if worst <= 1.0 else "residual-failure"
     period = diffusion_period(p)

@@ -126,9 +126,8 @@ def plain(result):
 # Each raised TypeError, or ValidationError for a type test, before the
 # scalar check returned the float it admitted.
 TWINS = {
-    "from_alpha-Decimal": (lambda v: ModelParams.from_alpha(v, 2.0), Decimal("0.5")),
+    "from_alpha-Decimal": (ModelParams.from_alpha, Decimal("0.5")),
     "from_alpha-float32": (ModelParams.from_alpha, np.float32(0.5)),
-    "from_alpha-k-Fraction": (lambda v: ModelParams.from_alpha(0.5, v), Fraction(1, 2)),
     "hb_expected-Decimal": (lambda v: hb_expected(P, v), Decimal("0.5")),
     "f_alpha-Fraction": (f_alpha, Fraction(1, 2)),
     "f_alpha-Decimal": (f_alpha, Decimal("2")),

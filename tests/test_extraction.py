@@ -231,7 +231,7 @@ fractions = st.floats(0.0, 1.0)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(alphas, couplings, fractions)
 def test_mode_ordering_over_domain(alpha, k, fraction):
-    p = ModelParams.from_alpha(alpha, k)
+    p = ModelParams(alpha * k, k)
     t_c = fraction * 2.0 * diffusion_period(p)
     hams, branches = evolved_round(p, t_c)
     family, full, shared = (
@@ -244,7 +244,7 @@ def test_mode_ordering_over_domain(alpha, k, fraction):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(alphas, couplings)
 def test_zero_delay_identities_over_domain(alpha, k):
-    p = ModelParams.from_alpha(alpha, k)
+    p = ModelParams(alpha * k, k)
     hams, branches = evolved_round(p, 0.0)
     family, full, shared = (
         bob_optimum(branches, hams, mode) for mode in ("family", "full", "shared")
@@ -275,7 +275,7 @@ def test_controlled_extraction_matches_applied_control(
 ):
     # any fixed control read off the branch M equals the energy measured by
     # applying its unitaries to the state vectors
-    p = ModelParams.from_alpha(alpha, k)
+    p = ModelParams(alpha * k, k)
     t_c = fraction * 2.0 * diffusion_period(p)
     hams, branches = evolved_round(p, t_c)
     control = BobControl(params=(params_mu0, params_mu1))

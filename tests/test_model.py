@@ -227,7 +227,7 @@ class TestClosedForms:
         # the difference of two angles near -pi lost up to 3.8e-8 relative
         # at alpha = 1e-8; -atan(hk/(h^2 + 2k^2))/2 at 50 digits is the oracle
         for e in range(-80, 81):
-            p = ModelParams.from_alpha(10.0 ** (e / 10), k)
+            p = ModelParams(10.0 ** (e / 10) * k, k)
             with mpmath.workdps(50):
                 h, kk = mpmath.mpf(p.h), mpmath.mpf(p.k)
                 exact = float(-mpmath.atan(h * kk / (h * h + 2 * kk * kk)) / 2)
@@ -239,7 +239,7 @@ class TestClosedForms:
         # 2s - 2k cancelled at small alpha (8.9e-5 relative at alpha = 1e-6);
         # every level against 60 digits, the gap 2s - 2k as 2h^2/(s + k)
         for e in range(-80, 81):
-            p = ModelParams.from_alpha(10.0 ** (e / 10), k)
+            p = ModelParams(10.0 ** (e / 10) * k, k)
             with mpmath.workdps(60):
                 h, kk = mpmath.mpf(p.h), mpmath.mpf(p.k)
                 s = mpmath.sqrt(h * h + kk * kk)

@@ -346,7 +346,7 @@ class TestClosedFormWahba:
     def test_matches_the_measured_branch_matrices(self, alpha, k, fractions):
         # up to 10^3 periods of the fastest Bohr frequency 2s + 2k; both
         # paths lose the same absolute phase accuracy as w*t grows
-        p = ModelParams.from_alpha(alpha, k)
+        p = ModelParams(alpha * k, k)
         w_max = 2.0 * p.energy_scale + 2.0 * k
         times = np.array(sorted(f * 1e3 * 2.0 * math.pi / w_max for f in fractions))
         measured = measured_wahba(p, times)
@@ -371,8 +371,8 @@ class TestClosedFormWahba:
                 extraction_curve(P34, times, policy, "family")
 
     def test_tuple_grid_is_checked_as_its_list(self):
-        # a tuple takes the list's path past the Sequence test; its entries
-        # are checked alike, with the list's messages
+        # a tuple is the other grid type; its entries are checked as the
+        # list's, with the list's messages
         grid = [0.0, 0.25, 1, 1.7]
         for policy, mode in [
             ("optimize", "family"),
@@ -466,22 +466,29 @@ class TestWahbaAcrossTheDomain:
         assert abs(e_b - e_b_closed(p)) <= 1e-12 * e_b_closed(p)
 
 
-def oracle_gains(m):
-    """(full, shared) E_B from branch 0's exact M (rows of mpf).
+def oracle_gains(m, theta):
+    """(full, shared, family, fixed-angle) E_B from branch 0's exact M (rows
+    of mpf), the fixed angle being the float theta.
 
     Full: tr M + sigma1 + sigma2 + sigma3 from mpmath's SVD; sigma3 = 0,
     so the sign of det M does not matter.  Shared: (M_0 + M_1)/2 keeps
     xx, xy and zz, its rows (xx, xy, 0) and (0, 0, zz) are orthogonal, and
     its singular values are hypot(xx, xy) and |zz|; with xx < 0 and
     zz <= 0 the gain is hypot(xx, xy) + xx = xy^2/(hypot(xx, xy) - xx),
-    exactly 0 where xy is.
+    exactly 0 where xy is.  The sigma_y family at angle phi gives
+    a0 (1 - cos 2phi) + a2 sin 2phi, a0 = xx + zz, a2 = xz - zx: its peak
+    a0 + hypot(a0, a2) is the family's, its value at theta the fixed angle's.
     """
     sigmas = mpmath.svd_r(mpmath.matrix(m), compute_uv=False)
     xx, xy, zz = m[0][0], m[0][1], m[2][2]
     assert xx < 0 and zz <= 0
     full = xx + zz + sum(sigmas)
     shared = xy * xy / (mpmath.hypot(xx, xy) - xx)
-    return full, shared
+    a0, a2 = xx + zz, m[0][2] - m[2][0]
+    family = a0 + mpmath.hypot(a0, a2)
+    theta = mpmath.mpf(theta)
+    fixed = a0 * 2 * mpmath.sin(theta) ** 2 + a2 * mpmath.sin(2 * theta)
+    return full, shared, family, fixed
 
 
 class TestRank2AcrossTheDomain:
@@ -489,30 +496,42 @@ class TestRank2AcrossTheDomain:
     @given(
         st.floats(-60.0, 60.0),
         st.floats(0.0, 1.0),
-        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        st.lists(st.floats(-3.0, 15.0), min_size=1, max_size=4),
     )
-    def test_matches_a_high_precision_oracle(self, log_alpha, k_place, fractions):
-        # the sampling of TestWahbaAcrossTheDomain, always with t = 0
+    def test_matches_a_high_precision_oracle(self, log_alpha, k_place, log_phases):
+        # the (h, k) sampling of TestWahbaAcrossTheDomain, with t = 0 and
+        # phases (2s + 2k)t log-uniform from 1e-3 to 1e15 radians
         lo, hi = max(-30.0, -30.0 - log_alpha), min(30.0, 30.0 - log_alpha)
         k = 10.0 ** (lo + (hi - lo) * k_place)
         h = min(max(10.0**log_alpha * k, PARAM_MIN), PARAM_MAX)
         p = ModelParams(h=h, k=k)
         w_max = 2.0 * p.energy_scale + 2.0 * k
-        times = sorted({0.0, *(f * 5.0 * 2.0 * math.pi / w_max for f in fractions)})
-        # E_B can sit 2|log10 alpha| digits below the largest entry
-        with mpmath.workdps(60 + 3 * math.ceil(abs(log_alpha))):
-            exact = [oracle_gains(amplitude_form_wahba(h, k, t)) for t in times]
+        times = sorted({0.0, *(10.0**x / w_max for x in log_phases)})
+        theta = optimal_rotation_angle(p)
+        # E_B can sit 2|log10 alpha| digits below the largest entry, and a
+        # phase of 1e15 radians takes 15 digits to reduce
+        with mpmath.workdps(76 + 3 * math.ceil(abs(log_alpha))):
+            exact = [oracle_gains(amplitude_form_wahba(h, k, t), theta) for t in times]
+        controls = {
+            "full": ("optimize", "full"),
+            "shared": ("optimize", "shared"),
+            "family": ("optimize", "family"),
+            "fixed": ("closed-form-theta", "family"),
+        }
         rows = {
-            mode: [r.e_b_extracted for r in sweep_latency(p, times, mode=mode)]
-            for mode in ("family", "full", "shared")
+            name: [
+                r.e_b_extracted
+                for r in sweep_latency(p, times, policy=policy, mode=mode)
+            ]
+            for name, (policy, mode) in controls.items()
         }
         eps = np.finfo(float).eps
         for i, t in enumerate(times):
             # a few ulps of E_B, plus the entries' phase error per radian
             slack = 32.0 * eps * max(h, 2.0 * k) * w_max * t
-            for mode, value in zip(("full", "shared"), exact[i]):
+            for name, value in zip(controls, exact[i]):
                 bound = 32.0 * eps * abs(float(value)) + slack
-                assert abs(rows[mode][i] - float(value)) <= bound
+                assert abs(rows[name][i] - float(value)) <= bound
             full, family, shared = (rows[m][i] for m in ("full", "family", "shared"))
             assert full >= family - 32.0 * eps * family - slack
             assert full >= shared - 32.0 * eps * shared - slack

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qetsim import report
 from qetsim.cli import main
-from qetsim.errors import NumericError
+from qetsim.errors import NumericError, ValidationError
 from qetsim.kernel import hermitian_eig
 from qetsim.model import (
     ModelParams,
@@ -75,7 +75,7 @@ def numpy_side(p):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(alphas, couplings)
 def test_numeric_side_matches_the_4x4_path(alpha, k):
-    p = ModelParams.from_alpha(alpha, k)
+    p = ModelParams(alpha * k, k)
     want = numpy_side(p)
     got = report.numeric_side(p)
     unit = EPS * 4.0 * p.energy_scale
@@ -194,6 +194,13 @@ def test_near_degenerate_levels_keep_the_ground_vector(tmp_path, capsys):
     for name in (*AMPLITUDES, "ground fidelity"):
         assert checks[name]["residual"] <= checks[name]["tolerance"], name
     assert checks["e_a"]["residual"] > checks["e_a"]["tolerance"]
+
+
+@pytest.mark.parametrize("form", ["xml", "JSON", ""])
+def test_unknown_form_is_rejected(form):
+    # any form but table and csv printed the JSON report
+    with pytest.raises(ValidationError, match="table, csv or json"):
+        report.model_report(ModelParams(3.0, 4.0), form)
 
 
 @pytest.mark.parametrize("alpha", [10.0 ** (-10 + i / 10) for i in range(41)])
