@@ -67,15 +67,6 @@ _ALPHA_MIN = 1e-60
 _ALPHA_STAR = math.sqrt((3.0 + math.sqrt(13.0)) / 2.0)
 
 
-def _require_alpha(alpha, what: str, gt: float | None = None) -> float:
-    """`alpha` as a float in [_ALPHA_MIN, _ALPHA_MAX] and > gt, else
-    ValidationError."""
-    alpha = require_real(alpha, what, gt=gt, ge=_ALPHA_MIN)
-    if alpha > _ALPHA_MAX:
-        raise ValidationError(f"{what} must be <= {_ALPHA_MAX:g}, the largest h/k")
-    return alpha
-
-
 def f_alpha(alpha: float) -> float:
     """Dimensionless optimal extraction f(alpha) = E_B/k at h = alpha*k.
 
@@ -84,7 +75,7 @@ def f_alpha(alpha: float) -> float:
     e_b_closed(alpha*k, k)/k for every k.  alpha lies in [1e-60, 1e60], the
     range of h/k over the stated domain.
     """
-    return _f_curve(_require_alpha(alpha, "alpha"))
+    return _f_curve(require_real(alpha, "alpha", ge=_ALPHA_MIN, le=_ALPHA_MAX))
 
 
 class AlphaScanResult(Record):
@@ -109,8 +100,8 @@ def scan_alpha(
     alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
     The audit-grade default covers (0.01, 20] with 10,000 points.
     """
-    alpha_min = require_real(alpha_min, "alpha_min", ge=_ALPHA_MIN)
-    alpha_max = _require_alpha(alpha_max, "alpha_max", gt=alpha_min)
+    alpha_min = require_real(alpha_min, "alpha_min", ge=_ALPHA_MIN, le=_ALPHA_MAX)
+    alpha_max = require_real(alpha_max, "alpha_max", gt=alpha_min, le=_ALPHA_MAX)
     if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     step = (alpha_max - alpha_min) / (points - 1)
@@ -126,9 +117,7 @@ def uncertainty_product(e: float, t: float) -> float:
     """Energy-time product e*t in hbar = 1 units; ValidationError unless
     it is finite, so a report never prints an Infinity JSON forbids."""
     product = require_real(e, "energy", ge=0.0) * require_real(t, "time", ge=0.0)
-    if not math.isfinite(product):
-        raise ValidationError("energy*time must be finite")
-    return product
+    return require_real(product, "energy*time")
 
 
 class AuditReport(Record):
@@ -179,9 +168,7 @@ class IonParams(Record):
     """
 
     def __init__(self, gamma_n: float, zeta_n: float, nu: float):
-        gamma_n = require_real(gamma_n, "gamma_n", gt=0.0)
-        if gamma_n > 1.0:
-            raise ValidationError("gamma_n must lie in (0, 1]")
+        gamma_n = require_real(gamma_n, "gamma_n", gt=0.0, le=1.0)
         zeta_n = require_real(zeta_n, "zeta_n", gt=0.0)
         nu = require_real(nu, "nu", gt=0.0)
         self.__dict__.update(gamma_n=gamma_n, zeta_n=zeta_n, nu=nu)

@@ -23,14 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
 
 from .errors import ValidationError, require_real
 from .model import MODES, POLICIES, ModelParams, optimal_rotation_angle
 
 __all__ = ["POLICIES", "MODES", "extraction_at", "extraction_curve"]
-
-_NOT_REAL = "latencies must be a flat list of real numbers"
 
 
 def _coefficients(p: ModelParams) -> tuple[float, ...]:
@@ -136,15 +133,6 @@ def _check_choices(policy: str, mode: str) -> None:
         )
 
 
-def _latency(x) -> float:
-    """A latency as its float; a str, list, array or complex (numpy's too) is none."""
-    from numbers import Complex, Real  # here: a CLI round or sweep sends floats
-
-    if not isinstance(x, Real) and isinstance(x, (Complex, Iterable)):
-        raise ValidationError(_NOT_REAL)
-    return require_real(x, "latency")
-
-
 def _check_range(p: ModelParams, low: float, high: float) -> None:
     """Latencies from low to high must be >= 0 with 4*s*t finite."""
     if not (low >= 0.0 and math.isfinite(4.0 * p.energy_scale * high)):
@@ -154,8 +142,8 @@ def _check_range(p: ModelParams, low: float, high: float) -> None:
 def _check_times(p: ModelParams, times) -> list[float]:
     """List or tuple `times` as in-range floats, non-empty, strictly ascending."""
     if type(times) is not list and type(times) is not tuple:
-        raise ValidationError(_NOT_REAL)
-    t = [x if type(x) is float else _latency(x) for x in times]
+        raise ValidationError("latencies must be a flat list of real numbers")
+    t = [x if type(x) is float else require_real(x, "latency") for x in times]
     if not t:
         raise ValidationError("latency grid must be a non-empty list of numbers")
     if all(map(operator.lt, t, t[1:])):
@@ -199,11 +187,11 @@ def extraction_curve(p: ModelParams, times, policy: str, mode: str) -> list[floa
 
     Checks policy, mode, their pair (closed-form-theta takes only family)
     and times, in that order.  Times must be a non-empty list or tuple of
-    reals (any value `require_real` admits, a numpy scalar included; no
-    str, complex, list or array: pass an array as its .tolist()) >= 0 with
-    4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st, 2kt and the
-    product E_B*t finite; a NaN fails both comparisons.  As floats they
-    must ascend strictly, so no two rows share a latency.
+    reals, each checked by `require_real` (a numpy real scalar passes; a
+    str, complex, list or array fails: pass an array as its .tolist()),
+    >= 0 with 4*s*t finite: E_B <= 4s, so the bound keeps the phases 2st,
+    2kt and the product E_B*t finite; a NaN fails both comparisons.  As
+    floats they must ascend strictly, so no two rows share a latency.
 
     Each value is within 32 eps |E_B| + 32 eps max(h, 2k) (2s + 2k) t of the
     exact E_B (tested up to (2s + 2k) t = 1e15), so the digits printed by
@@ -241,6 +229,6 @@ def extraction_at(p: ModelParams, t, policy: str, mode: str) -> float:
     """
     _check_choices(policy, mode)
     if type(t) is not float:
-        t = _latency(t)
+        t = require_real(t, "latency")
     _check_range(p, t, t)
     return _curve(p, [t], policy, mode)[0]

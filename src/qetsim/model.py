@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError, require_real
+from .errors import require_real
 
 __all__ = [
     "PARAM_MIN",
@@ -90,22 +90,13 @@ class Record:
 class ModelParams(Record):
     """The two positive energy constants of the model (hbar = 1).
 
-    Each must lie in the stated domain [PARAM_MIN, PARAM_MAX] = [1e-30, 1e30].
+    Each is stored as the float `require_real` returns, in the stated
+    domain [PARAM_MIN, PARAM_MAX] = [1e-30, 1e30], ends included.
     """
 
     def __init__(self, h: float, k: float):
-        for name, value in (("h", h), ("k", k)):
-            if not isinstance(value, (int, float)):  # the wire hello JSON-encodes it
-                raise ValidationError(
-                    f"{name} must be an int or a float, not {type(value).__name__}"
-                )
-            require_real(value, name)
-            if not PARAM_MIN <= value <= PARAM_MAX:
-                raise ValidationError(
-                    f"{name}={value!r} is outside the stated domain "
-                    f"[{PARAM_MIN:g}, {PARAM_MAX:g}]"
-                )
-        self.__dict__.update(h=h, k=k)
+        self.__dict__.update(h=require_real(h, "h", ge=PARAM_MIN, le=PARAM_MAX),
+                             k=require_real(k, "k", ge=PARAM_MIN, le=PARAM_MAX))
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "ModelParams":
@@ -200,8 +191,7 @@ def hb_expected(p: ModelParams, t: float) -> float:
     h^2/s.
     """
     t = require_real(t, "diffusion time", ge=0.0)
-    if not math.isfinite(4.0 * p.k * t):
-        raise ValidationError("diffusion time must keep the phase 4*k*t finite")
+    require_real(4.0 * p.k * t, "the diffusion phase 4*k*t")
     half = math.sin(2.0 * p.k * t)
     return e_a_closed(p) * (half * half)
 

@@ -65,6 +65,25 @@ def test_traced_names_resolve():
 P = ModelParams(3, 4)
 ION = IonParams(0.5, 2.0, 1.0)
 
+# Every scalar entry point, called with a value whose real part it accepts.
+# A numpy complex scalar and a 0-d array are not real numbers: the first
+# used to lose its imaginary part and the second to pass as its float.
+SCALAR_SITES = {
+    "f_alpha": f_alpha,
+    "from_alpha": ModelParams.from_alpha,
+    "ModelParams-h": lambda v: ModelParams(v, 4.0),
+    "ModelParams-k": lambda v: ModelParams(3.0, v),
+    "audit_minimal": lambda v: audit_minimal(P, v),
+    "hb_expected": lambda v: hb_expected(P, v),
+    "IonParams": lambda v: IonParams(0.5, v, 1.0),
+    "product-e": lambda v: uncertainty_product(v, 1.0),
+    "product-t": lambda v: uncertainty_product(1.0, v),
+    "scan_alpha-min": lambda v: scan_alpha(v, 20.0, 5),
+    "scan_alpha-max": lambda v: scan_alpha(0.01, v, 5),
+    "run_once": lambda v: run_once(P, v),
+}
+NOT_REAL = {"complex64": np.complex64(2 + 1j), "0-d-array": np.array(2.0)}
+
 
 @pytest.mark.parametrize(
     "call",
@@ -84,6 +103,11 @@ ION = IonParams(0.5, 2.0, 1.0)
         pytest.param(lambda: ModelParams(10**400, 1), id="ModelParams-bigint"),
         pytest.param(lambda: audit_minimal(P, 10**400), id="audit_minimal-bigint"),
         pytest.param(lambda: f_alpha(10**400), id="f_alpha-bigint"),
+        *[
+            pytest.param(lambda site=site, v=v: site(v), id=f"{name}-{kind}")
+            for name, site in SCALAR_SITES.items()
+            for kind, v in NOT_REAL.items()
+        ],
     ],
 )
 def test_scalar_that_is_not_a_finite_real_is_rejected(call):
@@ -128,6 +152,9 @@ def plain(result):
 TWINS = {
     "from_alpha-Decimal": (ModelParams.from_alpha, Decimal("0.5")),
     "from_alpha-float32": (ModelParams.from_alpha, np.float32(0.5)),
+    "ModelParams-h-Decimal": (lambda v: ModelParams(v, 4.0), Decimal("3")),
+    "ModelParams-k-Fraction": (lambda v: ModelParams(3.0, v), Fraction(4)),
+    "ModelParams-float32": (lambda v: ModelParams(v, 1.0), np.float32(0.5)),
     "hb_expected-Decimal": (lambda v: hb_expected(P, v), Decimal("0.5")),
     "f_alpha-Fraction": (f_alpha, Fraction(1, 2)),
     "f_alpha-Decimal": (f_alpha, Decimal("2")),
@@ -161,7 +188,7 @@ def _copy(record, cls=None, **changes):
 
 # Each runtime record, and its repr as a frozen dataclass printed it.
 RECORDS = {
-    "ModelParams": (lambda: ModelParams(3, 4), "ModelParams(h=3, k=4)"),
+    "ModelParams": (lambda: ModelParams(3, 4), "ModelParams(h=3.0, k=4.0)"),
     "ModelParams-from_alpha": (
         lambda: ModelParams.from_alpha(2), "ModelParams(h=2.0, k=1.0)"
     ),
@@ -186,7 +213,7 @@ RECORDS = {
     ),
     "ProtocolTrace": (
         lambda: run_once(P, 0.5),
-        "ProtocolTrace(params=ModelParams(h=3, k=4), latency=0.5, "
+        "ProtocolTrace(params=ModelParams(h=3.0, k=4.0), latency=0.5, "
         "e_b_extracted=0.4644884122049605, policy='optimize', mode='family')",
     ),
     "BobControl": (

@@ -80,13 +80,22 @@ class TestFAlpha:
         assert 0.0 < f_alpha(10.0**log_alpha) < 0.15
 
     def test_largest_alpha_of_the_domain(self):
-        # f(alpha) = 1/(2 alpha) + O(alpha^-3)
+        # f(alpha) = 1/(2 alpha) + O(alpha^-3); 1.0000000000000002e60 is the
+        # next float, which test_rejects_alpha_past_the_domain rejects
         assert f_alpha(1e60) == pytest.approx(0.5e-60, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("alpha", [1.0000000000000002e60, 1e100, 1e200, 1e308])
+    def test_smallest_alpha_of_the_domain(self):
+        # f(alpha) = alpha^2/4 + O(alpha^4)
+        assert f_alpha(1e-60) == pytest.approx(0.25e-120, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [1.0000000000000002e60, 1e100, 1e200, 1e308, math.nextafter(1e-60, 0.0)],
+    )
     def test_rejects_alpha_past_the_domain(self, alpha):
         # (a^2+2)^2 overflows past alpha = 1.2e77, and a^2 past 1.3e154
-        with pytest.raises(ValidationError, match="alpha must be <= 1e\\+60"):
+        message = "^alpha must be finite and >= 1e-60 and <= 1e\\+60$"
+        with pytest.raises(ValidationError, match=message):
             f_alpha(alpha)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -149,15 +158,22 @@ class TestScan:
         with pytest.raises(ValidationError):
             scan_alpha(points=1)
 
-    @pytest.mark.parametrize("alpha_min", [1e100, 1e200])
+    @pytest.mark.parametrize("alpha_min", [1e100, 1e200, math.nextafter(1e-60, 0.0)])
     def test_rejects_alpha_past_the_domain(self, alpha_min):
-        with pytest.raises(ValidationError, match="alpha_max must be <= 1e\\+60"):
+        message = "^alpha_min must be finite and >= 1e-60 and <= 1e\\+60$"
+        with pytest.raises(ValidationError, match=message):
             scan_alpha(alpha_min, 10.0 * alpha_min, 2)
 
     def test_largest_alpha_of_the_domain(self):
         result = scan_alpha(1e59, 1e60, 2)
         assert result.values[-1] == f_alpha(1e60)
         assert result.argmax_alpha == 1e59
+
+    def test_domain_ends_are_inclusive(self):
+        assert scan_alpha(1e-60, 1e60, 2).grid == (1e-60, 1e60)
+        message = "^alpha_max must be finite and > 1e-60 and <= 1e\\+60$"
+        with pytest.raises(ValidationError, match=message):
+            scan_alpha(1e-60, math.nextafter(1e60, math.inf), 2)
 
     def test_maximum_is_exact(self):
         result = scan_alpha(points=100)
@@ -277,6 +293,11 @@ class TestIonOutput:
             IonParams(gamma_n=0.0, zeta_n=1.0, nu=1.0)
         with pytest.raises(ValidationError):
             IonParams(gamma_n=1.5, zeta_n=1.0, nu=1.0)
+        # gamma_n lies in (0, 1], its upper end included
+        assert IonParams(gamma_n=1.0, zeta_n=1.0, nu=1.0).gamma_n == 1.0
+        message = "^gamma_n must be finite and > 0 and <= 1$"
+        with pytest.raises(ValidationError, match=message):
+            IonParams(gamma_n=math.nextafter(1.0, 2.0), zeta_n=1.0, nu=1.0)
         with pytest.raises(ValidationError):
             IonParams(gamma_n=0.5, zeta_n=-1.0, nu=1.0)
         with pytest.raises(ValidationError):
