@@ -10,7 +10,6 @@ to the computed numbers in every report rather than asserted.
 from __future__ import annotations
 
 import math
-import numbers
 
 from .errors import NumericError, ValidationError, require_real
 from .formatting import fmt, fnum
@@ -102,7 +101,7 @@ def scan_alpha(
     """
     alpha_min = require_real(alpha_min, "alpha_min", ge=_ALPHA_MIN, le=_ALPHA_MAX)
     alpha_max = require_real(alpha_max, "alpha_max", gt=alpha_min, le=_ALPHA_MAX)
-    if not (isinstance(points, numbers.Integral) and 2 <= points <= MAX_SCAN_POINTS):
+    if not (isinstance(points, int) and 2 <= points <= MAX_SCAN_POINTS):
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     step = (alpha_max - alpha_min) / (points - 1)
     grid = tuple([i * step + alpha_min for i in range(points - 1)] + [alpha_max])

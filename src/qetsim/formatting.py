@@ -4,11 +4,9 @@ from __future__ import annotations
 
 
 def fmt(x: float) -> str:
-    """Format a float at 12 significant digits (machine-output convention)."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalise -0.0
-    return format(x, ".12g")
+    """Format a float at 12 significant digits (machine-output convention);
+    x + 0.0 turns -0.0 into 0.0 and leaves every other float as it is."""
+    return format(x + 0.0, ".12g")
 
 
 def fnum(x: float) -> float:

@@ -211,8 +211,6 @@ def _read_frame(stream, expected: dict) -> None:
         payload = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed frame: {exc}") from exc
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise ProtocolError("malformed frame: missing kind")
     if payload != expected:
         what = "handshake" if expected["kind"] == "hello" else "outcome frame"
         raise ProtocolError(f"{what} rejected: peer sent {payload}, want {expected}")

@@ -101,7 +101,7 @@ class ModelParams(Record):
     @classmethod
     def from_alpha(cls, alpha: float) -> "ModelParams":
         """The point h = alpha at k = 1: energies in units of k."""
-        return cls(h=require_real(alpha, "alpha"), k=1.0)
+        return cls(h=require_real(alpha, "alpha", ge=PARAM_MIN, le=PARAM_MAX), k=1.0)
 
     @property
     def alpha(self) -> float:

@@ -239,7 +239,9 @@ def numeric_side(p: ModelParams) -> NumericSide:
 def model_rows(p: ModelParams) -> tuple[list[tuple], float]:
     """Cross-checked rows (quantity, closed, numeric, residual, tolerance),
     the closed and numeric values formatted, and the worst
-    residual/tolerance ratio."""
+    residual/tolerance ratio.  A residual is |numeric - closed| / scale:
+    energies in units of 4s, the width of H_tot's spectrum (hbar = 1 leaves
+    the unit free); e_a and e_b relative; amplitudes and fidelity absolute."""
     numeric = numeric_side(p)
     amp_pp, amp_mm = ground_amplitudes(p)
     closed = (amp_pp, 0.0, 0.0, amp_mm)
@@ -253,21 +255,22 @@ def model_rows(p: ModelParams) -> tuple[list[tuple], float]:
 
     rows = []
 
-    def row(name, closed_v, numeric_v, tol, relative=False):
-        resid = abs(numeric_v - closed_v)
-        if relative:
-            resid /= max(abs(closed_v), 1e-300)
+    def row(name, closed_v, numeric_v, tol, scale):
+        resid = abs(numeric_v - closed_v) / scale
         rows.append((name, fmt(closed_v), fmt(numeric_v), resid, tol))
 
-    row("ground energy", 0.0, numeric.spectrum[0], 1e-10)
+    width = 4.0 * p.energy_scale
+    row("ground energy", 0.0, numeric.spectrum[0], 1e-10, width)
     for i, level in enumerate(spectrum_closed_form(p)):
-        row(f"spectrum[{i}]", level, numeric.spectrum[i], 1e-9)
+        row(f"spectrum[{i}]", level, numeric.spectrum[i], 1e-9, width)
     for basis, closed_v, numeric_v in zip(_BASIS, closed, aligned):
-        row(f"amplitude {basis}", closed_v, numeric_v, 1e-10)
-    row("ground fidelity", 1.0, overlap * overlap, 1e-12)
-    row("e_a", e_a_closed(p), numeric.e_a, 1e-10, relative=True)
-    row("e_b", e_b_closed(p), numeric.e_b, 1e-6, relative=True)
-    row("hb peak", hb_expected(p, diffusion_period(p) / 2.0), numeric.hb_peak, 1e-9)
+        row(f"amplitude {basis}", closed_v, numeric_v, 1e-10, 1.0)
+    row("ground fidelity", 1.0, overlap * overlap, 1e-12, 1.0)
+    e_a, e_b = e_a_closed(p), e_b_closed(p)
+    row("e_a", e_a, numeric.e_a, 1e-10, e_a)
+    row("e_b", e_b, numeric.e_b, 1e-6, e_b)
+    hb_peak = hb_expected(p, diffusion_period(p) / 2.0)
+    row("hb peak", hb_peak, numeric.hb_peak, 1e-9, width)
     worst = max(r[3] / r[4] for r in rows)
     return rows, worst
 

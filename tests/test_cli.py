@@ -53,6 +53,20 @@ class TestUsage:
     def test_invalid_params_exit_2(self):
         assert main(["model", "--h", "-3", "--k", "4"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["1e-40", "0", "1e31"])
+    @pytest.mark.parametrize(
+        "command",
+        [["model"], ["run", "--latency", "0.5"], ["sweep", "--latencies", "0:1:0.1"],
+         ["audit", "minimal", "--time", "1"]],
+        ids=["model", "run", "sweep", "audit-minimal"],
+    )
+    def test_alpha_out_of_range_names_alpha(self, command, alpha, capsys):
+        # the message named h, a flag the user did not pass
+        assert main([*command, "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == (
+            "qetsim: error: alpha must be finite and >= 1e-30 and <= 1e+30\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -240,7 +254,8 @@ class TestImports:
     # json, the model report's default table needs no json, and only a
     # round and a sweep evaluate E_B (qetsim.extraction).  The CLI sends
     # floats, so the scalar check's type test for other values (numbers,
-    # collections.abc) never loads in a round, a sweep or a model report.
+    # collections.abc) never loads in a round, a sweep or a model report,
+    # and a scan's int `points` loads no numbers in the audits and scans.
     # The child runs without site (-S), whose hooks may load any of these
     # first.
     COLD = ["dataclasses", "inspect", "typing"]
@@ -248,6 +263,7 @@ class TestImports:
     LAZY = ["numbers", "collections.abc"]
     ROUND = [*COLD, *LAZY, "json", "qetsim.audit"]
     MODEL = [*NO_E_B, *LAZY]
+    AUDIT = [*NO_E_B, "numbers"]
 
     @pytest.mark.parametrize(
         "argv, unwanted",
@@ -256,12 +272,12 @@ class TestImports:
                          id="model"),
             pytest.param(["model", "--h", "3", "--k", "4", "--format", "json"],
                          MODEL, id="model-json"),
-            pytest.param(["scan-alpha", "--points", "100"], NO_E_B,
+            pytest.param(["scan-alpha", "--points", "100"], AUDIT,
                          id="scan-alpha"),
             pytest.param(["audit", "minimal", "--alpha", "2", "--time", "0.25"],
-                         NO_E_B, id="audit-minimal"),
+                         AUDIT, id="audit-minimal"),
             pytest.param(["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu",
-                          "1", "--time", "1"], NO_E_B, id="audit-ion"),
+                          "1", "--time", "1"], AUDIT, id="audit-ion"),
             pytest.param(["run", "--alpha", "2", "--latency", "0.1"], ROUND,
                          id="run"),
             pytest.param(["run", "--alpha", "2", "--latency", "0.1",
@@ -469,11 +485,13 @@ class TestModelCommand:
         assert got.decode().splitlines()[0] == "quantity,closed,numeric,residual,tolerance"
 
     def test_e_b_row_holds_at_extreme_alpha(self, tmp_path):
-        # the numeric e_b read 1e-08 against 5e-09; other rows exceed their
-        # absolute tolerances at E_A = 1e8, so the command exits 3
+        # the numeric e_b read 1e-08 against 5e-09; the energy rows, measured
+        # in units of 4s, hold at E_A = 1e8 as well
         code, got = run_cli(["model", "--alpha", "1e8", "--format", "json"], tmp_path)
-        assert code == 3
-        by_name = {c["quantity"]: c for c in json.loads(got)["checks"]}
+        assert code == 0
+        payload = json.loads(got)
+        assert payload["status"] == "ok"
+        by_name = {c["quantity"]: c for c in payload["checks"]}
         assert by_name["e_b"]["residual"] <= by_name["e_b"]["tolerance"]
 
     def test_degenerate_ground_level_exit_3(self, capsys):
@@ -487,11 +505,11 @@ class TestModelCommand:
 
     @pytest.mark.parametrize(
         "h, k, ratio",
-        [("3221225472", "4294967296", "x715"), ("1e-30", "1e30", "x2.81e+114")],
+        [("1e-4", "1", "x11.6"), ("1e-30", "1e30", "x2.81e+114")],
     )
     def test_failure_prints_the_worst_ratio_to_3_digits(self, h, k, ratio, capsys):
-        # 2^30 * (3, 4) fails on the energy rows' absolute tolerances, and the
-        # far corner by 114 orders of magnitude (ROADMAP item 4)
+        # the e_a row's cancellation fails alpha = 1e-4, and the far corner
+        # by 114 orders of magnitude (ROADMAP item 4 (c))
         assert main(["model", "--h", h, "--k", k]) == 3
         assert capsys.readouterr().err == (
             "qetsim: numeric failure: model cross-check residual above "

@@ -541,8 +541,8 @@ def test_rows_are_unit_invariant(case):
     # is exact in binary floating point while nothing under- or overflows,
     # so E_B scales by 2^j exactly and the product, the verdict, their
     # printed cells and the minimal audit's product are bit-identical.  The
-    # model report's status is left out: its absolute tolerances (ROADMAP
-    # item 4, cause (b)) make it depend on the unit.
+    # model report's status is tests/test_report.py's
+    # test_status_is_unit_invariant.
     p, j, grid = case
     scaled = ModelParams(h=math.ldexp(p.h, j), k=math.ldexp(p.k, j))
     scaled_grid = [math.ldexp(t, -j) for t in grid]
@@ -682,6 +682,27 @@ def test_ulps_to_print_boundary():
     assert fmt(below) != fmt(above)
     for y in (below, above):
         assert ulps_to_print_boundary(y) == pytest.approx(10.0, abs=0.5)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(-math.nan)
+@example(5e-324)
+@example(-5e-324)
+def test_fmt_prints_what_its_coercing_formula_printed(x):
+    # fmt was float(x), -0.0 made 0.0 by a branch, then ".12g"; every caller
+    # passes a float, so format(x + 0.0, ".12g") must print the same bytes
+    def coercing_fmt(x):
+        x = float(x)
+        if x == 0.0:
+            x = 0.0
+        return format(x, ".12g")
+
+    assert fmt(x) == coercing_fmt(x)
 
 
 class TestCsv:
@@ -934,7 +955,7 @@ class TestWire:
 
             thread = threading.Thread(target=peer)
             thread.start()
-            with pytest.raises(ProtocolError, match="malformed frame: missing kind"):
+            with pytest.raises(ProtocolError, match="handshake rejected: peer sent"):
                 wire_bob(f"127.0.0.1:{port}", P34, 0.5)
             thread.join(timeout=30)
         assert not thread.is_alive()

@@ -214,11 +214,6 @@ def test_ground_vector_comes_from_the_even_block(alpha):
             assert resid <= tol, name
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4 (b): absolute tolerances on the energy rows; "
-    "2^30 * (3, 4) fails at x715 while (3, 4) passes",
-)
 def test_status_is_unit_invariant():
     # with hbar = 1 the energy unit is free, and scaling (h, k) by 2^j is
     # exact in binary floating point, so the report's status must not move
