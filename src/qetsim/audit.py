@@ -120,25 +120,26 @@ def uncertainty_product(e: float, t: float) -> float:
 
 
 class AuditReport(Record):
-    """Energy, time, their product in hbar units, and the verdict."""
+    """Energy >= 0 held for a time >= 0 with a finite product (hbar = 1), and
+    notes; the product and its verdict against THRESHOLD follow from them."""
 
-    def __init__(self, protocol: str, energy: float, time: float, product: float,
-                 threshold: float, verdict: str, notes: str):
-        self.__dict__.update(protocol=protocol, energy=energy, time=time,
-                             product=product, threshold=threshold,
-                             verdict=verdict, notes=notes)
+    THRESHOLD = THRESHOLD
+
+    def __init__(self, protocol: str, energy: float, time: float, notes: str):
+        uncertainty_product(energy, time)
+        self.__dict__.update(protocol=protocol, energy=energy, time=time, notes=notes)
+
+    @property
+    def product(self) -> float:
+        return self.energy * self.time
+
+    @property
+    def verdict(self) -> str:
+        return verdict_for(self.product)
 
     @property
     def flagged(self) -> bool:
         return "flagged" in self.notes
-
-
-def _report(protocol: str, energy: float, t: float, notes: str) -> AuditReport:
-    """The report of `energy` held for time `t`, with its product and verdict."""
-    product = uncertainty_product(energy, t)
-    return AuditReport(
-        protocol, energy, t, product, THRESHOLD, verdict_for(product), notes
-    )
 
 
 def audit_minimal(p: ModelParams, t: float) -> AuditReport:
@@ -154,7 +155,7 @@ def audit_minimal(p: ModelParams, t: float) -> AuditReport:
         "normalization: site-A field term acts on site A and identity "
         "offsets set the ground energy to zero"
     )
-    return _report("minimal", e_b_closed(p), t, notes)
+    return AuditReport("minimal", e_b_closed(p), t, notes)
 
 
 class IonParams(Record):
@@ -235,7 +236,7 @@ def audit_ion(ip: IonParams, t: float) -> AuditReport:
             "e_out < nu*exp(-zeta_n) bound chain does not apply "
             f"(unconstrained product at t={fmt(t)} would {outcome})"
         )
-    return _report("trapped-ion", energy, t, "; ".join(parts))
+    return AuditReport("trapped-ion", energy, t, "; ".join(parts))
 
 
 def scan_to_csv(result: AlphaScanResult) -> str:
@@ -252,12 +253,11 @@ def scan_to_csv(result: AlphaScanResult) -> str:
 
 
 def report_to_json(report: AuditReport) -> str:
-    """One JSON object with exactly the report fields in declaration order,
-    floats at 12 significant digits."""
+    """One JSON object of the report's seven schema keys, in order, floats
+    at 12 significant digits."""
     import json
 
-    payload = {
-        name: value if isinstance(value, str) else fnum(value)
-        for name, value in vars(report).items()
-    }
-    return json.dumps(payload)
+    return json.dumps({"protocol": report.protocol, "energy": fnum(report.energy),
+                       "time": fnum(report.time), "product": fnum(report.product),
+                       "threshold": fnum(report.THRESHOLD),
+                       "verdict": report.verdict, "notes": report.notes})

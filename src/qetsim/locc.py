@@ -35,9 +35,8 @@ __all__ = [
 WIRE_TIMEOUT = 30.0  # seconds of wall time before a socket read gives up
 _MAX_FRAME = 512  # bytes in a frame line; the longest, a hello, has under 150
 
-# A trace's printed values: the CSV columns, and the digest's keys.
-_FIELDS = ("h", "k", "t_c", "e_a", "e_b", "product", "verdict")
-TRACE_CSV_HEADER = ",".join(_FIELDS)
+# The columns of a trace's printed row.
+TRACE_CSV_HEADER = "h,k,t_c,e_a,e_b,product,verdict"
 
 
 class ProtocolTrace(Record):
@@ -76,32 +75,16 @@ class ProtocolTrace(Record):
         return verdict_for(self.uncertainty_product)
 
     def _cells(self) -> list[str]:
-        """The printed values, in `_FIELDS` order."""
+        """The printed values, in `TRACE_CSV_HEADER` order."""
         return _row_cells(_shared_cells(self.params), self.latency, self.e_b_extracted)
 
     def digest(self) -> str:
-        """SHA-256 over the canonical 12-significant-digit serialisation.
-
-        The payload holds the CSV cells with policy and mode after t_c.  The
-        events rows record the round's fixed schedule: Alice measures and
-        sends at t = 0, Bob receives and extracts at t_c.
-        """
+        """SHA-256 of the comma-joined policy, mode and printed cells: equal
+        exactly when those nine strings are, for none holds a comma."""
         import hashlib
-        import json
 
-        cells = self._cells()
-        t_c = cells[2]
-        payload = dict(zip(_FIELDS[:3], cells[:3]))
-        payload.update(policy=self.policy, mode=self.mode)
-        payload.update(zip(_FIELDS[3:], cells[3:]))
-        payload["events"] = [
-            ["0", "alice", "measure"],
-            ["0", "alice", "send"],
-            [t_c, "bob", "deliver"],
-            [t_c, "bob", "extract"],
-        ]
-        blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        row = ",".join([self.policy, self.mode, *self._cells()])
+        return hashlib.sha256(row.encode("utf-8")).hexdigest()
 
     def csv_row(self) -> str:
         return ",".join(self._cells())
@@ -113,7 +96,7 @@ def _shared_cells(p: ModelParams) -> tuple[str, str, str]:
 
 
 def _row_cells(shared: tuple[str, str, str], t_c: float, e_b: float) -> list[str]:
-    """A row's printed values, in `_FIELDS` order, from its params'
+    """A row's printed values, in `TRACE_CSV_HEADER` order, from its params'
     `_shared_cells`, its float latency and E_B."""
     h, k, e_a = shared
     product = e_b * t_c

@@ -108,12 +108,15 @@ def hamiltonians(p: ModelParams):
 
 
 def _schur2(app: float, apq: float, aqq: float):
-    """Both eigenpairs of the real symmetric [[app, apq], [apq, aqq]], ascending.
+    """Both (eigenvalue, rate, eigenvector) of the real symmetric
+    [[app, apq], [apq, aqq]], ascending.
 
     One Jacobi rotation J = [[c, s], [-s, c]] with t = s/c the smaller root
     of t^2 + 2 tau t - 1 = 0, tau = (aqq - app)/(2 apq), diagonalises it:
     the eigenvalues are app - t*apq and aqq + t*apq, the columns of J the
-    eigenvectors (Golub & Van Loan, Algorithm 8.4.1).
+    eigenvectors (Golub & Van Loan, Algorithm 8.4.1).  Less the mean
+    diagonal they are the rates +-((app - aqq)/2 - t*apq), which keep their
+    difference where the eigenvalues round together.
     """
     if apq == 0.0:
         t, c = 0.0, 1.0
@@ -121,15 +124,15 @@ def _schur2(app: float, apq: float, aqq: float):
         tau = (aqq - app) / (2.0 * apq)
         t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
         c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-    pairs = sorted([(app - t * apq, (c, -s)), (aqq + t * apq, (s, c))])
-    if not all(map(math.isfinite, (c, s, pairs[0][0], pairs[1][0]))):
+    s, rate = t * c, (app - aqq) / 2.0 - t * apq
+    pairs = sorted([(app - t * apq, rate, (c, -s)), (aqq + t * apq, -rate, (s, c))])
+    if not all(map(math.isfinite, (c, s, rate, pairs[0][0], pairs[1][0]))):
         raise NumericError("parity-block eigensolver returned a non-finite value")
     return pairs
 
 
 def _eigenpairs(h_tot):
-    """(even block's two eigenpairs, odd block's two), 4-vectors as lists.
+    """(even block's two `_schur2` triples, odd block's two), 4-vectors as lists.
 
     H_tot must be symmetric and couple neither parity block to the other.
     """
@@ -142,10 +145,10 @@ def _eigenpairs(h_tot):
     blocks = []
     for p, q in _BLOCKS:
         pairs = []
-        for value, (up, uq) in _schur2(h_tot[p][p], h_tot[p][q], h_tot[q][q]):
+        for value, rate, (up, uq) in _schur2(h_tot[p][p], h_tot[p][q], h_tot[q][q]):
             vector = [0.0] * 4
             vector[p], vector[q] = up, uq
-            pairs.append((value, vector))
+            pairs.append((value, rate, vector))
         blocks.append(pairs)
     return blocks
 
@@ -218,18 +221,20 @@ def numeric_side(p: ModelParams) -> NumericSide:
     probs, states = _branches([amp_pp, 0.0, 0.0, amp_mm])
     e_a = sum(prob * _expect(psi, h_tot) for prob, psi in zip(probs, states))
 
-    peak_time = diffusion_period(p) / 2.0  # <H_B>'s first peak, pi/(4k)
+    # <H_B> at its first peak, pi/(4k), sums over the parity blocks (H_B is
+    # diagonal), so each block evolves at its rates, in its own frame
+    peak_time = diffusion_period(p) / 2.0
     hb = 0.0
     for prob, psi in zip(probs, states):
         evolved = [0j] * 4
-        for value, vector in pairs:
-            weight = complex(math.cos(value * peak_time), -math.sin(value * peak_time))
+        for _value, rate, vector in pairs:
+            weight = complex(math.cos(rate * peak_time), -math.sin(rate * peak_time))
             weight *= _vdot(vector, psi)
             evolved = [x + weight * u for x, u in zip(evolved, vector)]
         hb += prob * _expect(evolved, h_b)
     return NumericSide(
-        spectrum=tuple(value for value, _ in pairs),
-        ground=tuple(even[0][1]),
+        spectrum=tuple(value for value, _, _ in pairs),
+        ground=tuple(even[0][2]),
         e_a=e_a,
         hb_peak=hb,
         e_b=_family_energy(probs, states, h_tot),

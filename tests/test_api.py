@@ -207,9 +207,8 @@ RECORDS = {
         "phonon_scale_output=0.06766764161830635)",
     ),
     "AuditReport": (
-        lambda: AuditReport("minimal", 0.5, 2.0, 1.0, 1.0, "observable", "n"),
-        "AuditReport(protocol='minimal', energy=0.5, time=2.0, product=1.0, "
-        "threshold=1.0, verdict='observable', notes='n')",
+        lambda: AuditReport("minimal", 0.5, 2.0, "n"),
+        "AuditReport(protocol='minimal', energy=0.5, time=2.0, notes='n')",
     ),
     "ProtocolTrace": (
         lambda: run_once(P, 0.5),

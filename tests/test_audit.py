@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import ion_output
 
 from qetsim.audit import (
+    AuditReport,
     IonParams,
     audit_ion,
     audit_minimal,
@@ -238,6 +239,11 @@ class TestUncertainty:
             audit_minimal(ModelParams(1e30, 1e30), 1e300)
         with pytest.raises(ValidationError):
             audit_ion(IonParams(gamma_n=1.0, zeta_n=0.5, nu=1e300), 1e300)
+
+    def test_report_whose_product_overflows_cannot_be_built(self):
+        # the record derives its product, so its constructor checks it
+        with pytest.raises(ValidationError, match="energy\\*time must be finite"):
+            AuditReport("minimal", 1e300, 1e300, "n")
 
     def test_verdict_monotone(self):
         assert verdict_for(0.999999) == "unobservable"

@@ -90,24 +90,34 @@ class TestRunOnce:
             (
                 ModelParams(3, 4),
                 0.5,
-                "d502d8e20422ad4704fe455bc891ab0f6b6f2187f30c26b1d2c468ce99371336",
+                "acdc5ce1ccea8084fd800486369ebb6bd5c356f873f08f86769daf5b1b142a96",
             ),
             (
                 ModelParams(3.0, 4.0),
                 0.0,
-                "3587ef27cb3f1162ddc93820e5cbfdb17aa8b83c6ca84606389ba4b865de2a01",
+                "507f3da6e8a94b2f50bd90c876fd04c0c254012c180a85cd237676c3f6d151d2",
             ),
             (
                 ModelParams.from_alpha(2),
                 0.25,
-                "aa3d7cbe22668e54c6b64e7cc9f1f5dfb71d89f79c3fbd9fb5fe3c1f6b9310ba",
+                "9168abfb8c9903f3a7ae2a281b3983dd3a529df0d7492be4338a4e98d730c2a4",
             ),
         ],
         ids=["h3-k4-t0.5", "h3.0-k4.0-t0", "alpha2-t0.25"],
     )
     def test_digest_bytes(self, p, t_c, digest):
-        # pins the serialisation, the fixed events rows included
+        # pins the serialisation: policy, mode and the printed cells
         assert run_once(p, t_c).digest() == digest
+
+    def test_digest_hashes_policy_mode_and_printed_row(self):
+        # at t = 0 family and full print the same row, and only the mode
+        # tells their digests apart
+        family, full = (run_once(P34, 0.0, mode=mode) for mode in ("family", "full"))
+        assert family.csv_row() == full.csv_row()
+        for trace in (family, full):
+            row = ",".join([trace.policy, trace.mode, trace.csv_row()])
+            assert trace.digest() == hashlib.sha256(row.encode("utf-8")).hexdigest()
+        assert family.digest() != full.digest()
 
     def test_product_recomputable(self):
         for t_c in (0.0, 0.2, 0.7):
@@ -619,7 +629,7 @@ class TestDriftGrid:
     # The drift grid pins every printed digit of 4,444 trace rows: latencies
     # 0:2.5:0.025 at k = 1, alpha-major, under the four CONTROLS.
     ALPHAS = (1e-8, 1e-4, 0.1, 0.5, 1, 1.817, 2, 3, 10, 1e4, 1e8)
-    HASH = "642d60d4467cddbddb5474b19e13fab167a5eaa2d175f0cb992cab77af93a4a7"
+    HASH = "cdf875ec4efc0910808efec41ebb761287c32bb5f3b95f5954c0e0041d882229"
 
     def grid_rows(self):
         """(alpha, trace) for every drift-grid row, in hash order."""

@@ -154,20 +154,28 @@ def test_numeric_side_failures(monkeypatch, fail, message):
 
 @pytest.mark.parametrize(
     "block",
-    [(2.0, 0.0, -1.0), (3.0, 1.0, 3.0), (16.0, 8.0, 4.0), (1e-20, 2.0, -1e20)],
-    ids=["diagonal", "equal-diagonal", "golden-even", "wide"],
+    [(2.0, 0.0, -1.0), (3.0, 1.0, 3.0), (16.0, 8.0, 4.0), (1e-20, 2.0, -1e20),
+     (1e20, 1.0, 1e20)],
+    ids=["diagonal", "equal-diagonal", "golden-even", "wide", "rounded-gap"],
 )
 def test_schur2_diagonalises_its_block(block):
     app, apq, aqq = block
-    pairs = report._schur2(app, apq, aqq)
-    assert pairs[0][0] <= pairs[1][0]
+    triples = report._schur2(app, apq, aqq)
+    assert triples[0][0] <= triples[1][0]
     scale = EPS * max(map(abs, block))
-    for value, (x, y) in pairs:
+    mean = (app + aqq) / 2.0
+    for value, rate, (x, y) in triples:
         assert math.hypot(x, y) == pytest.approx(1.0, abs=2 * EPS)
         assert abs(app * x + apq * y - value * x) <= 4 * scale
         assert abs(apq * x + aqq * y - value * y) <= 4 * scale
-    (_, (x0, y0)), (_, (x1, y1)) = pairs
+        # a rate is its eigenvalue less the mean diagonal
+        assert abs(value - rate - mean) <= 4 * scale
+    (_, r0, (x0, y0)), (_, r1, (x1, y1)) = triples
     assert abs(x0 * x1 + y0 * y1) <= 2 * EPS
+    # the rates sum to 0 within an ulp of the mean diagonal, and keep the
+    # gap hypot(app - aqq, 2 apq) where the eigenvalues round together
+    assert abs(r0 + r1) <= math.ulp(mean)
+    assert r1 - r0 == pytest.approx(math.hypot(app - aqq, 2.0 * apq), rel=4 * EPS)
 
 
 def test_solver_failure_exit_3(monkeypatch, capsys):
@@ -194,6 +202,19 @@ def test_near_degenerate_levels_keep_the_ground_vector(tmp_path, capsys):
     for name in (*AMPLITUDES, "ground fidelity"):
         assert checks[name]["residual"] <= checks[name]["tolerance"], name
     assert checks["e_a"]["residual"] > checks["e_a"]["tolerance"]
+
+
+@pytest.mark.parametrize("k", [1e-20, 1.0, 1e20])
+def test_report_holds_for_alpha_at_least_a_hundredth(k):
+    # the hb peak row evolves each parity block in its own frame; with
+    # eigenvalues for rates its phase reached alpha*pi and the odd block's
+    # 4k beat rounded away, failing from alpha ~ 1e12 (ROADMAP item 4)
+    for j in range(-4, 121):
+        alpha = 10.0 ** (j / 2)
+        if not 1e-30 <= alpha * k <= 1e30:
+            continue
+        _rows, worst = report.model_rows(ModelParams(alpha * k, k))
+        assert worst <= 1.0, f"alpha={alpha:g}: x{worst:.3g}"
 
 
 @pytest.mark.parametrize("form", ["xml", "JSON", ""])
