@@ -78,12 +78,22 @@ def f_alpha(alpha: float) -> float:
 
 
 class AlphaScanResult(Record):
-    """Tabulated f(alpha) with the exact maximum on the range."""
+    """Tabulated f(alpha); the exact maximum on the grid's range follows.
 
-    def __init__(self, grid: tuple[float, ...], values: tuple[float, ...],
-                 argmax_alpha: float, max_value: float):
-        self.__dict__.update(grid=grid, values=values, argmax_alpha=argmax_alpha,
-                             max_value=max_value)
+    f is unimodal, so its maximiser on [grid[0], grid[-1]] is
+    alpha* = sqrt((3 + sqrt(13))/2) clamped to the range.
+    """
+
+    def __init__(self, grid: tuple[float, ...], values: tuple[float, ...]):
+        self.__dict__.update(grid=grid, values=values)
+
+    @property
+    def argmax_alpha(self) -> float:
+        return min(max(_ALPHA_STAR, self.grid[0]), self.grid[-1])
+
+    @property
+    def max_value(self) -> float:
+        return _f_curve(self.argmax_alpha)
 
 
 def scan_alpha(
@@ -95,9 +105,8 @@ def scan_alpha(
     Point i is i*step + alpha_min with step = (alpha_max - alpha_min)/(points - 1),
     and the last is alpha_max itself: numpy's `linspace`, in plain floats.
 
-    The maximum is exact: f is unimodal, so its maximiser on the range is
-    alpha* = sqrt((3 + sqrt(13))/2) clamped to [alpha_min, alpha_max].
-    The audit-grade default covers (0.01, 20] with 10,000 points.
+    The maximum is exact (`AlphaScanResult.argmax_alpha`).  The
+    audit-grade default covers (0.01, 20] with 10,000 points.
     """
     alpha_min = require_real(alpha_min, "alpha_min", ge=_ALPHA_MIN, le=_ALPHA_MAX)
     alpha_max = require_real(alpha_max, "alpha_max", gt=alpha_min, le=_ALPHA_MAX)
@@ -105,11 +114,7 @@ def scan_alpha(
         raise ValidationError(f"scan needs 2 to {MAX_SCAN_POINTS} grid points")
     step = (alpha_max - alpha_min) / (points - 1)
     grid = tuple([i * step + alpha_min for i in range(points - 1)] + [alpha_max])
-    values = tuple(map(_f_curve, grid))
-    best = min(max(_ALPHA_STAR, alpha_min), alpha_max)
-    return AlphaScanResult(
-        grid=grid, values=values, argmax_alpha=best, max_value=f_alpha(best)
-    )
+    return AlphaScanResult(grid=grid, values=tuple(map(_f_curve, grid)))
 
 
 def uncertainty_product(e: float, t: float) -> float:

@@ -8,14 +8,40 @@ nor the rank-2 peak formula with the product.
 
 `ion_output`: the trapped-ion output formula itself, which
 `audit.ion_maximize` maximises in closed form.
+
+`reference_round` and `random_params`: the 4x4 reference round and the
+parameter draw the state-level tests share.  `golden_commands`: the
+manifest of golden files and the commands that print them.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from qetsim.errors import require_real
-from qetsim.protocol import _rotation_costs, minimize, optimize_bob
+from qetsim.model import ModelParams, build_hamiltonians, ground_state_closed_form
+from qetsim.protocol import _rotation_costs, measure_alice, minimize, optimize_bob
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_commands():
+    """(file name, argv) per line of `golden/COMMANDS`: a golden file's name,
+    then the argv of the command that prints it, split on whitespace."""
+    lines = (GOLDEN / "COMMANDS").read_text().splitlines()
+    return [(name, argv) for name, *argv in map(str.split, lines)]
+
+
+def reference_round(p):
+    """(hams, branches): the 4x4 Hamiltonians and Alice's measured, unevolved
+    branches of the closed-form ground state."""
+    return build_hamiltonians(p), measure_alice(ground_state_closed_form(p))
+
+
+def random_params(rng, n=20):
+    """n points (h, k) drawn uniformly from [0.1, 10]^2 by `rng`."""
+    return [ModelParams(h=h, k=k) for h, k in rng.uniform(0.1, 10.0, size=(n, 2))]
 
 
 def bob_optimum(branches, hams, mode):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import os
@@ -8,13 +9,16 @@ import threading
 from pathlib import Path
 
 import pytest
+from oracles import GOLDEN, golden_commands
 
 from qetsim.cli import main
 from qetsim.errors import ValidationError
 from qetsim.locc import open_listener
 
-GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+GOLDEN_COMMANDS = dict(golden_commands())
+GOLDEN_RUN = "run_h3_k4_t0.5.csv"
 
 # One invocation of each command, all writing to stdout or --output.
 COMMANDS = {
@@ -350,7 +354,7 @@ class TestImports:
 @pytest.mark.parametrize(
     ("argv", "code"),
     [
-        (COMMANDS["run"], 0),
+        (GOLDEN_COMMANDS[GOLDEN_RUN], 0),
         (["teleport"], 2),
         ([*COMMANDS["run"], "--policy", "closed-form-theta", "--mode", "full"], 2),
         ([*COMMANDS["run"], "--output", "."], 2),  # the working directory
@@ -382,79 +386,40 @@ def test_process_exit_code_is_mains(argv, code, tmp_path):
     assert proc.returncode == code
     assert b"Traceback" not in err
     if code == 0:
-        assert out == (GOLDEN / "run_h3_k4_t0.5.csv").read_bytes()
+        assert out == (GOLDEN / GOLDEN_RUN).read_bytes()
     else:
         assert not out
         assert err.startswith((b"qetsim: ", b"usage: qetsim"))
 
 
 class TestGolden:
-    def test_model_h3_k4(self, tmp_path):
-        code, got = run_cli(["model", "--h", "3", "--k", "4"], tmp_path)
-        assert code == 0
-        assert got == (GOLDEN / "model_h3_k4.txt").read_bytes()
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_model_h3_k4_formats(self, fmt, tmp_path):
-        argv = ["model", "--h", "3", "--k", "4", "--format", fmt]
-        code, got = run_cli(argv, tmp_path)
-        assert code == 0
-        assert got == (GOLDEN / f"model_h3_k4.{fmt}").read_bytes()
-
-    def test_scan_alpha_100(self, tmp_path):
-        code, got = run_cli(["scan-alpha", "--points", "100"], tmp_path)
-        assert code == 0
-        assert got == (GOLDEN / "scan_alpha_100.csv").read_bytes()
-
-    def test_audit_minimal(self, tmp_path):
-        code, got = run_cli(
-            ["audit", "minimal", "--alpha", "2", "--time", "0.25"], tmp_path
-        )
-        assert code == 0
-        assert got == (GOLDEN / "audit_minimal.json").read_bytes()
-
-    def test_audit_ion(self, tmp_path):
-        code, got = run_cli(
-            ["audit", "ion", "--gamma", "0.5", "--zeta", "2", "--nu", "1",
-             "--time", "1"],
-            tmp_path,
-        )
-        assert code == 0
-        assert got == (GOLDEN / "audit_ion.json").read_bytes()
-
-    @pytest.mark.parametrize(
-        "argv, name",
-        [
-            (["run", "--h", "3", "--k", "4", "--latency", "0.5"],
-             "run_h3_k4_t0.5.csv"),
-            (["run", "--h", "3", "--k", "4", "--latency", "0.5", "--mode", "full"],
-             "run_h3_k4_t0.5_full.csv"),
-            (["run", "--h", "3", "--k", "4", "--latency", "0.5",
-              "--policy", "closed-form-theta"],
-             "run_h3_k4_t0.5_theta.csv"),
-            (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1"],
-             "sweep_h3_k4.csv"),
-            (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1",
-              "--mode", "full"],
-             "sweep_h3_k4_full.csv"),
-            (["sweep", "--h", "3", "--k", "4", "--latencies", "0:1:0.1",
-              "--policy", "closed-form-theta"],
-             "sweep_h3_k4_theta.csv"),
-        ],
-        ids=["run", "run-full", "run-closed-form-theta", "sweep", "sweep-full",
-             "sweep-closed-form-theta"],
-    )
-    def test_round_and_sweep(self, argv, name, tmp_path):
-        # a round is a one-point sweep; each (policy, mode) loop of the
-        # sweep is pinned through the command
-        code, got = run_cli(argv, tmp_path)
+    @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+    def test_file_is_its_commands_output(self, name, tmp_path):
+        # a round is a one-point sweep; each (policy, mode) loop of the sweep
+        # is pinned through its command
+        code, got = run_cli(GOLDEN_COMMANDS[name], tmp_path)
         assert code == 0
         assert got == (GOLDEN / name).read_bytes()
 
     def test_repeat_invocations_byte_identical(self, tmp_path):
-        _, first = run_cli(["model", "--h", "3", "--k", "4"], tmp_path, "a")
-        _, second = run_cli(["model", "--h", "3", "--k", "4"], tmp_path, "b")
+        argv = GOLDEN_COMMANDS["model_h3_k4.txt"]
+        _, first = run_cli(argv, tmp_path, "a")
+        _, second = run_cli(argv, tmp_path, "b")
         assert first == second
+
+    def test_perfbench_invocations_are_manifest_lines(self):
+        # until perfbench reads the manifest, its cli-cold rotation keeps a
+        # copy of some golden commands; read as data, without importing
+        # perfbench, each must be its file's manifest line
+        tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+        (invocations,) = [
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and ast.unparse(node.targets[0]) == "GOLDEN_INVOCATIONS"
+        ]
+        assert invocations
+        for argv, name in invocations:
+            assert list(argv) == GOLDEN_COMMANDS[name], name
 
 
 class TestModelCommand:

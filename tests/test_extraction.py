@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bob_optimum
+from oracles import bob_optimum, reference_round
 
 from qetsim.extraction import (
     _branch0_entries,
@@ -25,10 +25,8 @@ from qetsim.extraction import (
 from qetsim.kernel import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
 from qetsim.model import (
     ModelParams,
-    build_hamiltonians,
     diffusion_period,
     e_b_closed,
-    ground_state_closed_form,
 )
 from qetsim.protocol import (
     BobControl,
@@ -39,7 +37,6 @@ from qetsim.protocol import (
     evolve_branches,
     extracted_energy,
     infused_energy,
-    measure_alice,
     minimize,
     optimize_bob,
 )
@@ -55,8 +52,7 @@ GRID = [
 
 
 def evolved_round(p, t_c):
-    hams = build_hamiltonians(p)
-    branches = measure_alice(ground_state_closed_form(p))
+    hams, branches = reference_round(p)
     return hams, evolve_branches(branches, hams, t_c)
 
 
@@ -314,9 +310,17 @@ def rank2_shared(p, t):
 def test_shared_closed_form_matches_rank2_solve(case):
     # E_shared = xx + hypot(xx, xy), taken as xy*(xy/(hypot(xx, xy) - xx)),
     # against the rank-2 solve it replaced: at most 5 ulps apart over
-    # 4*10^5 log-uniform draws, 6 over 10^6 latencies at alpha = 2
+    # 4*10^5 log-uniform draws, 6 over 10^6 latencies at alpha = 2.
+    # The regime bound: xx < 0, so E_shared <= |xy| = (hk/s)|sin 4kt|, and
+    # where kt <= 1, t*E_shared <= kt|sin 4kt| <= |sin 4| < 1 (a worst excess
+    # of 1.8 eps over the first in 10^5 log-uniform draws)
     p, times = case
+    slack = 1.0 + 8.0 * sys.float_info.epsilon
+    hk_s = p.h * (p.k / p.energy_scale)
     for t, e in zip(times, extraction_curve(p, times, "optimize", "shared")):
         want = rank2_shared(p, t)
         assert e >= 0.0
         assert abs(e - want) <= 8.0 * math.ulp(max(e, want)), (p, t)
+        assert e <= hk_s * abs(math.sin(4.0 * p.k * t)) * slack, (p, t)
+        if p.k * t <= 1.0:
+            assert t * e <= abs(math.sin(4.0)) * slack, (p, t)

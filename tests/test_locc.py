@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import bob_optimum
+from oracles import bob_optimum, reference_round
 
 from qetsim import extraction, kernel, model, protocol
 from qetsim.audit import audit_minimal, verdict_for
@@ -34,11 +34,9 @@ from qetsim.model import (
     PARAM_MAX,
     PARAM_MIN,
     ModelParams,
-    build_hamiltonians,
     diffusion_period,
     e_a_closed,
     e_b_closed,
-    ground_state_closed_form,
     optimal_rotation_angle,
 )
 from qetsim.extraction import MODES, POLICIES
@@ -48,7 +46,6 @@ from qetsim.protocol import (
     evolve_branches,
     extracted_energy,
     infused_energy,
-    measure_alice,
     optimize_bob,
 )
 
@@ -73,8 +70,7 @@ CONTROLS = [
 class TestRunOnce:
     def test_zero_latency_matches_engine(self):
         trace = run_once(P34, 0.0)
-        hams = build_hamiltonians(P34)
-        branches = measure_alice(ground_state_closed_form(P34))
+        hams, branches = reference_round(P34)
         engine = optimize_bob(branches, hams)
         assert abs(trace.e_b_extracted - engine.extracted_energy) <= 1e-10
 
@@ -415,8 +411,7 @@ class TestSweep:
         # tolerance: its M is measured on the 4-vector branch states, good to
         # about 1e-8.  Full mode is checked through the product above: the
         # Kabsch oracle's tr((I - R)^T M) cancels where E_B << |M|.
-        hams = build_hamiltonians(p)
-        branches = measure_alice(ground_state_closed_form(p))
+        hams, branches = reference_round(p)
         assert optimize_bob(branches, hams).extracted_energy == pytest.approx(
             e_b_closed(p), rel=1e-6, abs=0.0
         )
@@ -579,8 +574,7 @@ def test_rows_are_unit_invariant(case):
 
 def oracle_e_b(p, t_c, policy, mode):
     """Extracted energy of one round, per point, from the public branch API."""
-    hams = build_hamiltonians(p)
-    branches = measure_alice(ground_state_closed_form(p))
+    hams, branches = reference_round(p)
     evolved = evolve_branches(branches, hams, t_c)
     if policy == "optimize":
         return bob_optimum(evolved, hams, mode)
@@ -597,8 +591,8 @@ def oracle_e_b(p, t_c, policy, mode):
 def test_sweep_rows_match_per_point_rounds(alpha, k, fractions):
     p = ModelParams(alpha * k, k)
     grid = sorted({f * 2.0 * diffusion_period(p) for f in fractions})
-    hams = build_hamiltonians(p)
-    infused = infused_energy(measure_alice(ground_state_closed_form(p)), hams)
+    hams, branches = reference_round(p)
+    infused = infused_energy(branches, hams)
     tol = 1e-12 * max(1.0, infused)
     for policy, mode in CONTROLS:
         rows = sweep_latency(p, grid, policy=policy, mode=mode)

@@ -4,6 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from oracles import random_params
 
 from qetsim import kernel
 from qetsim.errors import ValidationError
@@ -25,10 +26,6 @@ P34 = ModelParams(h=3.0, k=4.0)
 
 # sqrt(73) - 41/5, the simplified form of the zero-delay optimum at (3, 4)
 E_B_34 = 0.3440037453175311
-
-
-def random_params(rng, n=20):
-    return [ModelParams(h=h, k=k) for h, k in rng.uniform(0.1, 10.0, size=(n, 2))]
 
 
 class TestParams:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bob_optimum
+from oracles import bob_optimum, random_params, reference_round
 
 from qetsim import kernel, protocol
 from qetsim.errors import NumericError, ValidationError
@@ -46,21 +46,11 @@ from qetsim.protocol import (
 P34 = ModelParams(h=3.0, k=4.0)
 
 
-def setup_round(p):
-    hams = build_hamiltonians(p)
-    branches = measure_alice(ground_state_closed_form(p))
-    return hams, branches
-
-
-def random_params(rng, n=20):
-    return [ModelParams(h=h, k=k) for h, k in rng.uniform(0.1, 10.0, size=(n, 2))]
-
-
 class TestMeasurement:
     def test_probabilities_are_half(self):
         rng = np.random.default_rng(10)
         for p in random_params(rng):
-            _, branches = setup_round(p)
+            _, branches = reference_round(p)
             assert np.all(np.abs(branches.probabilities - 0.5) <= 1e-12)
 
     def test_projector_completeness(self):
@@ -71,13 +61,13 @@ class TestMeasurement:
 
     def test_branches_are_sigma_x_eigenstates(self):
         # row mu of the states is outcome mu, sigma_x^A = (-1)^mu
-        _, branches = setup_round(P34)
+        _, branches = reference_round(P34)
         sx_a = kron(SIGMA_X, ID2)
         for sign, state in zip((1.0, -1.0), branches.states):
             assert np.allclose(sx_a @ state, sign * state, atol=1e-12)
 
     def test_branch_norms(self):
-        _, branches = setup_round(P34)
+        _, branches = reference_round(P34)
         assert np.all(np.abs(np.linalg.norm(branches.states, axis=1) - 1.0) <= 1e-12)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -105,56 +95,56 @@ class TestInfusedEnergy:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(11)
         for p in random_params(rng):
-            hams, branches = setup_round(p)
+            hams, branches = reference_round(p)
             simulated = infused_energy(branches, hams)
             closed = e_a_closed(p)
             assert abs(simulated - closed) <= 1e-10 * closed
 
     def test_site_b_unaffected_by_measurement(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         assert abs(branch_average(branches, hams.h_b)) <= 1e-12
 
     def test_coupling_average_preserved(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         assert abs(branch_average(branches, hams.v)) <= 1e-12
 
 
 class TestEvolution:
     def test_zero_time_identity(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         evolved = evolve_branches(branches, hams, 0.0)
         assert np.allclose(branches.states, evolved.states, atol=1e-14)
 
     def test_diffusion_curve(self):
         for p in (P34, ModelParams(1.0, 1.0), ModelParams(5.0, 1.0)):
-            hams, branches = setup_round(p)
+            hams, branches = reference_round(p)
             for t in np.linspace(0.0, 2.0 * math.pi / p.k, 40):
                 evolved = evolve_branches(branches, hams, float(t))
                 sim = branch_average(evolved, hams.h_b)
                 assert abs(sim - hb_expected(p, float(t))) <= 1e-8
 
     def test_total_energy_conserved(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         e0 = infused_energy(branches, hams)
         for t in (0.1, 0.5, 2.0):
             evolved = evolve_branches(branches, hams, t)
             assert abs(infused_energy(evolved, hams) - e0) <= 1e-10
 
     def test_rejects_negative_time(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         with pytest.raises(ValidationError):
             evolve_branches(branches, hams, -0.5)
 
     def test_rejects_time_whose_phase_overflows(self):
         # the branches came back all NaN, with only a RuntimeWarning
-        hams, branches = setup_round(ModelParams(1.0, 1e30))
+        hams, branches = reference_round(ModelParams(1.0, 1e30))
         with pytest.raises(ValidationError):
             evolve_branches(branches, hams, 1e300)
 
 
 class TestBobControl:
     def test_zero_angle_is_identity(self):
-        _, branches = setup_round(P34)
+        _, branches = reference_round(P34)
         after = apply_bob(branches, BobControl.family(0.0))
         assert np.allclose(branches.states, after.states)
 
@@ -166,32 +156,32 @@ class TestBobControl:
         assert np.allclose(u0 @ u1, ID2, atol=1e-14)
 
     def test_norm_preserved(self):
-        _, branches = setup_round(P34)
+        _, branches = reference_round(P34)
         after = apply_bob(branches, BobControl.family(1.1))
         assert np.all(np.abs(np.linalg.norm(after.states, axis=1) - 1.0) <= 1e-12)
 
     def test_full_mode_unitary(self):
         control = BobControl(params=((0.3, (1.0, 0.0, 0.0)), (-0.2, (0.0, 0.0, 1.0))))
-        _, branches = setup_round(P34)
+        _, branches = reference_round(P34)
         after = apply_bob(branches, control)
         for mu, u in enumerate((su2(0.3, (1, 0, 0)), su2(-0.2, (0, 0, 1)))):
             assert np.allclose(after.states[mu], kron(ID2, u) @ branches.states[mu])
 
     def test_rejects_bad_axis(self):
         control = BobControl(params=((0.3, (2.0, 0.0, 0.0)), (0.0, (0.0, 0.0, 1.0))))
-        _, branches = setup_round(P34)
+        _, branches = reference_round(P34)
         with pytest.raises(ValidationError):
             apply_bob(branches, control)
 
 
 class TestExtraction:
     def test_identity_control_extracts_nothing(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         after = apply_bob(branches, BobControl.family(0.0))
         assert extracted_energy(branches, after, hams) == pytest.approx(0.0, abs=1e-14)
 
     def test_result_is_probability_weighted_sum(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         result = optimize_bob(branches, hams)
         recombined = sum(
             p * pb for p, pb in zip(branches.probabilities, result.per_branch_energy)
@@ -203,7 +193,7 @@ class TestExtraction:
         # multiply-add): the model report's residual cells pin these bits
         rng = np.random.default_rng(41)
         for p in random_params(rng, 30):
-            hams, branches = setup_round(p)
+            hams, branches = reference_round(p)
             p0, p1 = branches.probabilities
             for t in (0.0, 0.3, 1.1):
                 evolved = evolve_branches(branches, hams, t)
@@ -220,26 +210,26 @@ class TestExtraction:
                 assert extracted_energy(evolved, after, hams) == p0 * e0 + p1 * e1
 
     def test_family_optimum_matches_closed_form_at_3_4(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         result = optimize_bob(branches, hams)
         assert result.extracted_energy == pytest.approx(e_b_closed(P34), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_family_optimum_on_alpha_grid(self, alpha):
         p = ModelParams.from_alpha(alpha)
-        hams, branches = setup_round(p)
+        hams, branches = reference_round(p)
         result = optimize_bob(branches, hams)
         assert result.extracted_energy == pytest.approx(e_b_closed(p), rel=1e-6)
 
     def test_alpha_one_frozen_value(self):
         # (3/sqrt(2)) * (sqrt(10/9) - 1)
         p = ModelParams.from_alpha(1.0)
-        hams, branches = setup_round(p)
+        hams, branches = reference_round(p)
         result = optimize_bob(branches, hams)
         assert result.extracted_energy == pytest.approx(0.11474763394014725, rel=1e-9)
 
     def test_optimizer_angle_matches_analytic(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         result = optimize_bob(branches, hams)
         assert result.control.params[0][0] == pytest.approx(
             optimal_rotation_angle(P34), abs=1e-7
@@ -248,21 +238,21 @@ class TestExtraction:
     def test_full_at_least_family(self):
         rng = np.random.default_rng(13)
         for p in random_params(rng, n=5):
-            hams, branches = setup_round(p)
+            hams, branches = reference_round(p)
             family = optimize_bob(branches, hams).extracted_energy
             assert bob_optimum(branches, hams, "full") >= family - 1e-9
 
     def test_full_equals_family_at_zero_delay(self):
         # the conditioned rotation family already attains the per-branch
         # optimum at t = 0; any excess would flag a regression
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         family = optimize_bob(branches, hams).extracted_energy
         assert abs(bob_optimum(branches, hams, "full") - family) <= 1e-9
 
     def test_no_information_no_extraction(self):
         rng = np.random.default_rng(14)
         for p in random_params(rng, n=5):
-            hams, branches = setup_round(p)
+            hams, branches = reference_round(p)
             assert bob_optimum(branches, hams, "shared") <= 1e-9
 
     def test_ground_state_passivity(self):
@@ -287,7 +277,7 @@ class TestExtraction:
             assert lowered <= 1e-12
 
     def test_optimizer_deterministic(self):
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         a = optimize_bob(branches, hams)
         b = optimize_bob(branches, hams)
         assert a.extracted_energy == b.extracted_energy
@@ -302,7 +292,7 @@ class TestExtraction:
             return _rotation_costs(*args)
 
         monkeypatch.setattr(protocol, "_rotation_costs", counted)
-        hams, branches = setup_round(P34)
+        hams, branches = reference_round(P34)
         optimize_bob(branches, hams)
         assert len(calls) == 1
 
@@ -323,7 +313,7 @@ def closed_branch0(p, times):
 
 def measured_wahba(p, times):
     """Both branches' M measured on the evolved states, shape (N, 2, 3, 3)."""
-    hams, branches = setup_round(p)
+    hams, branches = reference_round(p)
     return np.array(
         [
             _rotation_costs(evolve_branches(branches, hams, t).states, hams.h_tot)
@@ -608,10 +598,8 @@ class TestClosedFormEqualsSimulation:
         p = ModelParams(h=10.0**log_h, k=10.0**log_k)
         width = 4.0 * p.energy_scale  # spectral width of H_tot
         t = fraction * 5.0 * 2.0 * math.pi / (2.0 * p.energy_scale + 2.0 * p.k)
-        hams = build_hamiltonians(p)
-        evolved = evolve_branches(
-            measure_alice(ground_state_closed_form(p)), hams, t
-        )
+        hams, branches = reference_round(p)
+        evolved = evolve_branches(branches, hams, t)
         # absolute: the oracle rounds at the scale of the spectral width,
         # far above E_B where E_B << eps*s (alpha = 1e-8, say)
         bound = 8.0 * np.finfo(float).eps * width * (1.0 + width * t)
